@@ -75,6 +75,7 @@ class WeightedGraph:
     """Simple undirected graph on vertices 0..n-1 with positive edge weights.
 
     Edges are normalized to (i, j, w) with i < j, sorted lexicographically.
+    The attributes src, dst and w hold the same edges as read-only arrays.
     """
 
     n: int
@@ -108,6 +109,11 @@ class WeightedGraph:
             normalized.append((i, j, w))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
+        columns = tuple(zip(*normalized)) or ((), (), ())
+        for name, column, dtype in zip(("src", "dst", "w"), columns, (np.intp, np.intp, float)):
+            arr = np.array(column, dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def edge_count(self) -> int:
@@ -115,11 +121,7 @@ class WeightedGraph:
 
     def degree_vector(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix)."""
-        deg = np.zeros(self.n)
-        for i, j, w in self.edges:
-            deg[i] += w
-            deg[j] += w
-        return deg
+        return _vertex_sums(self, self.w)
 
 
 @dataclass(frozen=True)
@@ -149,24 +151,34 @@ class RegularityCertificate:
         }
 
 
+def _vertex_sums(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
+    # bincount adds weights in input order, so over the interleaved endpoints
+    # [i0, j0, i1, j1, ...] each vertex sums its edge values in edge order, bit
+    # for bit like a loop over g.edges; with no edges it returns integers
+    ends = np.stack((g.src, g.dst), axis=1).ravel()
+    sums = np.bincount(ends, weights=np.repeat(values, 2), minlength=g.n)
+    return sums.astype(float, copy=False)
+
+
+def edge_laplacian(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
+    """Laplacian of g with edge k (in g.edges order) weighted values[k]."""
+    L = np.zeros((g.n, g.n))
+    # 0.0 - values keeps a zero edge value at +0.0, as L[i, j] -= 0.0 would
+    L[g.src, g.dst] = L[g.dst, g.src] = 0.0 - values
+    L[np.diag_indices(g.n)] = _vertex_sums(g, values)
+    return L
+
+
 def build_adjacency(g: WeightedGraph) -> np.ndarray:
     """Dense symmetric weighted adjacency matrix."""
     A = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        A[i, j] = w
-        A[j, i] = w
+    A[g.src, g.dst] = A[g.dst, g.src] = g.w
     return A
 
 
 def build_laplacian(g: WeightedGraph) -> np.ndarray:
-    """Weighted graph Laplacian, assembled edge by edge so row sums cancel."""
-    L = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
-    return L
+    """Weighted graph Laplacian; row sums cancel up to rounding."""
+    return edge_laplacian(g, g.w)
 
 
 def _require_positive_int(name: str, value) -> int:

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .graph_core import (
@@ -75,15 +75,7 @@ class ExperimentConfig:
     alpha_grid_size: int = 256
 
     def to_dict(self) -> dict:
-        return {
-            "graph_source": self.graph_source,
-            "profile": self.profile,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "alpha_grid_size": self.alpha_grid_size,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -102,19 +94,7 @@ class ExperimentSummary:
     bound_report: BoundReport
 
     def to_dict(self) -> dict:
-        out = {
-            "n_trials": self.n_trials,
-            "connected_fraction": self.connected_fraction,
-            "connected_fraction_se": self.connected_fraction_se,
-            "mean_deviation_norm": self.mean_deviation_norm,
-            "max_deviation_norm": self.max_deviation_norm,
-            "empirical_tail_at_bound": self.empirical_tail_at_bound,
-            "tail_tolerance": self.tail_tolerance,
-            "tail_within_tolerance": self.tail_within_tolerance,
-            "lower_bound_violations": self.lower_bound_violations,
-            "bound_report": self.bound_report.to_dict(),
-        }
-        return out
+        return asdict(self)
 
 
 def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
@@ -509,10 +489,7 @@ def main(argv=None) -> int:
     _validate_source_args(parser, args)
     try:
         return args.func(args)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

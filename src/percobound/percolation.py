@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import UnionFind, WeightedGraph
+from .graph_core import UnionFind, WeightedGraph, edge_laplacian
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -46,14 +46,6 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
     return x ^ (x >> 31)
-
-
-def unit_uniform(seed: int, trial_index: int, vertex: int) -> float:
-    """Deterministic uniform in [0, 1) derived from (seed, trial_index, vertex)."""
-    h = _splitmix64(seed & _MASK64)
-    h = _splitmix64(h ^ (trial_index & _MASK64))
-    h = _splitmix64(h ^ (vertex & _MASK64))
-    return (h >> 11) * 2.0**-53
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
@@ -184,13 +176,7 @@ def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
         raise ValueError("alpha must be non-negative")
     _check_lengths(g, len(profile), "profile")
     p = profile.p
-    L = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        pw = p[i] * p[j] * w
-        L[i, i] += pw
-        L[j, j] += pw
-        L[i, j] -= pw
-        L[j, i] -= pw
+    L = edge_laplacian(g, p[g.src] * p[g.dst] * g.w)
     L[np.diag_indices(g.n)] += alpha * (1.0 - p)
     return L
 

@@ -126,6 +126,71 @@ def _validate_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
+def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float):
+    """Validate the inputs deviation_bound and optimize_alpha share, then
+    compute everything in the bound that does not depend on alpha.
+
+    Returns the expected row sums sum_j p_j w_ij and a function that finishes
+    the bound at one alpha: the mismatch term, plus one lambda_2 of the
+    alpha-free expected Laplacian with alpha (1 - p) added to its diagonal.
+    """
+    epsilon = _validate_epsilon(epsilon)
+    if len(profile) != g.n:
+        raise ValueError(f"profile has length {len(profile)} but the graph has {g.n} vertices")
+    if g.n < 2:
+        raise ValueError("deviation_bound needs a graph on at least 2 vertices")
+
+    A = build_adjacency(g)
+    p = profile.p
+    kv = np.array([kearns_saul_k(float(pi)) for pi in p])
+    sqrt_log = math.sqrt(math.log(4.0 * g.n / epsilon))
+
+    k_bar = float(np.sqrt(((A * A) @ (kv * kv)).max()))
+    term_kbar = 2.0 * k_bar * sqrt_log
+
+    expected_row = A @ p
+
+    s_sqrt = np.sqrt(p * (1.0 - p))
+    term_dad = spectral_norm(s_sqrt[:, None] * A * s_sqrt[None, :])
+
+    # diag(p) A diag(sqrt(s)) is not symmetric; its operator norm is the
+    # square root of the spectral norm of B B^T.
+    B = p[:, None] * A * s_sqrt[None, :]
+    term_dpad = 2.0 * math.sqrt(spectral_norm(B @ B.T))
+
+    # sum_i c_i a_i a_i^T with a_i the i-th column of A equals A diag(c) A
+    col_norm_sq = (A * A).sum(axis=0)
+    c = kv * kv * (1.0 - 2.0 * p) ** 2 * col_norm_sq
+    sigma = math.sqrt(spectral_norm((A * c[None, :]) @ A))
+    term_sigma = 4.5 * math.sqrt(sigma * sqrt_log)
+
+    alpha_free_laplacian = expected_augmented_laplacian(g, profile, 0.0)
+    ghost = 1.0 - p
+
+    def bound_at(alpha: float) -> BoundReport:
+        term_alpha_mismatch = float(np.abs(alpha - expected_row).max())
+        total = term_kbar + term_alpha_mismatch + term_dad + term_dpad + term_sigma
+        L = alpha_free_laplacian.copy()
+        L[np.diag_indices(g.n)] += alpha * ghost
+        lam2 = lambda2(L)
+        return BoundReport(
+            epsilon=epsilon,
+            alpha=float(alpha),
+            k_bar=k_bar,
+            sigma=sigma,
+            term_kbar=term_kbar,
+            term_alpha_mismatch=term_alpha_mismatch,
+            term_dad=term_dad,
+            term_dpad=term_dpad,
+            term_sigma=term_sigma,
+            total=total,
+            lambda2_expected=lam2,
+            a_lower_bound=min(lam2 - total, float(alpha)),
+        )
+
+    return expected_row, bound_at
+
+
 def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
                     epsilon: float) -> BoundReport:
     """High-probability bound on ||augmented Laplacian - its expectation||.
@@ -142,59 +207,13 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
                           sigma^2 = || sum_i K_i^2 (1-2p_i)^2 ||a_i||^2 a_i a_i^T ||
 
     Their sum bounds the deviation with probability at least 1 - epsilon.
+    Only term_alpha_mismatch and lambda2_expected depend on alpha; the other
+    four terms, kbar and sigma are fixed by the graph, profile and epsilon.
     """
-    epsilon = _validate_epsilon(epsilon)
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    if len(profile) != g.n:
-        raise ValueError(f"profile has length {len(profile)} but the graph has {g.n} vertices")
-    if g.n < 2:
-        raise ValueError("deviation_bound needs a graph on at least 2 vertices")
-
-    A = build_adjacency(g)
-    p = profile.p
-    n = g.n
-    kv = np.array([kearns_saul_k(float(pi)) for pi in p])
-    log_term = math.log(4.0 * n / epsilon)
-    sqrt_log = math.sqrt(log_term)
-
-    k_bar = float(np.sqrt(((A * A) @ (kv * kv)).max()))
-    term_kbar = 2.0 * k_bar * sqrt_log
-
-    expected_row = A @ p
-    term_alpha_mismatch = float(np.abs(alpha - expected_row).max())
-
-    s_sqrt = np.sqrt(p * (1.0 - p))
-    term_dad = spectral_norm(s_sqrt[:, None] * A * s_sqrt[None, :])
-
-    # diag(p) A diag(sqrt(s)) is not symmetric; its operator norm is the
-    # square root of the spectral norm of B B^T.
-    B = p[:, None] * A * s_sqrt[None, :]
-    term_dpad = 2.0 * math.sqrt(spectral_norm(B @ B.T))
-
-    # sum_i c_i a_i a_i^T with a_i the i-th column of A equals A diag(c) A
-    col_norm_sq = (A * A).sum(axis=0)
-    c = kv * kv * (1.0 - 2.0 * p) ** 2 * col_norm_sq
-    sigma2 = spectral_norm((A * c[None, :]) @ A)
-    sigma = math.sqrt(sigma2)
-    term_sigma = 4.5 * math.sqrt(sigma * sqrt_log)
-
-    total = term_kbar + term_alpha_mismatch + term_dad + term_dpad + term_sigma
-    lam2 = lambda2(expected_augmented_laplacian(g, profile, alpha))
-    return BoundReport(
-        epsilon=epsilon,
-        alpha=float(alpha),
-        k_bar=k_bar,
-        sigma=sigma,
-        term_kbar=term_kbar,
-        term_alpha_mismatch=term_alpha_mismatch,
-        term_dad=term_dad,
-        term_dpad=term_dpad,
-        term_sigma=term_sigma,
-        total=total,
-        lambda2_expected=lam2,
-        a_lower_bound=min(lam2 - total, float(alpha)),
-    )
+    _, bound_at = _alpha_free_part(g, profile, epsilon)
+    return bound_at(alpha)
 
 
 def _as_symmetric_stack(matrices) -> np.ndarray:
@@ -254,19 +273,21 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
 
     The grid spans [0, 2 * max_i sum_j p_j w_ij] plus the mean-row-sum
     candidate, followed by one refinement pass around the best grid point.
-    Ties go to the smallest alpha.  Returns (alpha, its BoundReport).
+    Ties go to the smallest alpha.  Returns (alpha, its BoundReport).  Only
+    term_alpha_mismatch and lambda2_expected vary with alpha, so everything
+    else is computed once and each alpha costs a diagonal shift and one
+    eigensolve; every report equals deviation_bound's at its alpha.
     """
-    epsilon = _validate_epsilon(epsilon)
     if alpha_grid_size < 2:
         raise ValueError("alpha_grid_size must be at least 2")
-    expected_row = build_adjacency(g) @ profile.p
+    expected_row, bound_at = _alpha_free_part(g, profile, epsilon)
     hi = 2.0 * float(expected_row.max())
     candidates = list(np.linspace(0.0, hi, alpha_grid_size))
     candidates.append(float(expected_row.mean()))
 
     best: BoundReport | None = None
     for alpha in sorted(set(candidates)):
-        report = deviation_bound(g, profile, alpha, epsilon)
+        report = bound_at(alpha)
         if _better(report, best):
             best = report
 
@@ -276,7 +297,7 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
         lo_w = max(0.0, best.alpha - step)
         hi_w = min(hi, best.alpha + step)
         for alpha in np.linspace(lo_w, hi_w, alpha_grid_size):
-            report = deviation_bound(g, profile, float(alpha), epsilon)
+            report = bound_at(float(alpha))
             if _better(report, best):
                 best = report
     return best.alpha, best

@@ -231,6 +231,14 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError, match="grid"):
             optimize_alpha(c4, SurvivalProfile.uniform(4, 0.5), 0.1, alpha_grid_size=1)
 
+    def test_profile_length_validated_first(self):
+        with pytest.raises(ValueError, match="profile has length 4 but the graph has 5 vertices"):
+            optimize_alpha(generate("cycle", n=5), SurvivalProfile.uniform(4, 0.5), 0.1)
+
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            optimize_alpha(WeightedGraph(1), SurvivalProfile.uniform(1, 0.5), 0.1)
+
 
 class TestExpectedLambda2Regular:
     def test_c4_half(self):
