@@ -89,10 +89,12 @@ class WeightedGraph:
         normalized = []
         seen = set()
         for edge in self.edges:
-            if len(edge) != 3:
-                raise ValueError(f"edge {edge!r} must be (i, j, w)")
-            i, j, w = edge
-            if not isinstance(i, int) or not isinstance(j, int):
+            try:
+                i, j, w = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} must be (i, j, w)") from None
+            if (not isinstance(i, int) or not isinstance(j, int)
+                    or isinstance(i, bool) or isinstance(j, bool)):
                 raise ValueError(f"edge endpoints must be integers, got {edge!r}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge {edge!r} endpoint out of range for n={self.n}")
@@ -100,7 +102,10 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at vertex {i} is not allowed")
             if i > j:
                 i, j = j, i
-            w = float(w)
+            try:
+                w = float(w)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge ({i},{j}) weight must be a number, got {w!r}") from None
             if not (w > 0.0) or not math.isfinite(w):
                 raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")
             if (i, j) in seen:
@@ -154,18 +159,29 @@ class RegularityCertificate:
 def _vertex_sums(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     # bincount adds weights in input order, so over the interleaved endpoints
     # [i0, j0, i1, j1, ...] each vertex sums its edge values in edge order, bit
-    # for bit like a loop over g.edges; with no edges it returns integers
+    # for bit like a loop over g.edges; a stack of value rows gets one bincount
+    # with the endpoints of row r shifted to bins r*n..r*n+n-1.  With no edges
+    # bincount returns integers.
+    lead = values.shape[:-1]
+    rows = math.prod(lead)
     ends = np.stack((g.src, g.dst), axis=1).ravel()
-    sums = np.bincount(ends, weights=np.repeat(values, 2), minlength=g.n)
-    return sums.astype(float, copy=False)
+    ends = (np.arange(rows)[:, None] * g.n + ends).ravel()
+    sums = np.bincount(ends, weights=np.repeat(values, 2, axis=-1).ravel(),
+                       minlength=rows * g.n)
+    return sums.astype(float, copy=False).reshape(lead + (g.n,))
 
 
 def edge_laplacian(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
-    """Laplacian of g with edge k (in g.edges order) weighted values[k]."""
-    L = np.zeros((g.n, g.n))
+    """Laplacian of g with edge k (in g.edges order) weighted values[..., k].
+
+    values of shape (E,) give one n x n matrix; values of shape (c, E) give
+    the (c, n, n) stack whose matrix r weights edge k with values[r, k].
+    """
+    L = np.zeros(values.shape[:-1] + (g.n, g.n))
     # 0.0 - values keeps a zero edge value at +0.0, as L[i, j] -= 0.0 would
-    L[g.src, g.dst] = L[g.dst, g.src] = 0.0 - values
-    L[np.diag_indices(g.n)] = _vertex_sums(g, values)
+    L[..., g.src, g.dst] = L[..., g.dst, g.src] = 0.0 - values
+    diagonal = np.arange(g.n)
+    L[..., diagonal, diagonal] = _vertex_sums(g, values)
     return L
 
 
@@ -349,17 +365,14 @@ def graph_from_dict(obj) -> WeightedGraph:
         raise ValueError('graph JSON must be {"n": <int>, "edges": [[i, j, w], ...]}')
     if not isinstance(obj["n"], int) or isinstance(obj["n"], bool):
         raise ValueError("graph JSON field n must be an integer")
-    edges = []
+    if not isinstance(obj["edges"], list):
+        raise ValueError("graph JSON field edges must be a list of [i, j, w]")
+    # WeightedGraph checks each edge's shape, endpoints and weight
+    g = WeightedGraph(obj["n"], tuple(obj["edges"]))
     for entry in obj["edges"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise ValueError(f"graph JSON edge {entry!r} must be [i, j, w]")
-        i, j, w = entry
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise ValueError(f"graph JSON edge {entry!r} endpoints must be integers")
-        if not (0 <= i < j):
+        if not entry[0] < entry[1]:
             raise ValueError(f"graph JSON edge {entry!r} must have 0 <= i < j")
-        edges.append((i, j, float(w)))
-    return WeightedGraph(obj["n"], tuple(edges))
+    return g
 
 
 def write_graph(g: WeightedGraph, path) -> None:

@@ -16,6 +16,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from . import __version__
 from .graph_core import (
     GENERATOR_FAMILIES,
@@ -346,12 +348,9 @@ def cmd_oracle(args) -> int:
                 dist.write_csv(fh)
     else:
         entries = [
-            [
-                dist.pattern_bits(t),
-                float(dist.probabilities[t]),
-                "inf" if math.isinf(dist.statistics[t]) else float(dist.statistics[t]),
-            ]
-            for t in range(len(dist))
+            [b, q, "inf" if math.isinf(s) else s]
+            for bits, probabilities, statistics in dist.row_blocks()
+            for b, q, s in zip(bits, probabilities, statistics)
         ]
         payload = {
             "version": __version__,
@@ -366,21 +365,14 @@ def cmd_oracle(args) -> int:
         }
         _emit(payload, "json", args.output)
 
+    probabilities, statistics = dist.probabilities, dist.statistics
     if args.kind == "connectivity_indicator":
-        p_connected = math.fsum(
-            float(dist.probabilities[t])
-            for t in range(len(dist))
-            if dist.statistics[t] == 1.0
-        )
+        p_connected = math.fsum(probabilities[statistics == 1.0].tolist())
         sys.stderr.write(f"P(connected) = {p_connected!r}\n")
     else:
-        finite = [
-            (float(dist.probabilities[t]), float(dist.statistics[t]))
-            for t in range(len(dist))
-            if not math.isinf(dist.statistics[t])
-        ]
-        mean_stat = math.fsum(pr * st for pr, st in finite)
-        inf_mass = 1.0 - math.fsum(pr for pr, _ in finite)
+        finite = ~np.isinf(statistics)
+        mean_stat = math.fsum((probabilities[finite] * statistics[finite]).tolist())
+        inf_mass = 1.0 - math.fsum(probabilities[finite].tolist())
         sys.stderr.write(
             f"mean {args.kind} (finite part) = {mean_stat!r}, "
             f"P(statistic = inf) = {max(0.0, inf_mass)!r}\n"

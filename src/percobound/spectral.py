@@ -14,11 +14,12 @@ _SYMMETRY_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Spectrum of a symmetric matrix.
+    """Spectrum of a symmetric matrix, or of each matrix of a stack.
 
-    eigenvalues are ascending with multiplicity.  eigenvectors (columns,
-    aligned with eigenvalues) and max_residual are filled only when vectors
-    were requested; max_residual is max_i ||M v_i - mu_i v_i||_2.
+    eigenvalues are ascending with multiplicity along the last axis.
+    eigenvectors (columns, aligned with eigenvalues) and max_residual are
+    filled only when vectors were requested; max_residual is
+    max_i ||M v_i - mu_i v_i||_2.
     """
 
     eigenvalues: np.ndarray
@@ -27,46 +28,62 @@ class SpectralResult:
 
 
 def _checked_symmetric(M) -> np.ndarray:
+    # one check over the last two axes: a 2-d M, or each matrix of a
+    # (c, m, m) stack
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = M.shape[0]
-    if n == 0:
+    if M.shape[-1] == 0:
         raise ValueError("matrix must have at least one row")
-    scale = max(1.0, float(np.abs(M).sum(axis=1).max()))
-    asym = float(np.abs(M - M.T).max())
-    if asym > _SYMMETRY_RTOL * scale:
+    T = M.mT
+    scale = np.abs(M).sum(axis=-1).max(axis=-1, initial=1.0)
+    asym = np.abs(M - T).max(axis=(-2, -1))
+    bad = asym > _SYMMETRY_RTOL * scale
+    if np.count_nonzero(bad):
+        k = int(np.flatnonzero(bad)[0])
+        which = f"matrix {k} of the stack" if M.ndim == 3 else "matrix"
         raise ValueError(
-            f"matrix is not symmetric: max |M - M^T| entry is {asym:.3e}"
+            f"{which} is not symmetric: max |M - M^T| entry is {asym.flat[k]:.3e}"
         )
     # Exact symmetry keeps LAPACK deterministic regardless of which triangle
     # it reads.
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + T)
 
 
 def eig_sym(M, compute_vectors: bool = False) -> SpectralResult:
     """Full spectrum of a symmetric matrix, ascending.
 
-    Raises ValueError for non-square input or when M deviates from symmetry
-    by more than 1e-10 relative to its largest absolute row sum.
+    M may also be a (c, m, m) stack; eigenvalues then has shape (c, m), row k
+    bit for bit the spectrum eig_sym(M[k]) gives, and max_residual is the
+    largest over the stack.  Raises ValueError for non-square input or when
+    M (or any matrix of the stack, named by its index) deviates from
+    symmetry by more than 1e-10 relative to its largest absolute row sum.
     """
     S = _checked_symmetric(M)
     if not compute_vectors:
         return SpectralResult(eigenvalues=np.linalg.eigvalsh(S))
     vals, vecs = np.linalg.eigh(S)
-    residual = float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
-    return SpectralResult(eigenvalues=vals, eigenvectors=vecs, max_residual=residual)
+    residual = np.linalg.norm(S @ vecs - vecs * vals[..., None, :], axis=-2)
+    return SpectralResult(eigenvalues=vals, eigenvectors=vecs,
+                          max_residual=float(residual.max()))
+
+
+def _single_spectrum(M) -> np.ndarray:
+    vals = eig_sym(M).eigenvalues
+    if vals.ndim != 1:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(M)}")
+    return vals
 
 
 def spectral_norm(M) -> float:
     """Spectral norm of a symmetric matrix: max |eigenvalue|."""
-    vals = eig_sym(M).eigenvalues
+    vals = _single_spectrum(M)
     return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def lambda2(M) -> float:
     """Second smallest eigenvalue (with multiplicity) of a symmetric matrix."""
-    vals = eig_sym(M).eigenvalues
+    vals = _single_spectrum(M)
     if vals.shape[0] < 2:
         raise ValueError("lambda2 needs a matrix of order at least 2")
     return float(vals[1])

@@ -1,4 +1,5 @@
-"""Vectorized assembly and the hoisted alpha search against their slow paths."""
+"""Vectorized assembly, the hoisted alpha search and the chunked oracle against
+their slow paths."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,17 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import assembly_reference as ref
+import oracle_reference
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
     build_adjacency,
     build_laplacian,
     deviation_bound,
+    exact_distribution,
     expected_augmented_laplacian,
     generate,
     optimize_alpha,
+    oracle,
     theory,
 )
+from percobound.graph_core import edge_laplacian
 
 from conftest import petersen_graph
 
@@ -57,6 +62,11 @@ def test_assembly_matches_edge_loops(case, alpha):
     assert_identical(g.degree_vector(), ref.degree_vector(g))
     assert_identical(expected_augmented_laplacian(g, profile, alpha),
                      ref.expected_augmented_laplacian(g, profile.p, alpha))
+    # a stack of edge values: matrix r is the Laplacian of row r
+    values = np.outer([1.0, 0.0, alpha], g.w)
+    stack = edge_laplacian(g, values)
+    for r in range(3):
+        assert_identical(stack[r], edge_laplacian(g, values[r]))
 
 
 def search_evaluations(g, profile, epsilon, alpha_grid_size=256):
@@ -99,3 +109,31 @@ def test_search_is_never_below_its_grid(case, epsilon):
     best, evaluated = search_evaluations(g, profile, epsilon, alpha_grid_size=8)
     for alpha, _ in evaluated:
         assert best.a_lower_bound >= deviation_bound(g, profile, alpha, epsilon).a_lower_bound
+
+
+# 2^11 masks make several chunks and a partial last one (see the test below)
+MULTI_CHUNK = WeightedGraph(11, tuple(
+    (i, j, 0.5 + (7 * i + 3 * j) % 5) for i in range(11) for j in range(i + 1, 11)
+    if (i + 2 * j) % 3 != 0
+))
+
+
+def test_multi_chunk_example_spans_chunks():
+    chunk = oracle._chunk_masks(MULTI_CHUNK.n)
+    count = 1 << MULTI_CHUNK.n
+    assert count > 2 * chunk and count % chunk != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(), st.floats(0.0, 10.0))
+@example((WeightedGraph(1), SurvivalProfile([0.5])), 1.0)
+@example((WeightedGraph(5), SurvivalProfile.uniform(5, 0.3)), 2.0)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 1.5)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5)
+@example((generate("cycle", n=7), SurvivalProfile.uniform(7, 0.6)), 0.0)
+@example((MULTI_CHUNK, SurvivalProfile(np.linspace(0.05, 0.95, 11))), 0.8)
+def test_oracle_matches_mask_by_mask_reference(case, alpha):
+    g, profile = case
+    for kind in oracle.STATISTIC_KINDS:
+        fast = exact_distribution(g, profile, alpha, kind).statistics
+        assert_identical(fast, oracle_reference.statistics(g, profile, alpha, kind))

@@ -43,6 +43,19 @@ class TestWeightedGraph:
             with pytest.raises(ValueError, match="weight"):
                 WeightedGraph(2, ((0, 1, w),))
 
+    def test_non_integer_endpoints_rejected(self):
+        for edge in ((True, 2, 1.0), (0, 1.0, 1.0), (0, "1", 1.0)):
+            with pytest.raises(ValueError, match="endpoints must be integers"):
+                WeightedGraph(3, (edge,))
+
+    def test_malformed_edge_rejected(self):
+        for edge in (5, (0, 1), (0, 1, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=r"must be \(i, j, w\)"):
+                WeightedGraph(3, (edge,))
+        for w in (None, [1.0], "heavy"):
+            with pytest.raises(ValueError, match=r"edge \(0,1\) weight must be a number"):
+                WeightedGraph(3, ((0, 1, w),))
+
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             WeightedGraph(2, ((0, 2, 1.0),))

@@ -239,6 +239,18 @@ class TestUsageErrors:
             run_cli(["certify"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 3, "edges": [[0, 1, null]]}', "edge (0,1) weight must be a number"),
+        ('{"n": 3, "edges": [[0, 1, [2.0]]]}', "edge (0,1) weight must be a number"),
+        ('{"n": 3, "edges": 5}', "edges must be a list"),
+    ], ids=["null-weight", "list-weight", "edges-not-a-list"])
+    def test_malformed_graph_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["certify", "--graph", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_bad_alpha_string(self, capsys):
         code = run_cli(["bound", "--family", "cycle", "--n", "4", "--p", "0.5",
                         "--alpha", "lots", "--epsilon", "0.1"])

@@ -14,6 +14,7 @@ from percobound import (
     exact_tail,
     generate,
 )
+from percobound import oracle
 from percobound.oracle import MAX_ENUM_VERTICES
 
 
@@ -70,6 +71,9 @@ class TestExactDistribution:
                                   statistic_kind="connectivity_indicator")
         assert dist.pattern_bits(1) == "100"
         assert dist.pattern_bits(6) == "011"
+        (bits, _, _), = dist.row_blocks()
+        assert bits == [dist.pattern_bits(t) for t in range(len(dist))]
+        assert bits[1] == "100" and bits[6] == "011"
 
     def test_heterogeneous_pattern_probabilities(self, p3):
         prof = SurvivalProfile([0.9, 0.5, 0.25])
@@ -93,6 +97,15 @@ class TestExactDistribution:
         prof = SurvivalProfile.uniform(MAX_ENUM_VERTICES + 1, 0.5)
         with pytest.raises(ValueError, match="capped at 20"):
             exact_distribution(g, prof, alpha=1.0, statistic_kind="a_delta")
+
+    def test_negative_alpha_rejected_before_enumeration(self, c4, monkeypatch):
+        def no_eigensolve(M):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(oracle, "eig_sym", no_eigensolve)
+        with pytest.raises(ValueError, match="alpha must be non-negative"):
+            exact_distribution(c4, SurvivalProfile.uniform(4, 0.5), alpha=-0.5,
+                               statistic_kind="deviation_norm")
 
     def test_kind_and_length_validation(self, p3):
         with pytest.raises(ValueError, match="statistic_kind"):

@@ -47,7 +47,7 @@ class TestEigSym:
             assert np.abs(vals - cycle_laplacian_spectrum(n)).max() <= 1e-8
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="^matrix is not symmetric"):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_non_square_rejected(self):
@@ -86,6 +86,43 @@ class TestEigSym:
         res = eig_sym(np.eye(3))
         assert res.eigenvectors is None and res.max_residual is None
 
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 7, 15):
+            R = rng.standard_normal((9, m, m)) * 10.0 ** rng.uniform(-3, 3, (9, 1, 1))
+            stack = R + R.transpose(0, 2, 1)
+            stack[4] = build_laplacian(generate("cycle", n=m))
+            vals = eig_sym(stack).eigenvalues
+            assert vals.shape == (9, m)
+            for k in range(9):
+                single = eig_sym(stack[k]).eigenvalues
+                assert vals[k].tobytes() == single.tobytes()
+
+    def test_stack_with_vectors(self):
+        rng = np.random.default_rng(8)
+        R = rng.standard_normal((4, 6, 6))
+        res = eig_sym(R + R.transpose(0, 2, 1), compute_vectors=True)
+        assert res.eigenvectors.shape == (4, 6, 6)
+        assert res.max_residual <= 1e-10 * 6 * np.abs(res.eigenvalues).max()
+
+    def test_stack_names_the_asymmetric_matrix(self):
+        stack = np.stack([np.eye(3)] * 5)
+        stack[3, 0, 2] = 1e-3
+        with pytest.raises(ValueError, match="matrix 3 of the stack is not symmetric"):
+            eig_sym(stack)
+
+    def test_stack_tolerates_tiny_asymmetry(self):
+        stack = np.stack([np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])] * 3)
+        assert np.allclose(eig_sym(stack).eigenvalues, [1.0, 3.0], atol=1e-10)
+
+    def test_stack_of_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            eig_sym(np.zeros((2, 2, 3)))
+
+    def test_more_than_three_axes_rejected(self):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            eig_sym(np.zeros((2, 2, 3, 3)))
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
         R = rng.standard_normal((12, 12))
@@ -108,6 +145,12 @@ class TestNormAndLambda2:
     def test_lambda2_needs_order_two(self):
         with pytest.raises(ValueError, match="order at least 2"):
             lambda2(np.array([[1.0]]))
+
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 4, 4)])
+    def test_stacks_rejected(self, shape):
+        for fn in (spectral_norm, lambda2):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                fn(np.ones(shape))
 
 
 def _random_graph(rng: random.Random, n: int, edge_prob: float) -> WeightedGraph:
