@@ -33,6 +33,7 @@ from .oracle import (
 from .percolation import (
     PercolationSample,
     SurvivalProfile,
+    TrialBlock,
     TrialRecord,
     algebraic_connectivity_survivors,
     augmented_laplacian,
@@ -41,6 +42,7 @@ from .percolation import (
     run_trial,
     sample,
     survivor_connectivity,
+    trial_block,
 )
 from .spectral import SpectralResult, eig_sym, lambda2, spectral_norm
 from .theory import (
@@ -66,6 +68,7 @@ __all__ = [
     "SpectralResult",
     "SurvivalProfile",
     "ThresholdReport",
+    "TrialBlock",
     "TrialRecord",
     "UnionFind",
     "WeightedGraph",
@@ -98,5 +101,6 @@ __all__ = [
     "survival_threshold",
     "survivor_connectivity",
     "threshold_constants",
+    "trial_block",
     "write_graph",
 ]

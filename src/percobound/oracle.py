@@ -5,13 +5,12 @@ exact distributions of per-realization statistics and exact tails of matrix
 Bernoulli series.  Enumeration is capped at n = 20 vertices.
 
 exact_distribution walks the masks in ascending order, one fixed-size chunk
-at a time, with no per-mask Python for the spectral statistics: it decodes
-the chunk's survival flags with one shift-and-mask, assembles the chunk's
-percolated Laplacians as one (chunk, n, n) stack from the graph's edge
-arrays, and solves that stack with one eigensolve call (a_delta: one per
-survivor count).  connectivity_indicator runs the percolation module's
-union-find on each mask of the chunk.  A chunk holds at most _CHUNK_ENTRIES matrix entries, so
-beyond the 2^n-long result arrays the memory is O(chunk * n^2).
+at a time, with no per-mask Python: it decodes the chunk's survival flags
+with one shift-and-mask and hands them to the percolation module's chunk
+assembly, stacked eigensolves (a_delta: one per survivor count) and
+union-find, the same code the Monte Carlo kernel runs.  A chunk holds at most
+the percolation module's _CHUNK_ENTRIES matrix entries, so beyond the
+2^n-long result arrays the memory is O(chunk * n^2).
 """
 from __future__ import annotations
 
@@ -20,14 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, edge_laplacian
+from .graph_core import WeightedGraph
 from .percolation import (
-    PercolationSample,
     SurvivalProfile,
+    _add_ghost_diagonal,
+    _chunk_length,
+    _deviation_norms,
+    _live_edges,
+    _percolated,
+    _survivor_lambda2,
+    _survivors_connected,
     expected_augmented_laplacian,
-    survivor_connectivity,
 )
-from .spectral import eig_sym
 
 __all__ = [
     "MAX_ENUM_VERTICES",
@@ -41,15 +44,8 @@ __all__ = [
 MAX_ENUM_VERTICES = 20
 STATISTIC_KINDS = ("deviation_norm", "a_delta", "connectivity_indicator")
 
-# Matrix entries in one chunk's stack of n x n Laplacians (145 masks at
-# n = 15): larger chunks raise peak memory without running faster.
-_CHUNK_ENTRIES = 1 << 15
 # Entries rendered per block of text by ExactDistribution.row_blocks.
 _ROW_BLOCK = 4096
-
-
-def _chunk_masks(n: int) -> int:
-    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _bit_strings(masks: np.ndarray, n: int) -> list:
@@ -117,28 +113,6 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _deviation_norms(laplacians: np.ndarray, delta: np.ndarray, alpha: float,
-                     expected: np.ndarray) -> np.ndarray:
-    # augmented Laplacians: alpha on each ghost's diagonal entry
-    diagonal = np.arange(delta.shape[1])
-    laplacians[:, diagonal, diagonal] += alpha * ~delta
-    vals = eig_sym(laplacians - expected).eigenvalues
-    return np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-
-
-def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    # the survivor block of a percolated Laplacian is the survivors' own
-    # Laplacian, entry for entry; blocks of equal order m share one eigensolve
-    out = np.full(delta.shape[0], math.inf)
-    counts = delta.sum(axis=1)
-    for m in np.unique(counts[counts >= 2]).tolist():
-        rows = np.flatnonzero(counts == m)
-        survivors = np.nonzero(delta[rows])[1].reshape(-1, m)
-        blocks = laplacians[rows[:, None, None], survivors[:, :, None], survivors[:, None, :]]
-        out[rows] = eig_sym(blocks).eigenvalues[:, 1]
-    return out
-
-
 def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
                        statistic_kind: str) -> ExactDistribution:
     """Enumerate all 2^n survival patterns and their statistic.
@@ -166,21 +140,18 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
         expected = expected_augmented_laplacian(g, profile, alpha)
 
     bit = np.arange(n)
-    chunk = _chunk_masks(n)
+    chunk = _chunk_length(n)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         delta = ((np.arange(start, stop)[:, None] >> bit) & 1).astype(bool)
+        live = _live_edges(g, delta)
         if statistic_kind == "connectivity_indicator":
-            statistics[start:stop] = [
-                1.0 if survivor_connectivity(g, PercolationSample(row, 0, mask))[1] else 0.0
-                for mask, row in enumerate(delta, start)
-            ]
+            statistics[start:stop] = _survivors_connected(g, delta, live)
             continue
-        live = delta[:, g.src] & delta[:, g.dst]
-        # w on live edges, +0.0 on dead ones: the percolated Laplacians
-        laplacians = edge_laplacian(g, live * g.w)
+        laplacians = _percolated(g, live)
         if statistic_kind == "deviation_norm":
-            statistics[start:stop] = _deviation_norms(laplacians, delta, alpha, expected)
+            _add_ghost_diagonal(laplacians, delta, alpha)
+            statistics[start:stop] = _deviation_norms(laplacians, expected)
         else:
             statistics[start:stop] = _survivor_lambda2(laplacians, delta)
 

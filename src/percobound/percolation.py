@@ -6,30 +6,52 @@ diagonal entry of each deleted (ghost) vertex, which decouples ghosts from
 survivors: its spectrum is the survivor-block Laplacian spectrum together
 with one copy of alpha per ghost.
 
-Sampling is counter-based: each survival flag is a pure function of
-(seed, trial_index, vertex), so trials can be evaluated in any order, on any
-number of threads, with identical results on every platform.
+Sampling is counter-based (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11): each survival flag is a pure function of (seed,
+trial_index, vertex), so trials can be evaluated in any order, on any number
+of threads, with identical results on every platform.
+
+Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
+trials it draws the (trials x n) grid of survival flags with one vectorized
+hash, assembles the chunk's percolated Laplacians as one stack from the
+graph's edge arrays, and solves that stack with stacked eigensolves: one for
+the deviation norms, one for lambda_2 of the augmented Laplacians and one per
+survivor count for a_delta.  Connectivity is union-find over the chunk's live
+edges, with whole-array hooking and path compression.  A chunk holds at most
+_CHUNK_ENTRIES matrix entries, so memory is O(chunk * n^2) whatever the trial
+count.  The per-sample functions (percolated_laplacian, augmented_laplacian,
+survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
+oracle go through the same assembly and the same connectivity rule.
+
+lambda2_augmented keeps its own eigensolve, three per trial in all.  The block
+split above gives it from the survivor-block spectrum plus the ghost alphas in
+exact arithmetic, but not bit for bit: the two routes round differently, and
+the values differed in their last bits on 199 of 200 hypercube-8 trials and
+on 1,215-1,250 of 5,000 cycle-6 trials (four seeds), which would change the
+per-trial CSV.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import UnionFind, WeightedGraph, edge_laplacian
-from .spectral import lambda2, spectral_norm
+from .graph_core import WeightedGraph, edge_laplacian, is_real
+from .spectral import eig_sym
 
 __all__ = [
     "SurvivalProfile",
     "PercolationSample",
     "TrialRecord",
+    "TrialBlock",
     "sample",
     "percolated_laplacian",
     "augmented_laplacian",
     "expected_augmented_laplacian",
     "survivor_connectivity",
     "algebraic_connectivity_survivors",
+    "trial_block",
     "run_trial",
 ]
 
@@ -38,6 +60,16 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
+
+# Matrix entries in one chunk's stack of n x n matrices: 910 trials at n = 6,
+# 145 masks at n = 15, one matrix from n = 182 on.  Larger chunks raise peak
+# memory without running faster.  Shared by trial_block and the oracle.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _chunk_length(n: int) -> int:
+    """Trials (or masks) per chunk: as many n x n matrices as fit, at least one."""
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _splitmix64(x: int) -> int:
@@ -56,10 +88,12 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _U64(31))
 
 
-def _unit_uniform_vector(seed: int, trial_index: int, n: int) -> np.ndarray:
-    h = _splitmix64(seed & _MASK64)
-    h = _splitmix64(h ^ (trial_index & _MASK64))
-    z = _mix_array(_U64(h) ^ np.arange(n, dtype=np.uint64))
+def _unit_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """(count, n) grid of uniforms in [0, 1): row k for trial start + k."""
+    # trial indices wrap mod 2**64, as (start + k) & _MASK64 would
+    trials = _U64(start & _MASK64) + np.arange(count, dtype=np.uint64)
+    h = _mix_array(_U64(_splitmix64(seed & _MASK64)) ^ trials)
+    z = _mix_array(h[:, None] ^ np.arange(n, dtype=np.uint64))
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -70,9 +104,16 @@ class SurvivalProfile:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.p, dtype=float, copy=True)
+        # an object array keeps each entry's own type (numpy numbers become
+        # Python ones), so booleans and strings can be told from numbers
+        arr = np.array(self.p, dtype=object)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("survival profile must be a non-empty 1-d vector")
+        for index, value in enumerate(arr.tolist()):
+            if not is_real(value):
+                raise ValueError(
+                    f"survival probability {index} must be a number, got {value!r}")
+        arr = arr.astype(float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("survival probabilities must lie in [0, 1]")
         arr.setflags(write=False)
@@ -110,7 +151,7 @@ class PercolationSample:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Everything the harness keeps per Monte Carlo trial."""
+    """One Monte Carlo trial as run_trial returns it: its sample and statistics."""
 
     sample: PercolationSample
     survivor_count: int
@@ -120,9 +161,36 @@ class TrialRecord:
     lambda2_augmented: float
 
 
+@dataclass(frozen=True)
+class TrialBlock:
+    """Per-trial results of consecutive trials, one array entry each.
+
+    a_delta is +inf for trials with fewer than two survivors.
+    """
+
+    survivor_count: np.ndarray
+    is_connected: np.ndarray
+    a_delta: np.ndarray
+    deviation_norm: np.ndarray
+    lambda2_augmented: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.survivor_count.shape[0])
+
+
 def _check_lengths(g: WeightedGraph, length: int, what: str) -> None:
     if length != g.n:
         raise ValueError(f"{what} has length {length} but the graph has {g.n} vertices")
+
+
+def _check_alpha(alpha: float) -> None:
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+
+
+def _check_trial_index(trial_index: int) -> None:
+    if trial_index < 0:
+        raise ValueError("trial_index must be non-negative")
 
 
 def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> PercolationSample:
@@ -131,38 +199,110 @@ def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> Percolation
     delta_i = 1 iff a hash-derived uniform for (seed, trial_index, i) falls
     below p_i, so p_i = 0 and p_i = 1 are exact.
     """
-    if trial_index < 0:
-        raise ValueError("trial_index must be non-negative")
-    u = _unit_uniform_vector(seed, trial_index, len(profile))
+    _check_trial_index(trial_index)
+    u = _unit_uniforms(seed, trial_index, 1, len(profile))[0]
     return PercolationSample(delta=u < profile.p, seed=seed, trial_index=trial_index)
 
 
-def _percolated_from_delta(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
-    L = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        if delta[i] and delta[j]:
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
-    return L
+def _live_edges(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
+    """(c, E) flags: edge k of row r has both endpoints alive."""
+    return delta[:, g.src] & delta[:, g.dst]
+
+
+def _percolated(g: WeightedGraph, live: np.ndarray) -> np.ndarray:
+    # w on live edges, +0.0 on dead ones: the (c, n, n) percolated Laplacians
+    return edge_laplacian(g, np.where(live, g.w, 0.0))
+
+
+def _add_ghost_diagonal(laplacians: np.ndarray, delta: np.ndarray, alpha: float) -> None:
+    diagonal = np.arange(delta.shape[1])
+    laplacians[:, diagonal, diagonal] += alpha * ~delta
+
+
+def _deviation_norms(augmented: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """Spectral norm of each augmented Laplacian minus the expectation."""
+    vals = eig_sym(augmented - expected).eigenvalues
+    return np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
+
+
+def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """lambda_2 of each row's survivor block, +inf below two survivors."""
+    # the survivor block of a percolated Laplacian is the survivors' own
+    # Laplacian, entry for entry; blocks of equal order m share one eigensolve
+    out = np.full(delta.shape[0], math.inf)
+    counts = delta.sum(axis=1)
+    # np.unique would import numpy.ma, about 1 MiB of resident memory
+    orders = np.flatnonzero(np.bincount(counts))
+    for m in orders[orders >= 2].tolist():
+        rows = np.flatnonzero(counts == m)
+        survivors = np.nonzero(delta[rows])[1].reshape(-1, m)
+        blocks = laplacians[rows[:, None, None], survivors[:, :, None], survivors[:, None, :]]
+        out[rows] = eig_sym(blocks).eigenvalues[:, 1]
+    return out
+
+
+def _survivors_connected(g: WeightedGraph, delta: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Whether each row's survivors form one component; at most one counts as connected.
+
+    Union-find over the live edges of every row at once: vertex v of row r is
+    node r * n + v, each round hooks the larger root of every edge whose ends
+    are still apart onto the smaller one, then compresses every path to its
+    root.  Ghosts have no live edge, so they stay roots of their own.
+    """
+    c, n = delta.shape
+    rows, edges = np.nonzero(live)
+    a = rows * n + g.src[edges]
+    b = rows * n + g.dst[edges]
+    root = np.arange(c * n)
+    while a.size:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    root = root.reshape(c, n)
+    # a row is connected iff every survivor shares the smallest survivor root
+    smallest = np.where(delta, root, c * n).min(axis=1)
+    return ~np.any(delta & (root != smallest[:, None]), axis=1)
+
+
+def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
+                    delta: np.ndarray) -> TrialBlock:
+    live = _live_edges(g, delta)
+    laplacians = _percolated(g, live)
+    # a_delta reads the survivor blocks before the ghost diagonal is added
+    a_delta = _survivor_lambda2(laplacians, delta)
+    _add_ghost_diagonal(laplacians, delta, alpha)
+    return TrialBlock(
+        survivor_count=delta.sum(axis=1),
+        is_connected=_survivors_connected(g, delta, live),
+        a_delta=a_delta,
+        deviation_norm=_deviation_norms(laplacians, expected),
+        lambda2_augmented=eig_sym(laplacians).eigenvalues[:, 1],
+    )
 
 
 def percolated_laplacian(g: WeightedGraph, s: PercolationSample) -> np.ndarray:
     """Laplacian of the graph after deleting non-survivors (n x n, zero rows for ghosts)."""
     _check_lengths(g, s.delta.shape[0], "sample")
-    return _percolated_from_delta(g, s.delta)
+    delta = s.delta[None]
+    return _percolated(g, _live_edges(g, delta))[0]
 
 
 def augmented_laplacian(g: WeightedGraph, s: PercolationSample, alpha: float) -> np.ndarray:
     """Percolated Laplacian plus alpha on each ghost's diagonal entry."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     _check_lengths(g, s.delta.shape[0], "sample")
-    L = _percolated_from_delta(g, s.delta)
-    ghosts = ~s.delta
-    L[np.diag_indices(g.n)] += alpha * ghosts
-    return L
+    delta = s.delta[None]
+    laplacians = _percolated(g, _live_edges(g, delta))
+    _add_ghost_diagonal(laplacians, delta, alpha)
+    return laplacians[0]
 
 
 def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
@@ -172,8 +312,7 @@ def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
     Edge (i, j, w) contributes with weight p_i * p_j * w; the ghost diagonal
     contributes alpha * (1 - p_i).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     _check_lengths(g, len(profile), "profile")
     p = profile.p
     L = edge_laplacian(g, p[g.src] * p[g.dst] * g.w)
@@ -188,16 +327,9 @@ def survivor_connectivity(g: WeightedGraph, s: PercolationSample) -> tuple[int, 
     survivor counts as connected.
     """
     _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta
-    survivors = np.flatnonzero(delta)
-    m = survivors.shape[0]
-    if m <= 1:
-        return m, True
-    uf = UnionFind(g.n)
-    for i, j, _ in g.edges:
-        if delta[i] and delta[j]:
-            uf.union(i, j)
-    return m, uf.component_count(survivors) == 1
+    delta = s.delta[None]
+    connected = _survivors_connected(g, delta, _live_edges(g, delta))
+    return s.survivor_count, bool(connected[0])
 
 
 def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> float:
@@ -207,43 +339,57 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
     is +infinity by convention.
     """
     _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta
-    survivors = np.flatnonzero(delta)
-    m = survivors.shape[0]
-    if m <= 1:
-        return math.inf
-    position = {int(v): idx for idx, v in enumerate(survivors)}
-    L = np.zeros((m, m))
-    for i, j, w in g.edges:
-        if delta[i] and delta[j]:
-            a, b = position[i], position[j]
-            L[a, a] += w
-            L[b, b] += w
-            L[a, b] -= w
-            L[b, a] -= w
-    return lambda2(L)
+    delta = s.delta[None]
+    return float(_survivor_lambda2(_percolated(g, _live_edges(g, delta)), delta)[0])
+
+
+def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
+                start: int, count: int, expected: np.ndarray | None = None) -> TrialBlock:
+    """Sample and evaluate trials start, start + 1, ..., start + count - 1.
+
+    Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
+    seed, start + k) records.  The trials are evaluated a chunk at a time
+    (see the module docstring).  expected lets callers amortize the expected
+    augmented Laplacian across calls; it must equal
+    expected_augmented_laplacian(g, profile, alpha).
+    """
+    _check_alpha(alpha)
+    _check_trial_index(start)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    _check_lengths(g, len(profile), "profile")
+    if g.n < 2:
+        raise ValueError("trials need a graph on at least 2 vertices: lambda_2 of "
+                         "the augmented Laplacian is undefined below that")
+    if expected is None:
+        expected = expected_augmented_laplacian(g, profile, alpha)
+    stop = start + count
+    step = _chunk_length(g.n)
+    blocks = [
+        _evaluate_chunk(g, alpha, expected,
+                        _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p)
+        for first in range(start, stop, step)
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    return TrialBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                        for f in fields(TrialBlock)))
 
 
 def run_trial(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
               seed: int, trial_index: int, _expected: np.ndarray | None = None) -> TrialRecord:
     """Sample one realization and record its connectivity and deviation data.
 
-    _expected lets callers amortize the expected augmented Laplacian across
-    trials; it must equal expected_augmented_laplacian(g, profile, alpha).
+    This is trial_block for one trial.  _expected lets callers amortize the
+    expected augmented Laplacian across trials; it must equal
+    expected_augmented_laplacian(g, profile, alpha).
     """
-    _check_lengths(g, len(profile), "profile")
-    s = sample(profile, seed, trial_index)
-    aug = augmented_laplacian(g, s, alpha)
-    if _expected is None:
-        _expected = expected_augmented_laplacian(g, profile, alpha)
-    deviation = spectral_norm(aug - _expected)
-    survivor_count, is_connected = survivor_connectivity(g, s)
-    a_delta = algebraic_connectivity_survivors(g, s)
+    block = trial_block(g, profile, alpha, seed, trial_index, 1, _expected)
     return TrialRecord(
-        sample=s,
-        survivor_count=survivor_count,
-        is_connected=is_connected,
-        a_delta=a_delta,
-        deviation_norm=deviation,
-        lambda2_augmented=lambda2(aug),
+        sample=sample(profile, seed, trial_index),
+        survivor_count=int(block.survivor_count[0]),
+        is_connected=bool(block.is_connected[0]),
+        a_delta=float(block.a_delta[0]),
+        deviation_norm=float(block.deviation_norm[0]),
+        lambda2_augmented=float(block.lambda2_augmented[0]),
     )

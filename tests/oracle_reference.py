@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from percobound.percolation import (
-    PercolationSample,
-    algebraic_connectivity_survivors,
-    augmented_laplacian,
-    expected_augmented_laplacian,
-    survivor_connectivity,
-)
+import percolation_reference as ref
+from assembly_reference import expected_augmented_laplacian
 from percobound.spectral import spectral_norm
 
 
@@ -21,16 +16,15 @@ def statistics(g, profile, alpha: float, statistic_kind: str) -> np.ndarray:
     out = np.empty(count)
     expected = None
     if statistic_kind == "deviation_norm":
-        expected = expected_augmented_laplacian(g, profile, alpha)
+        expected = expected_augmented_laplacian(g, profile.p, alpha)
 
     bit = np.arange(n)
     for mask in range(count):
         delta = (mask >> bit) & 1 == 1
-        s = PercolationSample(delta=delta, seed=0, trial_index=mask)
         if statistic_kind == "deviation_norm":
-            out[mask] = spectral_norm(augmented_laplacian(g, s, alpha) - expected)
+            out[mask] = spectral_norm(ref.augmented_laplacian(g, delta, alpha) - expected)
         elif statistic_kind == "a_delta":
-            out[mask] = algebraic_connectivity_survivors(g, s)
+            out[mask] = ref.algebraic_connectivity_survivors(g, delta)
         else:
-            out[mask] = 1.0 if survivor_connectivity(g, s)[1] else 0.0
+            out[mask] = 1.0 if ref.survivor_connectivity(g, delta)[1] else 0.0
     return out

@@ -1,5 +1,5 @@
-"""Vectorized assembly, the hoisted alpha search and the chunked oracle against
-their slow paths."""
+"""Vectorized assembly, the hoisted alpha search, the chunked oracle and the
+chunked Monte Carlo kernel against their slow paths."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import assembly_reference as ref
 import oracle_reference
+import percolation_reference
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
@@ -20,7 +21,10 @@ from percobound import (
     generate,
     optimize_alpha,
     oracle,
+    percolation,
+    run_trial,
     theory,
+    trial_block,
 )
 from percobound.graph_core import edge_laplacian
 
@@ -119,7 +123,7 @@ MULTI_CHUNK = WeightedGraph(11, tuple(
 
 
 def test_multi_chunk_example_spans_chunks():
-    chunk = oracle._chunk_masks(MULTI_CHUNK.n)
+    chunk = percolation._chunk_length(MULTI_CHUNK.n)
     count = 1 << MULTI_CHUNK.n
     assert count > 2 * chunk and count % chunk != 0
 
@@ -137,3 +141,56 @@ def test_oracle_matches_mask_by_mask_reference(case, alpha):
     for kind in oracle.STATISTIC_KINDS:
         fast = exact_distribution(g, profile, alpha, kind).statistics
         assert_identical(fast, oracle_reference.statistics(g, profile, alpha, kind))
+
+
+# 20 vertices make chunks of 81 trials, so 175 trials from trial 40 (not a
+# chunk multiple) make two whole chunks and a partial last one
+CHUNKED = WeightedGraph(20, tuple(
+    (i, j, 0.25 + (5 * i + 11 * j) % 7) for i in range(20) for j in range(i + 1, 20)
+    if (3 * i + j) % 4 == 0
+))
+
+
+def test_chunked_example_spans_chunks():
+    chunk = percolation._chunk_length(CHUNKED.n)
+    assert chunk == 81 and 40 % chunk != 0 and 175 // chunk == 2 and 175 % chunk != 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.0, 10.0),
+       st.integers(-(2**63), 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4))
+@example((WeightedGraph(5), SurvivalProfile.uniform(5, 0.5)), 1.0, 0, 0, 3)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 1.5, 7, 0, 2)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5, 7, 0, 2)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.6)), 0.0, 3, 11, 4)
+@example((petersen_graph(), SurvivalProfile([1.0] + [0.0] * 9)), 2.0, 1, 0, 2)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, -5, 3, 4)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, 2**64 - 1, 0, 4)
+@example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175)
+def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count):
+    g, profile = case
+    block = trial_block(g, profile, alpha, seed, start, count)
+    rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)
+            for t in range(start, start + count)]
+    assert len(block) == count
+    deltas, *statistics = zip(*rows)
+    # trial_block draws its flags as one grid, sample() one row at a time
+    grid = percolation._unit_uniforms(seed, start, count, g.n) < profile.p
+    assert_identical(grid, np.array(deltas))
+    assert_identical(np.array([percolation.sample(profile, seed, t).delta
+                               for t in range(start, start + count)]), np.array(deltas))
+    for fast, slow in zip((block.survivor_count, block.is_connected, block.a_delta,
+                           block.deviation_norm, block.lambda2_augmented), statistics):
+        assert_identical(fast, np.array(slow))
+    record = run_trial(g, profile, alpha, seed, start)
+    assert_identical(record.sample.delta, rows[0][0])
+    assert (record.survivor_count, record.is_connected, record.a_delta,
+            record.deviation_norm, record.lambda2_augmented) == rows[0][1:]
+
+
+def test_trial_block_needs_two_vertices():
+    g, profile = WeightedGraph(1), SurvivalProfile([0.5])
+    with pytest.raises(ValueError, match="lambda"):
+        percolation_reference.run_trial(g, profile, 1.0, 0, 0)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        trial_block(g, profile, 1.0, 0, 0, 1)

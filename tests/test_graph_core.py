@@ -52,7 +52,7 @@ class TestWeightedGraph:
         for edge in (5, (0, 1), (0, 1, 1.0, 2.0)):
             with pytest.raises(ValueError, match=r"must be \(i, j, w\)"):
                 WeightedGraph(3, (edge,))
-        for w in (None, [1.0], "heavy"):
+        for w in (None, [1.0], "heavy", "2", True, np.True_):
             with pytest.raises(ValueError, match=r"edge \(0,1\) weight must be a number"):
                 WeightedGraph(3, ((0, 1, w),))
 

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from percobound import (
     SurvivalProfile,
+    harness_cli,
     exact_distribution,
     generate,
     graph_to_dict,
@@ -149,6 +153,72 @@ class TestSimulate:
         assert first[0] == "0"
         assert first[2] in ("0", "1")
 
+    @pytest.mark.parametrize("bad", [["--trials", "0", "--epsilon", "0.1"],
+                                     ["--trials", "20", "--epsilon", "1.5"]])
+    def test_usage_error_leaves_trials_csv_untouched(self, tmp_path, capsys, bad):
+        csv_path = tmp_path / "trials.csv"
+        csv_path.write_text("kept\n")
+        argv = ["simulate", "--family", "cycle", "--n", "4", "--p", "0.9",
+                "--alpha", "1.8", "--trials-csv", str(csv_path)] + bad
+        assert run_cli(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert csv_path.read_text() == "kept\n"
+
+    def test_reports_and_csv_identical_for_one_two_three_threads(self, tmp_path, monkeypatch):
+        # 327 trials per chunk on the 10-cycle: 2,000 trials make 7 chunks
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            out, csv_path = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
+            monkeypatch.setenv("PERCOBOUND_THREADS", threads)
+            assert run_cli(["simulate", "--family", "cycle", "--n", "10", "--p", "0.8",
+                            "--alpha", "2.0", "--epsilon", "0.25", "--trials", "2000",
+                            "--seed", "77", "--output", str(out),
+                            "--trials-csv", str(csv_path)]) == EXIT_OK
+            outputs.add((out.read_bytes(), csv_path.read_bytes()))
+        assert len(outputs) == 1
+
+    def test_failed_validation_names_violating_trials(self, c4, monkeypatch, capsys):
+        # with every survivor set connected and an infinite slack every trial
+        # violates; the report stays as it is, stderr names the first trials
+        monkeypatch.setattr(harness_cli, "LOWER_BOUND_SLACK", -math.inf)
+        argv = ["simulate", "--family", "cycle", "--n", "4", "--p", "1.0",
+                "--alpha", "1.8", "--epsilon", "0.1", "--trials", "20"]
+        assert run_cli(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["lower_bound_violations"] == 20
+        summary, violations = run_experiment(c4, SurvivalProfile.uniform(4, 1.0), 1.8, 0.1,
+                                             trials=20, seed=0)
+        assert [t for t, _, _ in violations] == [0, 1, 2, 3, 4]
+        assert summary.to_dict() == {k: v for k, v in payload.items()
+                                     if k not in ("version", "config")}
+        assert "20 lower-bound violations" in captured.err
+        for t, a_delta, lower in violations:
+            assert f"trial {t}: a_delta {a_delta!r} < lower bound {lower!r}" in captured.err
+        assert "trial 5:" not in captured.err
+
+    def test_trials_csv_written_to_a_path(self, c4, tmp_path):
+        csv_path = tmp_path / "trials.csv"
+        run_experiment(c4, SurvivalProfile.uniform(4, 0.6), 1.0, 0.25, trials=30, seed=3,
+                       trials_csv=csv_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == harness_cli.TRIALS_CSV_HEADER.strip()
+        assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(30)]
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
+        run_experiment(g, profile, 2.4, 0.25, 100, seed=9, threads=2)  # one-time set-up
+        peaks = {}
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                run_experiment(g, profile, 2.4, 0.25, trials, seed=9, threads=2,
+                               trials_csv=tmp_path / "trials.csv")
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20_000] <= 1.25 * peaks[2_000]
+
     def test_monte_carlo_agrees_with_exhaustive_probability(self, c4):
         # connected fraction from 10^4 trials vs the exact enumeration
         profile = SurvivalProfile.uniform(4, 0.7)
@@ -160,6 +230,17 @@ class TestSimulate:
                                     seed=2024, threads=resolve_threads())
         se = math.sqrt(exact * (1.0 - exact) / 10_000)
         assert abs(summary.connected_fraction - exact) <= 3.0 * se
+
+
+@given(st.lists(st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), max_size=30),
+                max_size=6))
+def test_partials_fold_equals_one_fsum(chunks):
+    # the deviation sum is folded chunk by chunk, yet must round like one
+    # math.fsum over every trial
+    partials = []
+    for chunk in chunks:
+        harness_cli._add_to_partials(partials, chunk)
+    assert math.fsum(partials) == math.fsum(v for chunk in chunks for v in chunk)
 
 
 class TestThreshold:
@@ -243,11 +324,29 @@ class TestUsageErrors:
         ('{"n": 3, "edges": [[0, 1, null]]}', "edge (0,1) weight must be a number"),
         ('{"n": 3, "edges": [[0, 1, [2.0]]]}', "edge (0,1) weight must be a number"),
         ('{"n": 3, "edges": 5}', "edges must be a list"),
-    ], ids=["null-weight", "list-weight", "edges-not-a-list"])
+        ('{"n": 3, "edges": [[0, 1, "2"]]}', "edge (0,1) weight must be a number"),
+        ('{"n": 3, "edges": [[0, 1, true]]}', "edge (0,1) weight must be a number"),
+    ], ids=["null-weight", "list-weight", "edges-not-a-list", "string-weight", "bool-weight"])
     def test_malformed_graph_file(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert run_cli(["certify", "--graph", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        (["bound", "--epsilon", "0.1"], "[{}, 0.5, 0.5]", "survival probability 0 must be a number"),
+        (["oracle", "--kind", "a_delta"], '[0.5, true, "0.5"]',
+         "survival probability 1 must be a number, got True"),
+        (["oracle", "--kind", "a_delta"], '[0.5, 0.5, "0.5"]',
+         "survival probability 2 must be a number, got '0.5'"),
+    ], ids=["object-entry", "bool-entry", "string-entry"])
+    def test_non_number_profile_entry(self, tmp_path, capsys, command, text, message):
+        prof = tmp_path / "bad.json"
+        prof.write_text(text)
+        code = run_cli([command[0], "--family", "cycle", "--n", "3",
+                        "--profile", str(prof), *command[1:]])
+        assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

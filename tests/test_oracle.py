@@ -14,7 +14,7 @@ from percobound import (
     exact_tail,
     generate,
 )
-from percobound import oracle
+from percobound import percolation
 from percobound.oracle import MAX_ENUM_VERTICES
 
 
@@ -102,7 +102,8 @@ class TestExactDistribution:
         def no_eigensolve(M):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(oracle, "eig_sym", no_eigensolve)
+        # the oracle's eigensolves run in the percolation module's chunk code
+        monkeypatch.setattr(percolation, "eig_sym", no_eigensolve)
         with pytest.raises(ValueError, match="alpha must be non-negative"):
             exact_distribution(c4, SurvivalProfile.uniform(4, 0.5), alpha=-0.5,
                                statistic_kind="deviation_norm")

@@ -40,6 +40,18 @@ class TestSurvivalProfile:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SurvivalProfile([-0.1])
 
+    def test_rejects_non_numbers_naming_the_entry(self):
+        for values, index in (([{}, 0.5], 0), ([0.5, True], 1), ([0.5, 0.5, "0.5"], 2),
+                              (np.array([0.5, True], dtype=object), 1),
+                              (np.array([True, False]), 0)):
+            with pytest.raises(ValueError, match=f"survival probability {index} must be a number"):
+                SurvivalProfile(values)
+
+    def test_accepts_numeric_arrays_and_scalars(self):
+        for values in (np.array([0, 1]), np.array([0.25, 1.0], dtype=np.float32),
+                       [np.float64(0.25), 1], (0.5, 0.5)):
+            assert SurvivalProfile(values).p.dtype == np.float64
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SurvivalProfile([])
