@@ -1,7 +1,7 @@
 """Command-line harness: generate, certify, bound, simulate, threshold, oracle.
 
 Exit codes: 0 success, 1 a mathematical claim the run was supposed to verify
-failed, 2 usage or domain error.
+failed, 2 usage or domain error, or a file that cannot be read or written.
 
 simulate evaluates its trials a chunk at a time with percolation.trial_block
 (sampling, assembly and stacked eigensolves for a whole chunk; see that
@@ -9,7 +9,9 @@ module) and folds each chunk into running aggregates in trial order: counts,
 exact partial sums of the deviation norms, their maximum, and the first few
 lower-bound violations, which a failed validation names on stderr.  The
 per-trial CSV is written a chunk at a time as well, so memory does not grow
-with the trial count and the CSV has no row cap.
+with the trial count and the CSV has no row cap.  lambda_2 of the augmented
+Laplacian is reported only in that CSV, so its eigensolve runs only when the
+CSV is asked for.
 
 The PERCOBOUND_THREADS environment variable sets how many chunks run at once
 on worker threads, at most that many in flight (0 or unset picks the CPU
@@ -178,7 +180,9 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     in trial order.  It is opened only once the inputs have been checked and
     the bound computed, so a usage error leaves an existing file as it was;
     it is written a chunk at a time, so a run that fails partway leaves the
-    rows of the chunks done before the failure.
+    rows of the chunks done before the failure.  lambda2_augmented appears
+    only in that file, so its eigensolve runs only when trials_csv is given;
+    the summary is the same either way.
 
     Returns (ExperimentSummary, violations): violations lists
     (trial_index, a_delta, lower_bound) for the first VIOLATIONS_SHOWN
@@ -196,7 +200,8 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     starts = range(0, trials, step)
 
     def chunk(start: int):
-        return trial_block(g, profile, alpha, seed, start, min(step, trials - start), expected)
+        return trial_block(g, profile, alpha, seed, start, min(step, trials - start), expected,
+                           with_lambda2_augmented=trials_csv is not None)
 
     connected = tail_hits = violation_count = 0
     max_dev = -math.inf
@@ -299,8 +304,9 @@ def _parse_alpha(raw: str):
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f'--alpha must be "auto" or a number, got {raw!r}') from exc
-    if value < 0:
-        raise ValueError("--alpha must be non-negative")
+    # written so that NaN fails too
+    if not 0 <= value < math.inf:
+        raise ValueError(f"--alpha must be non-negative and finite, got {raw!r}")
     return value
 
 
@@ -549,7 +555,7 @@ def main(argv=None) -> int:
     _validate_source_args(parser, args)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

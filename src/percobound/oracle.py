@@ -23,6 +23,7 @@ from .graph_core import WeightedGraph
 from .percolation import (
     SurvivalProfile,
     _add_ghost_diagonal,
+    _check_alpha,
     _chunk_length,
     _deviation_norms,
     _live_edges,
@@ -122,9 +123,11 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     connectivity of the survivors, +inf below two survivors), or
     connectivity_indicator (1.0 if the survivors are connected).  Every
     statistic equals, bit for bit, the one the percolation module's
-    per-sample functions give for that pattern.
+    per-sample functions give for that pattern.  alpha must be finite and
+    non-negative for every kind, also those that do not use it.
     """
     _check_enumerable(g.n)
+    _check_alpha(alpha)
     if statistic_kind not in STATISTIC_KINDS:
         raise ValueError(
             f"statistic_kind must be one of {STATISTIC_KINDS}, got {statistic_kind!r}"

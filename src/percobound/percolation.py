@@ -15,19 +15,22 @@ Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
 trials it draws the (trials x n) grid of survival flags with one vectorized
 hash, assembles the chunk's percolated Laplacians as one stack from the
 graph's edge arrays, and solves that stack with stacked eigensolves: one for
-the deviation norms, one for lambda_2 of the augmented Laplacians and one per
-survivor count for a_delta.  Connectivity is union-find over the chunk's live
-edges, with whole-array hooking and path compression.  A chunk holds at most
-_CHUNK_ENTRIES matrix entries, so memory is O(chunk * n^2) whatever the trial
-count.  The per-sample functions (percolated_laplacian, augmented_laplacian,
+the deviation norms and one per survivor count for a_delta, plus one for
+lambda_2 of the augmented Laplacians when the caller asks for it.
+Connectivity is union-find over the chunk's live edges, with whole-array
+hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
+entries, so memory is O(chunk * n^2) whatever the trial count.  The
+per-sample functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
 oracle go through the same assembly and the same connectivity rule.
 
-lambda2_augmented keeps its own eigensolve, three per trial in all.  The block
-split above gives it from the survivor-block spectrum plus the ghost alphas in
-exact arithmetic, but not bit for bit: the two routes round differently, and
-the values differed in their last bits on 199 of 200 hypercube-8 trials and
-on 1,215-1,250 of 5,000 cycle-6 trials (four seeds), which would change the
+Each trial thus costs two eigensolves, plus lambda2_augmented when asked for.
+Only the per-trial CSV reports lambda2_augmented, so simulate asks for it only
+when it writes that file.  It keeps its own eigensolve: the block split above
+gives it from the survivor-block spectrum plus the ghost alphas in exact
+arithmetic, but not bit for bit: the two routes round differently, and the
+values differed in their last bits on 199 of 200 hypercube-8 trials and on
+1,215-1,250 of 5,000 cycle-6 trials (four seeds), which would change the
 per-trial CSV.
 """
 from __future__ import annotations
@@ -166,13 +169,14 @@ class TrialBlock:
     """Per-trial results of consecutive trials, one array entry each.
 
     a_delta is +inf for trials with fewer than two survivors.
+    lambda2_augmented is None when it was not asked for.
     """
 
     survivor_count: np.ndarray
     is_connected: np.ndarray
     a_delta: np.ndarray
     deviation_norm: np.ndarray
-    lambda2_augmented: np.ndarray
+    lambda2_augmented: np.ndarray | None
 
     def __len__(self) -> int:
         return int(self.survivor_count.shape[0])
@@ -184,8 +188,9 @@ def _check_lengths(g: WeightedGraph, length: int, what: str) -> None:
 
 
 def _check_alpha(alpha: float) -> None:
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    # written so that NaN fails too
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be non-negative and finite, got {alpha!r}")
 
 
 def _check_trial_index(trial_index: int) -> None:
@@ -273,7 +278,7 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray, live: np.ndarray) 
 
 
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray) -> TrialBlock:
+                    delta: np.ndarray, with_lambda2_augmented: bool) -> TrialBlock:
     live = _live_edges(g, delta)
     laplacians = _percolated(g, live)
     # a_delta reads the survivor blocks before the ghost diagonal is added
@@ -284,7 +289,8 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
         is_connected=_survivors_connected(g, delta, live),
         a_delta=a_delta,
         deviation_norm=_deviation_norms(laplacians, expected),
-        lambda2_augmented=eig_sym(laplacians).eigenvalues[:, 1],
+        lambda2_augmented=(eig_sym(laplacians).eigenvalues[:, 1]
+                           if with_lambda2_augmented else None),
     )
 
 
@@ -344,14 +350,17 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
 
 
 def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
-                start: int, count: int, expected: np.ndarray | None = None) -> TrialBlock:
+                start: int, count: int, expected: np.ndarray | None = None,
+                with_lambda2_augmented: bool = True) -> TrialBlock:
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
     seed, start + k) records.  The trials are evaluated a chunk at a time
     (see the module docstring).  expected lets callers amortize the expected
     augmented Laplacian across calls; it must equal
-    expected_augmented_laplacian(g, profile, alpha).
+    expected_augmented_laplacian(g, profile, alpha).  With
+    with_lambda2_augmented false, the eigensolve of the augmented Laplacians
+    is skipped and lambda2_augmented is None; the other arrays are unchanged.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -367,13 +376,15 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     step = _chunk_length(g.n)
     blocks = [
         _evaluate_chunk(g, alpha, expected,
-                        _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p)
+                        _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p,
+                        with_lambda2_augmented)
         for first in range(start, stop, step)
     ]
     if len(blocks) == 1:
         return blocks[0]
-    return TrialBlock(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                        for f in fields(TrialBlock)))
+    columns = ([getattr(b, f.name) for b in blocks] for f in fields(TrialBlock))
+    return TrialBlock(*(None if parts[0] is None else np.concatenate(parts)
+                        for parts in columns))
 
 
 def run_trial(g: WeightedGraph, profile: SurvivalProfile, alpha: float,

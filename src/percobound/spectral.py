@@ -35,6 +35,14 @@ def _checked_symmetric(M) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[-1] == 0:
         raise ValueError("matrix must have at least one row")
+    # Every matrix the library builds equals its transpose bit for bit.  The
+    # tolerance check cannot fail on such input, and symmetrizing it gives
+    # back M unless an entry overflows when doubled, so return M as it is.
+    # Comparing bits, not values, sends -0.0 against +0.0 and unequal NaN
+    # payloads down the full path.
+    bits = M.view(np.uint64)
+    if np.array_equal(bits, bits.mT):
+        return M
     T = M.mT
     scale = np.abs(M).sum(axis=-1).max(axis=-1, initial=1.0)
     asym = np.abs(M - T).max(axis=(-2, -1))
@@ -58,6 +66,9 @@ def eig_sym(M, compute_vectors: bool = False) -> SpectralResult:
     largest over the stack.  Raises ValueError for non-square input or when
     M (or any matrix of the stack, named by its index) deviates from
     symmetry by more than 1e-10 relative to its largest absolute row sum.
+    Input within that tolerance is solved as 0.5 * (M + M^T), so LAPACK sees
+    exact symmetry; input already equal to its transpose bit for bit (every
+    matrix the library builds) skips the check and is solved as it is.
     """
     S = _checked_symmetric(M)
     if not compute_vectors:

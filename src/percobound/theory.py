@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graph_core import WeightedGraph, build_adjacency
-from .percolation import SurvivalProfile, expected_augmented_laplacian
+from .percolation import SurvivalProfile, _check_alpha, expected_augmented_laplacian
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -210,8 +210,7 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     Only term_alpha_mismatch and lambda2_expected depend on alpha; the other
     four terms, kbar and sigma are fixed by the graph, profile and epsilon.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     _, bound_at = _alpha_free_part(g, profile, epsilon)
     return bound_at(alpha)
 
@@ -321,8 +320,7 @@ def expected_lambda2_regular(n: int, d: int, lam: float, p: float,
         raise ValueError(f"lambda must not exceed d, got lambda={lam}, d={d}")
     if alpha is None:
         alpha = p * d
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    _check_alpha(alpha)
     return p * p * (d - lam) + alpha * (1.0 - p)
 
 

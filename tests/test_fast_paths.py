@@ -158,18 +158,23 @@ def test_chunked_example_spans_chunks():
 
 @settings(max_examples=60, deadline=None)
 @given(graph_profile(min_n=2), st.floats(0.0, 10.0),
-       st.integers(-(2**63), 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4))
-@example((WeightedGraph(5), SurvivalProfile.uniform(5, 0.5)), 1.0, 0, 0, 3)
-@example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 1.5, 7, 0, 2)
-@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5, 7, 0, 2)
-@example((petersen_graph(), SurvivalProfile.uniform(10, 0.6)), 0.0, 3, 11, 4)
-@example((petersen_graph(), SurvivalProfile([1.0] + [0.0] * 9)), 2.0, 1, 0, 2)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, -5, 3, 4)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, 2**64 - 1, 0, 4)
-@example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175)
-def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count):
+       st.integers(-(2**63), 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4),
+       st.booleans())
+@example((WeightedGraph(5), SurvivalProfile.uniform(5, 0.5)), 1.0, 0, 0, 3, True)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 1.5, 7, 0, 2, True)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5, 7, 0, 2, True)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5, 7, 0, 2, False)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.6)), 0.0, 3, 11, 4, True)
+@example((petersen_graph(), SurvivalProfile([1.0] + [0.0] * 9)), 2.0, 1, 0, 2, True)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, -5, 3, 4, True)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, 2**64 - 1, 0, 4, True)
+@example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175, True)
+@example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175, False)
+def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count,
+                                                 with_lambda2_augmented):
     g, profile = case
-    block = trial_block(g, profile, alpha, seed, start, count)
+    block = trial_block(g, profile, alpha, seed, start, count,
+                        with_lambda2_augmented=with_lambda2_augmented)
     rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)
             for t in range(start, start + count)]
     assert len(block) == count
@@ -179,13 +184,40 @@ def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count
     assert_identical(grid, np.array(deltas))
     assert_identical(np.array([percolation.sample(profile, seed, t).delta
                                for t in range(start, start + count)]), np.array(deltas))
-    for fast, slow in zip((block.survivor_count, block.is_connected, block.a_delta,
-                           block.deviation_norm, block.lambda2_augmented), statistics):
+    fast_arrays = [block.survivor_count, block.is_connected, block.a_delta,
+                   block.deviation_norm]
+    if with_lambda2_augmented:
+        fast_arrays.append(block.lambda2_augmented)
+    else:
+        assert block.lambda2_augmented is None
+    for fast, slow in zip(fast_arrays, statistics[:len(fast_arrays)]):
         assert_identical(fast, np.array(slow))
     record = run_trial(g, profile, alpha, seed, start)
     assert_identical(record.sample.delta, rows[0][0])
     assert (record.survivor_count, record.is_connected, record.a_delta,
             record.deviation_norm, record.lambda2_augmented) == rows[0][1:]
+
+
+def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
+    # one chunk of 20 trials; the augmented stack is the only eigensolve dropped
+    g, profile, alpha = petersen_graph(), SurvivalProfile.uniform(10, 0.6), 1.5
+    augmented = np.stack([percolation.augmented_laplacian(g, percolation.sample(profile, 3, t),
+                                                          alpha) for t in range(20)])
+    solved = []
+    eig_sym = percolation.eig_sym
+
+    def recording_eig_sym(M, compute_vectors=False):
+        solved.append(np.array(M))
+        return eig_sym(M, compute_vectors)
+
+    monkeypatch.setattr(percolation, "eig_sym", recording_eig_sym)
+    trial_block(g, profile, alpha, 3, 0, 20)
+    with_augmented = len(solved)
+    assert any(np.array_equal(M, augmented) for M in solved)
+    solved.clear()
+    trial_block(g, profile, alpha, 3, 0, 20, with_lambda2_augmented=False)
+    assert len(solved) == with_augmented - 1
+    assert not any(np.array_equal(M, augmented) for M in solved)
 
 
 def test_trial_block_needs_two_vertices():

@@ -153,6 +153,14 @@ class TestSimulate:
         assert first[0] == "0"
         assert first[2] in ("0", "1")
 
+    def test_report_identical_with_and_without_trials_csv(self, tmp_path):
+        # lambda2_augmented is solved only for the CSV; the report never reads it
+        plain, with_csv = tmp_path / "plain.json", tmp_path / "with_csv.json"
+        assert run_cli(self.ARGS + ["--output", str(plain)]) == EXIT_OK
+        assert run_cli(self.ARGS + ["--output", str(with_csv),
+                                    "--trials-csv", str(tmp_path / "trials.csv")]) == EXIT_OK
+        assert plain.read_bytes() == with_csv.read_bytes()
+
     @pytest.mark.parametrize("bad", [["--trials", "0", "--epsilon", "0.1"],
                                      ["--trials", "20", "--epsilon", "1.5"]])
     def test_usage_error_leaves_trials_csv_untouched(self, tmp_path, capsys, bad):
@@ -355,6 +363,45 @@ class TestUsageErrors:
                         "--alpha", "lots", "--epsilon", "0.1"])
         assert code == EXIT_USAGE
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--epsilon", "0.1"],
+        ["simulate", "--epsilon", "0.1", "--trials", "5"],
+    ], ids=["bound", "simulate"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e400", "-0.5"])
+    def test_alpha_not_finite_and_non_negative(self, capsys, command, alpha):
+        code = run_cli([command[0], "--family", "cycle", "--n", "4", "--p", "0.5",
+                        "--alpha", alpha, *command[1:]])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: --alpha must be non-negative and finite, got {alpha!r}\n"
+
+    @pytest.mark.parametrize("kind", ["deviation_norm", "a_delta", "connectivity_indicator"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])
+    def test_oracle_alpha_not_finite_and_non_negative(self, capsys, kind, alpha):
+        code = run_cli(["oracle", "--family", "cycle", "--n", "4", "--p", "0.5",
+                        "--alpha", alpha, "--kind", kind, "--format", "json"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: alpha must be non-negative and finite, got {float(alpha)!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--alpha", "1.0", "--epsilon", "0.1", "--trials", "5", "--trials-csv"],
+        ["simulate", "--alpha", "1.0", "--epsilon", "0.1", "--trials", "5", "--output"],
+        ["oracle", "--kind", "a_delta", "--output"],
+        ["bound", "--epsilon", "0.1", "--output"],
+    ], ids=["simulate-trials-csv", "simulate-output", "oracle-output", "bound-output"])
+    def test_unwritable_path_is_a_clean_error(self, tmp_path, capsys, command):
+        path = tmp_path / "missing" / "out.csv"
+        code = run_cli([command[0], "--family", "cycle", "--n", "4", "--p", "0.5",
+                        *command[1:], str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
 
     def test_epsilon_out_of_range(self, capsys):
         code = run_cli(["bound", "--family", "cycle", "--n", "4", "--p", "0.5",

@@ -15,7 +15,7 @@ from percobound import (
     generate,
 )
 from percobound import percolation
-from percobound.oracle import MAX_ENUM_VERTICES
+from percobound.oracle import MAX_ENUM_VERTICES, STATISTIC_KINDS
 
 
 def bfs_connected_on_survivors(g, delta):
@@ -107,6 +107,13 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="alpha must be non-negative"):
             exact_distribution(c4, SurvivalProfile.uniform(4, 0.5), alpha=-0.5,
                                statistic_kind="deviation_norm")
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.5])
+    @pytest.mark.parametrize("kind", STATISTIC_KINDS)
+    def test_bad_alpha_rejected_for_every_kind(self, c4, kind, alpha):
+        with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
+            exact_distribution(c4, SurvivalProfile.uniform(4, 0.5), alpha=alpha,
+                               statistic_kind=kind)
 
     def test_kind_and_length_validation(self, p3):
         with pytest.raises(ValueError, match="statistic_kind"):

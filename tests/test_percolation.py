@@ -16,12 +16,14 @@ from percobound import (
     augmented_laplacian,
     build_laplacian,
     eig_sym,
+    exact_distribution,
     expected_augmented_laplacian,
     generate,
     percolated_laplacian,
     run_trial,
     sample,
     survivor_connectivity,
+    trial_block,
 )
 from percolation_reference import scalar_delta
 
@@ -132,6 +134,19 @@ class TestLaplacians:
         s = PercolationSample(delta=[True] * 4, seed=0, trial_index=0)
         with pytest.raises(ValueError, match="alpha"):
             augmented_laplacian(c4, s, alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, c4, alpha):
+        s = PercolationSample(delta=[True, False, True, True], seed=0, trial_index=0)
+        prof = SurvivalProfile.uniform(4, 0.5)
+        message = rf"^alpha must be non-negative and finite, got {alpha!r}$"
+        for call in (lambda: augmented_laplacian(c4, s, alpha),
+                     lambda: expected_augmented_laplacian(c4, prof, alpha),
+                     lambda: trial_block(c4, prof, alpha, 0, 0, 3),
+                     lambda: run_trial(c4, prof, alpha, 0, 0),
+                     lambda: exact_distribution(c4, prof, alpha, "deviation_norm")):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_length_mismatch(self, c4):
         s = PercolationSample(delta=[True] * 3, seed=0, trial_index=0)

@@ -6,13 +6,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import spectral_reference
 from percobound import (
     UnionFind,
     build_laplacian,
     eig_sym,
     generate,
     lambda2,
+    spectral,
     spectral_norm,
 )
 from percobound.graph_core import WeightedGraph
@@ -130,6 +135,67 @@ class TestEigSym:
         a = eig_sym(M).eigenvalues
         b = eig_sym(M).eigenvalues
         assert np.array_equal(a, b)
+
+
+@st.composite
+def bitwise_symmetric(draw):
+    """A matrix or (c, m, m) stack equal to its transpose bit for bit."""
+    m = draw(st.integers(1, 6))
+    c = draw(st.one_of(st.none(), st.integers(1, 3)))
+    shape = (m, m) if c is None else (c, m, m)
+    # small enough that neither M + M^T nor the residual's squares overflow
+    entries = st.floats(-1e150, 1e150, allow_nan=False)
+    A = draw(hnp.arrays(np.float64, shape, elements=entries))
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    return np.where(upper, A, A.mT)
+
+
+def solve(M, compute_vectors):
+    """eig_sym's result as bytes, or the error it raised."""
+    try:
+        res = eig_sym(M, compute_vectors)
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+    vectors = None if res.eigenvectors is None else res.eigenvectors.tobytes()
+    return res.eigenvalues.tobytes(), vectors, res.max_residual
+
+
+class TestSymmetryFastPath:
+    """Bitwise-symmetric input skips the tolerance check; the rest does not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(bitwise_symmetric(), st.booleans())
+    def test_matches_full_path(self, M, compute_vectors):
+        fast = spectral._checked_symmetric(M)
+        assert fast is M
+        assert fast.tobytes() == spectral_reference.checked_symmetric(M).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_checked_symmetric", spectral_reference.checked_symmetric)
+            full = solve(M, compute_vectors)
+        assert solve(M, compute_vectors) == full
+
+    @pytest.mark.parametrize("M", [
+        # -0.0 against +0.0 across the diagonal: equal values, unequal bits
+        np.array([[1.0, -0.0], [0.0, 1.0]]),
+        np.stack([np.eye(2), np.array([[1.0, 0.0], [-0.0, 1.0]])]),
+        # NaNs that differ in their sign bit
+        np.array([[1.0, np.nan], [-np.nan, 1.0]]),
+        # a 1e-12 asymmetry, within tolerance
+        np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]]),
+        np.stack([np.eye(2), np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])]),
+    ])
+    def test_unequal_bits_take_full_path(self, M):
+        out = spectral._checked_symmetric(M)
+        assert out is not M
+        assert out.tobytes() == spectral_reference.checked_symmetric(M).tobytes()
+
+    def test_huge_entries_not_doubled_into_inf(self):
+        # the one divergence: the full path's M + M^T overflows above half the
+        # largest float, while bitwise-symmetric input is returned as it is
+        M = np.array([[1e308, 1.0], [1.0, 1e308]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(spectral_reference.checked_symmetric(M)).any()
+        assert spectral._checked_symmetric(M) is M
 
 
 class TestNormAndLambda2:

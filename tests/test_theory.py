@@ -150,6 +150,12 @@ class TestDeviationBound:
                 deviation_bound(c4, prof, 1.0, eps)
         with pytest.raises(ValueError, match="alpha"):
             deviation_bound(c4, prof, -1.0, 0.1)
+        for alpha in (math.nan, math.inf):
+            message = f"^alpha must be non-negative and finite, got {alpha!r}$"
+            with pytest.raises(ValueError, match=message):
+                deviation_bound(c4, prof, alpha, 0.1)
+            with pytest.raises(ValueError, match=message):
+                expected_lambda2_regular(8, 3, 1.0, 0.5, alpha=alpha)
         with pytest.raises(ValueError, match="length"):
             deviation_bound(c4, SurvivalProfile.uniform(3, 0.5), 1.0, 0.1)
 
