@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .graph_core import (
     RegularityCertificate,
-    UnionFind,
     WeightedGraph,
     build_adjacency,
     build_laplacian,
@@ -70,7 +69,6 @@ __all__ = [
     "ThresholdReport",
     "TrialBlock",
     "TrialRecord",
-    "UnionFind",
     "WeightedGraph",
     "algebraic_connectivity_survivors",
     "augmented_laplacian",

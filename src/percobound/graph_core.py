@@ -20,7 +20,6 @@ from .spectral import eig_sym
 __all__ = [
     "WeightedGraph",
     "RegularityCertificate",
-    "UnionFind",
     "build_adjacency",
     "build_laplacian",
     "generate",
@@ -48,38 +47,6 @@ def is_real(value) -> bool:
     # exact float and int first: the numbers.Real check costs about 1 us
     return type(value) in (float, int) or (
         not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real))
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def component_count(self, members=None) -> int:
-        """Number of distinct components among `members` (default: all)."""
-        if members is None:
-            members = range(len(self.parent))
-        return len({self.find(x) for x in members})
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,11 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     """Validate the inputs deviation_bound and optimize_alpha share, then
     compute everything in the bound that does not depend on alpha.
 
-    Returns the expected row sums sum_j p_j w_ij and a function that finishes
-    the bound at one alpha: the mismatch term, plus one lambda_2 of the
-    alpha-free expected Laplacian with alpha (1 - p) added to its diagonal.
+    Returns the expected row sums sum_j p_j w_ij and two functions of alpha.
+    bound_at finishes the bound: the mismatch term, plus one lambda_2 of the
+    alpha-free expected Laplacian L0 with alpha (1 - p) added to its diagonal.
+    upper_at(alpha, lambda2_free), given lambda2_free = lambda_2(L0), bounds
+    bound_at(alpha).a_lower_bound from above with no eigensolve.
     """
     epsilon = _validate_epsilon(epsilon)
     if len(profile) != g.n:
@@ -166,10 +168,25 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
 
     alpha_free_laplacian = expected_augmented_laplacian(g, profile, 0.0)
     ghost = 1.0 - p
+    max_ghost = float(ghost.max())
+    l0_norm = float(np.abs(alpha_free_laplacian).sum(axis=1).max())
 
-    def bound_at(alpha: float) -> BoundReport:
+    def mismatch_and_total(alpha: float) -> tuple[float, float]:
         term_alpha_mismatch = float(np.abs(alpha - expected_row).max())
         total = term_kbar + term_alpha_mismatch + term_dad + term_dpad + term_sigma
+        return term_alpha_mismatch, total
+
+    def upper_at(alpha: float, lambda2_free: float) -> float:
+        # Weyl: adding the diagonal alpha (1 - p) >= 0 raises lambda_2 by at
+        # most alpha max(1 - p).  The margin exceeds the rounding of both
+        # eigensolves, of the diagonal shift and of the subtraction of total.
+        shift = alpha * max_ghost
+        total = mismatch_and_total(alpha)[1]
+        margin = 1e-8 * (l0_norm + shift + total + 1.0)
+        return min(lambda2_free + shift - total, float(alpha)) + margin
+
+    def bound_at(alpha: float) -> BoundReport:
+        term_alpha_mismatch, total = mismatch_and_total(alpha)
         L = alpha_free_laplacian.copy()
         L[np.diag_indices(g.n)] += alpha * ghost
         lam2 = lambda2(L)
@@ -188,7 +205,7 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
             a_lower_bound=min(lam2 - total, float(alpha)),
         )
 
-    return expected_row, bound_at
+    return expected_row, bound_at, upper_at
 
 
 def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
@@ -211,7 +228,7 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     four terms, kbar and sigma are fixed by the graph, profile and epsilon.
     """
     _check_alpha(alpha)
-    _, bound_at = _alpha_free_part(g, profile, epsilon)
+    _, bound_at, _ = _alpha_free_part(g, profile, epsilon)
     return bound_at(alpha)
 
 
@@ -271,34 +288,52 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
     """Pick alpha maximizing a_lower_bound on a deterministic grid.
 
     The grid spans [0, 2 * max_i sum_j p_j w_ij] plus the mean-row-sum
-    candidate, followed by one refinement pass around the best grid point.
-    Ties go to the smallest alpha.  Returns (alpha, its BoundReport).  Only
-    term_alpha_mismatch and lambda2_expected vary with alpha, so everything
-    else is computed once and each alpha costs a diagonal shift and one
-    eigensolve; every report equals deviation_bound's at its alpha.
+    candidate, followed by one refinement pass of alpha_grid_size points
+    over one grid step either side of the best grid point.  Ties go to the
+    smallest alpha.  Returns (alpha, its BoundReport), which equals
+    deviation_bound's at that alpha.
+
+    Only term_alpha_mismatch and lambda2_expected vary with alpha, and only
+    lambda2_expected needs an eigensolve.  By Weyl's inequality it is at most
+    lambda_2 at alpha = 0 plus alpha * max(1 - p), which bounds a_lower_bound
+    from above in closed form, with a margin above the rounding error.  Each
+    pass solves its candidates in order of decreasing bound (ties to the
+    smaller alpha) and stops at the first whose bound is strictly below the
+    best a_lower_bound found so far: every candidate left is then provably
+    worse, so it could neither win nor tie.  The result is the one a scan of
+    every candidate gives, from as few as two eigensolves when p is uniform.
     """
     if alpha_grid_size < 2:
         raise ValueError("alpha_grid_size must be at least 2")
-    expected_row, bound_at = _alpha_free_part(g, profile, epsilon)
+    expected_row, bound_at, upper_at = _alpha_free_part(g, profile, epsilon)
     hi = 2.0 * float(expected_row.max())
-    candidates = list(np.linspace(0.0, hi, alpha_grid_size))
-    candidates.append(float(expected_row.mean()))
+    reports: dict[float, BoundReport] = {}
 
-    best: BoundReport | None = None
-    for alpha in sorted(set(candidates)):
-        report = bound_at(alpha)
-        if _better(report, best):
-            best = report
+    def solve(alpha: float) -> BoundReport:
+        if alpha not in reports:
+            reports[alpha] = bound_at(alpha)
+        return reports[alpha]
 
-    # one refinement pass: rescan a window of one grid step around the winner
+    # alpha = 0 is a grid point, and its lambda_2 anchors every upper bound
+    best = solve(0.0)
+    lambda2_free = best.lambda2_expected
+
+    def search(candidates, best: BoundReport) -> BoundReport:
+        upper = {float(alpha): upper_at(float(alpha), lambda2_free) for alpha in candidates}
+        for alpha in sorted(upper, key=lambda a: (-upper[a], a)):
+            if upper[alpha] < best.a_lower_bound:
+                break
+            report = solve(alpha)
+            if _better(report, best):
+                best = report
+        return best
+
+    best = search([*np.linspace(0.0, hi, alpha_grid_size), float(expected_row.mean())], best)
     step = hi / (alpha_grid_size - 1) if hi > 0 else 0.0
     if step > 0:
         lo_w = max(0.0, best.alpha - step)
         hi_w = min(hi, best.alpha + step)
-        for alpha in np.linspace(lo_w, hi_w, alpha_grid_size):
-            report = bound_at(float(alpha))
-            if _better(report, best):
-                best = report
+        best = search(np.linspace(lo_w, hi_w, alpha_grid_size), best)
     return best.alpha, best
 
 

@@ -1,9 +1,10 @@
-"""Shared graph fixtures for the test suite."""
+"""Shared graph fixtures and hypothesis strategies for the test suite."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
-from percobound import WeightedGraph, generate
+from percobound import SurvivalProfile, WeightedGraph, generate
 
 
 def petersen_graph() -> WeightedGraph:
@@ -41,3 +42,22 @@ def c4() -> WeightedGraph:
 @pytest.fixture
 def p3() -> WeightedGraph:
     return generate("path", n=3)
+
+
+probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def weighted_graphs(draw, min_n=1, max_n=9):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    return WeightedGraph(n, tuple((i, j, draw(weights)) for i, j in chosen))
+
+
+@st.composite
+def graph_profile(draw, min_n=1):
+    g = draw(weighted_graphs(min_n=min_n))
+    p = draw(st.lists(probabilities, min_size=g.n, max_size=g.n))
+    return g, SurvivalProfile(p)

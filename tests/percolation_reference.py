@@ -9,10 +9,41 @@ import math
 import numpy as np
 
 from assembly_reference import expected_augmented_laplacian
-from percobound.graph_core import UnionFind
 from percobound.spectral import lambda2, spectral_norm
 
 _M = (1 << 64) - 1
+
+
+class UnionFind:
+    """Disjoint-set forest with path compression and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+    def component_count(self, members=None) -> int:
+        """Number of distinct components among `members` (default: all)."""
+        if members is None:
+            members = range(len(self.parent))
+        return len({self.find(x) for x in members})
 
 
 def _mix(x: int) -> int:

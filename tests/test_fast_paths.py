@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import assembly_reference as ref
 import oracle_reference
 import percolation_reference
+import theory_reference
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
@@ -28,25 +29,7 @@ from percobound import (
 )
 from percobound.graph_core import edge_laplacian
 
-from conftest import petersen_graph
-
-probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
-
-
-@st.composite
-def weighted_graphs(draw, min_n=1, max_n=9):
-    n = draw(st.integers(min_n, max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weights = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
-    return WeightedGraph(n, tuple((i, j, draw(weights)) for i, j in chosen))
-
-
-@st.composite
-def graph_profile(draw, min_n=1):
-    g = draw(weighted_graphs(min_n=min_n))
-    p = draw(st.lists(probabilities, min_size=g.n, max_size=g.n))
-    return g, SurvivalProfile(p)
+from conftest import graph_profile, petersen_graph
 
 
 def assert_identical(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -79,13 +62,13 @@ def search_evaluations(g, profile, epsilon, alpha_grid_size=256):
     alpha_free_part = theory._alpha_free_part
 
     def recording(*args):
-        expected_row, bound_at = alpha_free_part(*args)
+        expected_row, bound_at, upper_at = alpha_free_part(*args)
 
         def recorded_bound_at(alpha):
             evaluated.append((alpha, bound_at(alpha)))
             return evaluated[-1][1]
 
-        return expected_row, recorded_bound_at
+        return expected_row, recorded_bound_at, upper_at
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theory, "_alpha_free_part", recording)
@@ -93,26 +76,95 @@ def search_evaluations(g, profile, epsilon, alpha_grid_size=256):
     return best, evaluated
 
 
-@pytest.mark.parametrize("g, profile", [
-    (generate("paley", q=13), SurvivalProfile.uniform(13, 0.7)),
-    (petersen_graph(), SurvivalProfile(np.linspace(0.3, 0.95, 10))),
+@pytest.mark.parametrize("g, profile, solves", [
+    (generate("paley", q=13), SurvivalProfile.uniform(13, 0.7), 2),
+    (petersen_graph(), SurvivalProfile(np.linspace(0.3, 0.95, 10)), None),
 ], ids=["paley13", "petersen"])
-def test_hoisted_search_reports_equal_deviation_bound(g, profile):
+def test_hoisted_search_reports_equal_deviation_bound(g, profile, solves):
     best, evaluated = search_evaluations(g, profile, 0.1)
-    assert len(evaluated) == 2 * 256 + 1
     for alpha, report in evaluated:
         assert report == deviation_bound(g, profile, alpha, 0.1)
     assert best in [report for _, report in evaluated]
+    assert (best.alpha, best) == theory_reference.optimize_alpha(g, profile, 0.1)
+    # a uniform profile shifts the spectrum exactly as the bound assumes, so
+    # alpha = 0 and the winner are all the search solves
+    if solves is not None:
+        assert len(evaluated) == solves
 
 
 @settings(max_examples=40, deadline=None)
 @given(graph_profile(min_n=2), st.floats(0.01, 0.99))
 def test_search_is_never_below_its_grid(case, epsilon):
-    # exact: the search maximizes over these very evaluations
+    # exact: the search's result is the maximum over every grid alpha, solved or not
     g, profile = case
     best, evaluated = search_evaluations(g, profile, epsilon, alpha_grid_size=8)
-    for alpha, _ in evaluated:
+    expected_row = theory._alpha_free_part(g, profile, epsilon)[0]
+    for alpha in [*theory_reference.grid(expected_row, 8), *(a for a, _ in evaluated)]:
         assert best.a_lower_bound >= deviation_bound(g, profile, alpha, epsilon).a_lower_bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.01, 0.99), st.floats(0.0, 1e4))
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1e-9)), 0.5, 3.0)
+# the solved bound lies above the bound with no margin by one rounding error
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.3)), 0.1, 0.2541176470588235)
+@example((petersen_graph(), SurvivalProfile(np.linspace(0.0, 1.0, 10))), 1e-300, 2.5)
+def test_upper_bound_is_above_the_solved_bound(case, epsilon, alpha):
+    g, profile = case
+    _, bound_at, upper_at = theory._alpha_free_part(g, profile, epsilon)
+    lambda2_free = bound_at(0.0).lambda2_expected
+    assert upper_at(alpha, lambda2_free) >= bound_at(alpha).a_lower_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.01, 0.99), st.sampled_from([2, 8, 256]))
+def test_pruned_search_matches_full_scan(case, epsilon, alpha_grid_size):
+    g, profile = case
+    best, evaluated = search_evaluations(g, profile, epsilon, alpha_grid_size)
+    assert (best.alpha, best) == theory_reference.optimize_alpha(g, profile, epsilon,
+                                                                 alpha_grid_size)
+    alphas = [alpha for alpha, _ in evaluated]
+    assert len(set(alphas)) == len(alphas)
+
+
+# path 0-1-2-3 with p = (1, 1, 0, 0): lambda_2 = alpha and total = alpha on
+# [0.5, 2], so every alpha there ties at a_lower_bound = 0
+FLAT_TOP = (generate("path", n=4), SurvivalProfile([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("g, profile, alpha_grid_size, solves", [
+    (petersen_graph(), SurvivalProfile.uniform(10, 0.0), 256, 1),
+    (petersen_graph(), SurvivalProfile.uniform(10, 1.0), 256, 2),
+    (generate("complete", n=2), SurvivalProfile.uniform(2, 1.0), 256, 3),
+    (generate("paley", q=13), SurvivalProfile(np.linspace(0.05, 0.95, 13)), 2, None),
+    (WeightedGraph(4), SurvivalProfile.uniform(4, 0.5), 256, 1),
+    (generate("cycle", n=8), SurvivalProfile.uniform(8, 1.0), 256, 2),
+    (*FLAT_TOP, 256, None),
+    (*FLAT_TOP, 2, None),
+], ids=["p0", "p1", "n2", "grid2", "edgeless", "cycle8-symmetric", "flat-top", "flat-top-grid2"])
+def test_pruned_search_edge_cases(g, profile, alpha_grid_size, solves):
+    best, evaluated = search_evaluations(g, profile, 0.1, alpha_grid_size)
+    assert (best.alpha, best) == theory_reference.optimize_alpha(g, profile, 0.1,
+                                                                 alpha_grid_size)
+    if solves is not None:
+        assert len(evaluated) == solves
+
+
+def test_n2_winner():
+    # lambda_2 = 2 and total = |alpha - 1|, so a_lower_bound peaks at alpha = 1.5,
+    # which the refinement pass misses by one of its steps
+    alpha, _ = optimize_alpha(generate("complete", n=2), SurvivalProfile.uniform(2, 1.0), 0.1)
+    assert alpha == pytest.approx(1.49998, abs=1e-5)
+
+
+def test_flat_top_tie_goes_to_the_smaller_alpha():
+    g, profile = FLAT_TOP
+    alpha, best = optimize_alpha(g, profile, 0.1)
+    expected_row, bound_at, _ = theory._alpha_free_part(g, profile, 0.1)
+    tied = [a for a in theory_reference.grid(expected_row, 256)
+            if bound_at(a).a_lower_bound == best.a_lower_bound]
+    assert len(tied) > 1 and best.a_lower_bound == 0.0
+    assert alpha <= min(tied)
 
 
 # 2^11 masks make several chunks and a partial last one (see the test below)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from percobound import (
     RegularityCertificate,
-    UnionFind,
     WeightedGraph,
     build_adjacency,
     build_laplacian,
@@ -21,6 +20,8 @@ from percobound import (
     read_graph,
     write_graph,
 )
+
+from percolation_reference import UnionFind
 
 from conftest import petersen_graph
 

@@ -28,6 +28,8 @@ from percobound.harness_cli import (
     run_experiment,
 )
 
+import theory_reference
+
 from conftest import petersen_graph
 
 
@@ -115,6 +117,27 @@ class TestBound:
         assert float(table["total"]) == pytest.approx(8.7630291177550832, abs=1e-9)
         assert table["config.graph_source.family"] == '"cycle"'
         assert float(table["config.epsilon"]) == 0.1
+
+
+@pytest.mark.parametrize("command", [["bound"], ["simulate", "--trials", "50"]],
+                         ids=["bound", "simulate"])
+@pytest.mark.parametrize("profile", ["uniform", "file"])
+def test_auto_alpha_report_equals_full_scan(tmp_path, monkeypatch, command, profile):
+    # the pruned search and the exhaustive scan in one process: the same bytes
+    # for any BLAS thread count, unlike a pinned digest
+    if profile == "file":
+        path = tmp_path / "prof.json"
+        path.write_text(json.dumps([round(0.3 + 0.05 * i, 2) for i in range(13)]))
+        source = ["--profile", str(path)]
+    else:
+        source = ["--p", "0.7"]
+    argv = [*command, "--family", "paley", "--q", "13", *source, "--alpha", "auto",
+            "--epsilon", "0.1"]
+    pruned, full = tmp_path / "pruned.json", tmp_path / "full.json"
+    assert run_cli(argv + ["--output", str(pruned)]) == EXIT_OK
+    monkeypatch.setattr(harness_cli, "optimize_alpha", theory_reference.optimize_alpha)
+    assert run_cli(argv + ["--output", str(full)]) == EXIT_OK
+    assert pruned.read_bytes() == full.read_bytes()
 
 
 class TestSimulate:

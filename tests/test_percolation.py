@@ -27,7 +27,7 @@ from percobound import (
 )
 from percolation_reference import scalar_delta
 
-from conftest import petersen_graph
+from conftest import petersen_graph, weighted_graphs
 
 
 class TestSurvivalProfile:
@@ -257,6 +257,16 @@ def test_augmented_spectrum_splits_into_blocks(case):
         + [alpha] * (g.n - len(survivors))
     )
     assert np.allclose(vals, expected, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_graphs(min_n=1), st.floats(0.0, 1e3))
+def test_certain_survival_leaves_the_laplacian(g, alpha):
+    # at p = 1 there are no ghosts and every edge survives, so alpha drops out
+    profile = SurvivalProfile.uniform(g.n, 1.0)
+    L = build_laplacian(g)
+    assert np.array_equal(augmented_laplacian(g, sample(profile, 0, 0), alpha), L)
+    assert np.array_equal(expected_augmented_laplacian(g, profile, alpha), L)
 
 
 class TestRunTrial:

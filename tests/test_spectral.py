@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spectral_reference
+from percolation_reference import UnionFind
 from percobound import (
-    UnionFind,
     build_laplacian,
     eig_sym,
     generate,

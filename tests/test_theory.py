@@ -26,7 +26,7 @@ from percobound import (
 )
 from percobound.theory import K_MAX
 
-from conftest import petersen_graph
+from conftest import graph_profile, petersen_graph
 
 # 50-digit evaluations of the defining formula, rounded to double
 K_HALF = 0.35355339059327376
@@ -166,6 +166,16 @@ class TestDeviationBound:
             "term_alpha_mismatch", "term_dad", "term_dpad", "term_sigma",
             "total", "lambda2_expected", "a_lower_bound",
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.0, 10.0), st.floats(1e-6, 0.999), st.floats(1e-6, 0.999))
+def test_total_does_not_increase_with_epsilon(case, alpha, eps_a, eps_b):
+    # only log(4n/epsilon) depends on epsilon, and every term is monotone in it
+    g, profile = case
+    small, large = sorted((eps_a, eps_b))
+    assert (deviation_bound(g, profile, alpha, large).total
+            <= deviation_bound(g, profile, alpha, small).total)
 
 
 class TestSeriesVarianceAndTail:
