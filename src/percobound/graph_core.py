@@ -310,7 +310,7 @@ def certify_ndl(g: WeightedGraph) -> RegularityCertificate:
     magnitude among adjacency eigenvalues excluding one copy of the trivial
     eigenvalue d, so lambda = d flags a disconnected or bipartite graph.
     """
-    if any(w != 1.0 for _, _, w in g.edges):
+    if np.any(g.w != 1.0):
         return RegularityCertificate(is_regular=False)
     deg = g.degree_vector()
     d = int(round(deg[0]))

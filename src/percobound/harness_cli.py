@@ -167,6 +167,15 @@ def _write_trial_rows(fh, start: int, block) -> None:
     fh.write("".join(f"{t},{m},{int(c)},{a!r},{d!r},{l2!r}\n" for t, m, c, a, d, l2 in rows))
 
 
+def _bound_for(g: WeightedGraph, profile: SurvivalProfile, alpha_spec, epsilon: float,
+               alpha_grid_size: int) -> tuple[float, BoundReport]:
+    """(alpha, its BoundReport): grid-optimized for "auto", else at the given alpha."""
+    if alpha_spec == "auto":
+        return optimize_alpha(g, profile, epsilon, alpha_grid_size)
+    alpha = float(alpha_spec)
+    return alpha, deviation_bound(g, profile, alpha, epsilon)
+
+
 def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
                    epsilon: float, trials: int, seed: int, threads: int = 1,
                    alpha_grid_size: int = 256, trials_csv=None):
@@ -190,11 +199,7 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if alpha_spec == "auto":
-        alpha, report = optimize_alpha(g, profile, epsilon, alpha_grid_size)
-    else:
-        alpha = float(alpha_spec)
-        report = deviation_bound(g, profile, alpha, epsilon)
+    alpha, report = _bound_for(g, profile, alpha_spec, epsilon, alpha_grid_size)
     expected = expected_augmented_laplacian(g, profile, alpha)
     step = _chunk_length(g.n)
     starts = range(0, trials, step)
@@ -333,10 +338,7 @@ def cmd_bound(args) -> int:
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
     alpha_spec = _parse_alpha(args.alpha)
-    if alpha_spec == "auto":
-        alpha, report = optimize_alpha(g, profile, args.epsilon, args.alpha_grid)
-    else:
-        report = deviation_bound(g, profile, alpha_spec, args.epsilon)
+    _, report = _bound_for(g, profile, alpha_spec, args.epsilon, args.alpha_grid)
     config = ExperimentConfig(
         graph_source=source,
         profile=profile_desc,

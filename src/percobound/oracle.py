@@ -4,13 +4,14 @@ Ground truth for everything the sampler and the closed-form bounds claim:
 exact distributions of per-realization statistics and exact tails of matrix
 Bernoulli series.  Enumeration is capped at n = 20 vertices.
 
-exact_distribution walks the masks in ascending order, one fixed-size chunk
-at a time, with no per-mask Python: it decodes the chunk's survival flags
-with one shift-and-mask and hands them to the percolation module's chunk
-assembly, stacked eigensolves (a_delta: one per survivor count) and
-union-find, the same code the Monte Carlo kernel runs.  A chunk holds at most
-the percolation module's _CHUNK_ENTRIES matrix entries, so beyond the
-2^n-long result arrays the memory is O(chunk * n^2).
+Both enumerations walk the masks in ascending order, one fixed-size chunk at
+a time, with no per-mask Python: one shift-and-mask decodes a chunk's
+survival flags.  exact_distribution hands them to the percolation module's
+chunk assembly, stacked eigensolves (a_delta: one per survivor count) and
+union-find, the same code the Monte Carlo kernel runs;
+exact_bernoulli_series_tail forms the chunk's partial sums with one einsum
+and solves them as one stack.  A chunk holds at most _CHUNK_ENTRIES matrix
+entries of order m, so beyond the 2^n-long arrays the memory is O(chunk * m^2).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .percolation import (
     SurvivalProfile,
     _add_ghost_diagonal,
     _check_alpha,
+    _check_lengths,
     _chunk_length,
     _deviation_norms,
     _live_edges,
@@ -32,6 +34,8 @@ from .percolation import (
     _survivors_connected,
     expected_augmented_laplacian,
 )
+from .spectral import eig_sym
+from .theory import _series_terms
 
 __all__ = [
     "MAX_ENUM_VERTICES",
@@ -132,8 +136,7 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
         raise ValueError(
             f"statistic_kind must be one of {STATISTIC_KINDS}, got {statistic_kind!r}"
         )
-    if len(profile) != g.n:
-        raise ValueError(f"profile has length {len(profile)} but the graph has {g.n} vertices")
+    _check_lengths(g, len(profile), "profile")
 
     n = g.n
     count = 1 << n
@@ -176,23 +179,22 @@ def exact_tail(dist: ExactDistribution, t: float) -> float:
 def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) -> float:
     """Exact P(|| sum_i (delta_i - p_i) X_i || >= t) by enumeration.
 
-    matrices are symmetric and share a common size; delta_i ~ Bernoulli(p_i)
-    independent.  Capped at 20 Bernoulli variables.
+    matrices are symmetric (as bernoulli_series_variance checks them) and
+    share a common size; delta_i ~ Bernoulli(p_i) independent.  Capped at 20
+    Bernoulli variables.  Each partial sum S is solved as 0.5 * (S + S^T).
     """
-    X = np.asarray(matrices, dtype=float)
-    if X.ndim != 3 or X.shape[1] != X.shape[2]:
-        raise ValueError("expected a sequence of square matrices of equal size")
+    X = _series_terms(matrices, profile)
     n = X.shape[0]
-    if n != len(profile):
-        raise ValueError(f"{n} matrices but profile has length {len(profile)}")
     _check_enumerable(n)
-    p = profile.p
-    probabilities = _pattern_probabilities(p)
+    count = 1 << n
+    probabilities = _pattern_probabilities(profile.p)
     hits = []
-    for mask in range(1 << n):
-        coeff = np.array([(mask >> i) & 1 for i in range(n)]) - p
-        S = np.einsum("i,ijk->jk", coeff, X)
-        norm = float(np.abs(np.linalg.eigvalsh(0.5 * (S + S.T))).max())
-        if norm >= t:
-            hits.append(float(probabilities[mask]))
+    bit = np.arange(n)
+    chunk = _chunk_length(X.shape[1])
+    for start in range(0, count, chunk):
+        masks = np.arange(start, min(start + chunk, count))
+        coeff = ((masks[:, None] >> bit) & 1) - profile.p
+        S = np.einsum("ci,ijk->cjk", coeff, X)
+        norms = np.abs(eig_sym(0.5 * (S + S.mT)).eigenvalues).max(axis=1)
+        hits += probabilities[masks[norms >= t]].tolist()
     return math.fsum(hits)

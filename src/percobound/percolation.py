@@ -187,6 +187,12 @@ def _check_lengths(g: WeightedGraph, length: int, what: str) -> None:
         raise ValueError(f"{what} has length {length} but the graph has {g.n} vertices")
 
 
+def _sample_rows(g: WeightedGraph, s: PercolationSample) -> np.ndarray:
+    """The sample's flags as a one-row (1, n) grid, after checking its length."""
+    _check_lengths(g, s.delta.shape[0], "sample")
+    return s.delta[None]
+
+
 def _check_alpha(alpha: float) -> None:
     # written so that NaN fails too
     if not 0 <= alpha < math.inf:
@@ -296,16 +302,13 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
 
 def percolated_laplacian(g: WeightedGraph, s: PercolationSample) -> np.ndarray:
     """Laplacian of the graph after deleting non-survivors (n x n, zero rows for ghosts)."""
-    _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta[None]
-    return _percolated(g, _live_edges(g, delta))[0]
+    return _percolated(g, _live_edges(g, _sample_rows(g, s)))[0]
 
 
 def augmented_laplacian(g: WeightedGraph, s: PercolationSample, alpha: float) -> np.ndarray:
     """Percolated Laplacian plus alpha on each ghost's diagonal entry."""
     _check_alpha(alpha)
-    _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta[None]
+    delta = _sample_rows(g, s)
     laplacians = _percolated(g, _live_edges(g, delta))
     _add_ghost_diagonal(laplacians, delta, alpha)
     return laplacians[0]
@@ -332,8 +335,7 @@ def survivor_connectivity(g: WeightedGraph, s: PercolationSample) -> tuple[int, 
     Connectivity is decided combinatorially by union-find; zero or one
     survivor counts as connected.
     """
-    _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta[None]
+    delta = _sample_rows(g, s)
     connected = _survivors_connected(g, delta, _live_edges(g, delta))
     return s.survivor_count, bool(connected[0])
 
@@ -344,8 +346,7 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
     With zero or one survivor there is nothing to disconnect and the value
     is +infinity by convention.
     """
-    _check_lengths(g, s.delta.shape[0], "sample")
-    delta = s.delta[None]
+    delta = _sample_rows(g, s)
     return float(_survivor_lambda2(_percolated(g, _live_edges(g, delta)), delta)[0])
 
 

@@ -17,14 +17,9 @@ class SpectralResult:
     """Spectrum of a symmetric matrix, or of each matrix of a stack.
 
     eigenvalues are ascending with multiplicity along the last axis.
-    eigenvectors (columns, aligned with eigenvalues) and max_residual are
-    filled only when vectors were requested; max_residual is
-    max_i ||M v_i - mu_i v_i||_2.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    max_residual: float | None = None
 
 
 def _checked_symmetric(M) -> np.ndarray:
@@ -58,25 +53,19 @@ def _checked_symmetric(M) -> np.ndarray:
     return 0.5 * (M + T)
 
 
-def eig_sym(M, compute_vectors: bool = False) -> SpectralResult:
+def eig_sym(M) -> SpectralResult:
     """Full spectrum of a symmetric matrix, ascending.
 
     M may also be a (c, m, m) stack; eigenvalues then has shape (c, m), row k
-    bit for bit the spectrum eig_sym(M[k]) gives, and max_residual is the
-    largest over the stack.  Raises ValueError for non-square input or when
-    M (or any matrix of the stack, named by its index) deviates from
-    symmetry by more than 1e-10 relative to its largest absolute row sum.
-    Input within that tolerance is solved as 0.5 * (M + M^T), so LAPACK sees
-    exact symmetry; input already equal to its transpose bit for bit (every
-    matrix the library builds) skips the check and is solved as it is.
+    bit for bit the spectrum eig_sym(M[k]) gives.  Raises ValueError for
+    non-square input or when M (or any matrix of the stack, named by its
+    index) deviates from symmetry by more than 1e-10 relative to its largest
+    absolute row sum.  Input within that tolerance is solved as
+    0.5 * (M + M^T), so LAPACK sees exact symmetry; input already equal to
+    its transpose bit for bit (every matrix the library builds) skips the
+    check and is solved as it is.
     """
-    S = _checked_symmetric(M)
-    if not compute_vectors:
-        return SpectralResult(eigenvalues=np.linalg.eigvalsh(S))
-    vals, vecs = np.linalg.eigh(S)
-    residual = np.linalg.norm(S @ vecs - vecs * vals[..., None, :], axis=-2)
-    return SpectralResult(eigenvalues=vals, eigenvectors=vecs,
-                          max_residual=float(residual.max()))
+    return SpectralResult(eigenvalues=np.linalg.eigvalsh(_checked_symmetric(M)))
 
 
 def _single_spectrum(M) -> np.ndarray:

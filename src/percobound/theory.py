@@ -18,8 +18,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, build_adjacency
-from .percolation import SurvivalProfile, _check_alpha, expected_augmented_laplacian
+from .graph_core import WeightedGraph, _require_positive_int, build_adjacency
+from .percolation import (
+    SurvivalProfile,
+    _check_alpha,
+    _check_lengths,
+    expected_augmented_laplacian,
+)
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -137,8 +142,7 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     bound_at(alpha).a_lower_bound from above with no eigensolve.
     """
     epsilon = _validate_epsilon(epsilon)
-    if len(profile) != g.n:
-        raise ValueError(f"profile has length {len(profile)} but the graph has {g.n} vertices")
+    _check_lengths(g, len(profile), "profile")
     if g.n < 2:
         raise ValueError("deviation_bound needs a graph on at least 2 vertices")
 
@@ -232,13 +236,17 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     return bound_at(alpha)
 
 
-def _as_symmetric_stack(matrices) -> np.ndarray:
+def _series_terms(matrices, profile: SurvivalProfile) -> np.ndarray:
+    """The terms X_i of a matrix series as a (count, m, m) stack, checked to be
+    square, symmetric and one per entry of the profile."""
     X = np.asarray(matrices, dtype=float)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError("expected a sequence of square matrices of equal size")
     max_scale = max(1.0, float(np.abs(X).max()))
-    if float(np.abs(X - np.transpose(X, (0, 2, 1))).max()) > 1e-10 * max_scale:
+    if float(np.abs(X - X.mT).max()) > 1e-10 * max_scale:
         raise ValueError("matrices must be symmetric")
+    if X.shape[0] != len(profile):
+        raise ValueError(f"{X.shape[0]} matrices but profile has length {len(profile)}")
     return X
 
 
@@ -248,11 +256,7 @@ def bernoulli_series_variance(matrices, profile: SurvivalProfile) -> float:
     The series is sum_i (delta_i - p_i) X_i with independent delta_i ~
     Bernoulli(p_i) and fixed symmetric X_i.
     """
-    X = _as_symmetric_stack(matrices)
-    if X.shape[0] != len(profile):
-        raise ValueError(
-            f"{X.shape[0]} matrices but profile has length {len(profile)}"
-        )
+    X = _series_terms(matrices, profile)
     kv = np.array([kearns_saul_k(float(pi)) for pi in profile.p])
     S = np.einsum("i,ijk,ikl->jl", kv * kv, X, X)
     return spectral_norm(S)
@@ -264,12 +268,12 @@ def bernoulli_series_tail_bound(sigma2: float, count: int, t: float) -> float:
     count is the matrix dimension N.  A zero variance proxy forces the series
     to vanish almost surely, so the tail is 0 for every t > 0.
     """
-    if t <= 0:
+    # written so that NaN fails too
+    if not t > 0:
         raise ValueError("t must be positive")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("sigma2 must be non-negative")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _require_positive_int("count", count)
     if sigma2 == 0.0:
         return 0.0
     return min(1.0, 2.0 * count * math.exp(-t * t / (4.0 * sigma2)))
@@ -345,18 +349,28 @@ def expected_lambda2_regular(n: int, d: int, lam: float, p: float,
     Equals p^2 (d - lambda) + alpha (1 - p); the default alpha = p d gives
     the closed form p d - p^2 lambda.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _require_positive_int("n", n)
     if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < n:
         raise ValueError(f"d must be an integer with 0 <= d < n, got {d!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if lam > d:
         raise ValueError(f"lambda must not exceed d, got lambda={lam}, d={d}")
+    # written so that NaN fails too; lambda is a magnitude
+    if not lam >= 0.0:
+        raise ValueError(f"lambda must be non-negative, got {lam!r}")
     if alpha is None:
         alpha = p * d
     _check_alpha(alpha)
     return p * p * (d - lam) + alpha * (1.0 - p)
+
+
+def _check_ndl(n: int, d: int, lam: float) -> None:
+    """The (n, d, lambda) rules shared by the gap condition and the threshold."""
+    _require_positive_int("n", n)
+    _require_positive_int("d", d)
+    if not 0.0 <= lam < d:
+        raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
 
 
 def check_gap_condition(n: int, d: int, lam: float, p: float,
@@ -373,14 +387,9 @@ def check_gap_condition(n: int, d: int, lam: float, p: float,
     relative spectral gap; the right side collects the deviation terms.
     """
     epsilon = _validate_epsilon(epsilon)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+    _check_ndl(n, d, lam)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not 0.0 <= lam < d:
-        raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
     k = kearns_saul_k(p)
     c = math.log(4.0 * n / epsilon) / d * k * k
     lhs = (1.0 - lam / d) * p
@@ -422,12 +431,7 @@ def survival_threshold(n: int, d: int, lam: float, epsilon: float,
     p_threshold is the largest double below 1.
     """
     epsilon = _validate_epsilon(epsilon)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    if not 0.0 <= lam < d:
-        raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
+    _check_ndl(n, d, lam)
     if mode not in THRESHOLD_MODES:
         raise ValueError(f"mode must be one of {THRESHOLD_MODES}, got {mode!r}")
 

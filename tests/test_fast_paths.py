@@ -17,6 +17,7 @@ from percobound import (
     build_adjacency,
     build_laplacian,
     deviation_bound,
+    exact_bernoulli_series_tail,
     exact_distribution,
     expected_augmented_laplacian,
     generate,
@@ -29,7 +30,7 @@ from percobound import (
 )
 from percobound.graph_core import edge_laplacian
 
-from conftest import graph_profile, petersen_graph
+from conftest import graph_profile, petersen_graph, probabilities
 
 
 def assert_identical(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -258,9 +259,9 @@ def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
     solved = []
     eig_sym = percolation.eig_sym
 
-    def recording_eig_sym(M, compute_vectors=False):
+    def recording_eig_sym(M):
         solved.append(np.array(M))
-        return eig_sym(M, compute_vectors)
+        return eig_sym(M)
 
     monkeypatch.setattr(percolation, "eig_sym", recording_eig_sym)
     trial_block(g, profile, alpha, 3, 0, 20)
@@ -278,3 +279,73 @@ def test_trial_block_needs_two_vertices():
         percolation_reference.run_trial(g, profile, 1.0, 0, 0)
     with pytest.raises(ValueError, match="at least 2 vertices"):
         trial_block(g, profile, 1.0, 0, 0, 1)
+
+
+@st.composite
+def matrix_series(draw, max_count=6, max_order=5):
+    """(terms, profile): symmetric terms of a common order, one per probability."""
+    count = draw(st.integers(1, max_count))
+    m = draw(st.integers(1, max_order))
+    entries = st.floats(-100.0, 100.0, allow_nan=False)
+    raw = np.array(draw(st.lists(entries, min_size=count * m * m, max_size=count * m * m)))
+    raw = raw.reshape(count, m, m)
+    p = draw(st.lists(probabilities, min_size=count, max_size=count))
+    return raw + raw.transpose(0, 2, 1), SurvivalProfile(p)
+
+
+def assert_series_tail_matches(terms, profile, levels) -> None:
+    for t in levels:
+        fast = exact_bernoulli_series_tail(terms, profile, t)
+        assert fast == oracle_reference.bernoulli_series_tail(terms, profile, t)
+
+
+def attained_levels(terms, profile) -> list[float]:
+    """About ten norms the series attains, and the doubles either side of each:
+    the levels where a last-bit change in a norm would flip a >= t."""
+    norms = sorted(set(oracle_reference.series_norms(terms, profile).tolist()))
+    picked = [*norms[::max(1, len(norms) // 8)], norms[-1]]
+    return [float(np.nextafter(x, d)) for x in picked for d in (-np.inf, x, np.inf)]
+
+
+# ten order-10 terms make 1,024 masks in chunks of 327, the last one partial
+SERIES_MULTI_CHUNK = np.stack([
+    build_laplacian(generate("cycle", n=10)) * (1.0 + k) + np.diag(np.linspace(-1.0, 1.0, 10)) * k
+    for k in range(10)
+])
+
+
+def test_series_multi_chunk_example_spans_chunks():
+    chunk = percolation._chunk_length(SERIES_MULTI_CHUNK.shape[1])
+    count = 1 << SERIES_MULTI_CHUNK.shape[0]
+    assert count > 2 * chunk and count % chunk != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_series(), st.floats(0.0, 500.0))
+def test_series_tail_matches_mask_by_mask_reference(case, t):
+    terms, profile = case
+    assert_series_tail_matches(terms, profile, [t, *attained_levels(terms, profile)])
+
+
+@pytest.mark.parametrize("terms, profile", [
+    # 1 x 1 terms: the norm is |sum_i (delta_i - p_i) x_i|
+    (np.array([[[1.0]], [[-2.5]], [[0.3]]]), SurvivalProfile([0.9, 0.5, 0.2])),
+    # one term
+    (np.array([[[2.0, 1.0], [1.0, -3.0]]]), SurvivalProfile([0.35])),
+    # two commuting terms whose norm is exactly 1/2 on every mask
+    (np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), SurvivalProfile([0.5, 0.5])),
+    (SERIES_MULTI_CHUNK, SurvivalProfile(np.linspace(0.05, 0.95, 10))),
+], ids=["order1", "one-term", "commuting", "multi-chunk"])
+def test_series_tail_pinned_cases(terms, profile):
+    assert_series_tail_matches(terms, profile, [0.5, *attained_levels(terms, profile)])
+
+
+def test_series_tail_cap_raises_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, "eig_sym", no_work)
+    monkeypatch.setattr(oracle, "_pattern_probabilities", no_work)
+    terms = [np.eye(1)] * (oracle.MAX_ENUM_VERTICES + 1)
+    with pytest.raises(ValueError, match="capped at 20"):
+        exact_bernoulli_series_tail(terms, SurvivalProfile.uniform(len(terms), 0.5), 0.1)

@@ -9,6 +9,7 @@ import pytest
 
 from percobound import (
     SurvivalProfile,
+    bernoulli_series_variance,
     exact_bernoulli_series_tail,
     exact_distribution,
     exact_tail,
@@ -168,6 +169,13 @@ class TestExactBernoulliSeriesTail:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="profile"):
             exact_bernoulli_series_tail([np.eye(2)], SurvivalProfile([0.5, 0.5]), 0.1)
+
+    def test_asymmetric_terms_rejected_like_the_variance(self):
+        X, prof = [[[0.0, 1.0], [0.0, 0.0]]], SurvivalProfile([0.5])
+        with pytest.raises(ValueError, match="^matrices must be symmetric$"):
+            exact_bernoulli_series_tail(X, prof, 0.1)
+        with pytest.raises(ValueError, match="^matrices must be symmetric$"):
+            bernoulli_series_variance(X, prof)
 
     def test_count_cap(self):
         X = [np.eye(1)] * (MAX_ENUM_VERTICES + 1)

@@ -27,7 +27,7 @@ from percobound import (
 )
 from percolation_reference import scalar_delta
 
-from conftest import petersen_graph, weighted_graphs
+from conftest import graph_profile, petersen_graph, weighted_graphs
 
 
 class TestSurvivalProfile:
@@ -267,6 +267,21 @@ def test_certain_survival_leaves_the_laplacian(g, alpha):
     L = build_laplacian(g)
     assert np.array_equal(augmented_laplacian(g, sample(profile, 0, 0), alpha), L)
     assert np.array_equal(expected_augmented_laplacian(g, profile, alpha), L)
+
+
+# lambda_2 of a connected survivor graph is at least its smallest weight times
+# 2 (1 - cos(pi / m)), a path's: above 1.2e-4 for conftest's weights (>= 1e-3)
+# on at most 9 vertices, far above this tolerance and the solver's rounding
+CONNECTED_TOL = 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(min_n=2), st.integers(0, 2**64 - 1), st.integers(1, 40))
+def test_a_delta_positive_exactly_when_survivors_connected(case, seed, count):
+    g, profile = case
+    block = trial_block(g, profile, 1.0, seed, 0, count, with_lambda2_augmented=False)
+    assert np.array_equal(block.a_delta == math.inf, block.survivor_count <= 1)
+    assert np.array_equal(block.a_delta > CONNECTED_TOL, block.is_connected)
 
 
 class TestRunTrial:

@@ -204,6 +204,12 @@ class TestSeriesVarianceAndTail:
         with pytest.raises(ValueError, match="count"):
             bernoulli_series_tail_bound(1.0, 0, 1.0)
 
+    def test_tail_nan_rejected(self):
+        with pytest.raises(ValueError, match="^t must be positive$"):
+            bernoulli_series_tail_bound(1.0, 2, math.nan)
+        with pytest.raises(ValueError, match="^sigma2 must be non-negative$"):
+            bernoulli_series_tail_bound(math.nan, 2, 1.0)
+
     def test_variance_input_validation(self):
         prof = SurvivalProfile([0.5, 0.5])
         with pytest.raises(ValueError, match="profile"):
@@ -278,6 +284,14 @@ class TestExpectedLambda2Regular:
         with pytest.raises(ValueError, match="d must be"):
             expected_lambda2_regular(3, 3, 1.0, 0.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, -50.0, -1e-300])
+    def test_lambda_is_a_magnitude(self, lam):
+        with pytest.raises(ValueError, match="^lambda must be non-negative"):
+            expected_lambda2_regular(10, 3, lam, 0.5)
+
+    def test_lambda_zero_allowed(self):
+        assert expected_lambda2_regular(10, 3, 0.0, 0.5) == pytest.approx(0.25 * 3 + 1.5 * 0.5)
+
 
 # direct 50-digit evaluations of both sides at (n=1000, d=20, lambda=10,
 # epsilon=0.1); the condition fails at every scanned p
@@ -315,6 +329,22 @@ class TestGapCondition:
             check_gap_condition(10, 3, 3.0, 0.5, 0.1)
         with pytest.raises(ValueError, match="epsilon"):
             check_gap_condition(10, 3, 1.0, 0.5, 0.0)
+
+
+@pytest.mark.parametrize("n, d, lam, message", [
+    (0, 3, 1.0, "^n must be a positive integer, got 0$"),
+    (True, 3, 1.0, "^n must be a positive integer, got True$"),
+    (10.0, 3, 1.0, "^n must be a positive integer, got 10.0$"),
+    (10, 0, 0.0, "^d must be a positive integer, got 0$"),
+    (10, 3, 3.0, "^lambda must satisfy 0 <= lambda < d, got lambda=3.0, d=3$"),
+    (10, 3, -1.0, "^lambda must satisfy 0 <= lambda < d, got lambda=-1.0, d=3$"),
+    (10, 3, math.nan, "^lambda must satisfy 0 <= lambda < d, got lambda=nan, d=3$"),
+])
+def test_gap_condition_and_threshold_share_the_ndl_rules(n, d, lam, message):
+    with pytest.raises(ValueError, match=message):
+        check_gap_condition(n, d, lam, 0.9, 0.1)
+    with pytest.raises(ValueError, match=message):
+        survival_threshold(n, d, lam, 0.1)
 
 
 class TestThresholdConstants:
