@@ -14,14 +14,16 @@ Laplacian is reported only in that CSV, so its eigensolve runs only when the
 CSV is asked for.
 
 The PERCOBOUND_THREADS environment variable sets how many chunks run at once
-on worker threads, at most that many in flight (0 or unset picks the CPU
-count).  The CPU count stays the default because it already was: on a 2-core
-machine, 12 alternating pairs of 1 against 2 threads did not settle which is
-faster.  Two threads won 10 of 12 pairs on the hypercube-8 benchmark workload
-(median 2.4 % faster), one thread won 9 of 12 on the 6-cycle one (median
-4.4 % faster), and both medians differed by less than the runs' interquartile
-range.  Results are byte-identical for any thread count because sampling is
-counter-based and aggregation runs in trial order.
+on worker threads, at most that many in flight (unset means 1, 0 picks the
+CPU count).  One is the default because a second thread did not pay on a
+2-core machine: in one process, two threads calling np.linalg.eigvalsh on
+order-256 matrices did not overlap, and in 10 alternating benchmark pairs of
+1 against 2 threads one thread won all 10 on both simulate workloads, with
+a median op_ref of 17.3 against 21.9 on hypercube-8 and 0.347 against 0.419
+on the 6-cycle, and about 2 MiB less peak memory.  The pool stays for hosts
+where chunks do overlap.  Results are byte-identical for any thread count at
+a fixed BLAS thread count, because sampling is counter-based and aggregation
+runs in trial order.
 """
 from __future__ import annotations
 
@@ -77,10 +79,10 @@ TRIALS_CSV_HEADER = (
 
 
 def resolve_threads() -> int:
-    """Worker count from PERCOBOUND_THREADS (0 or unset means CPU count)."""
+    """Worker count from PERCOBOUND_THREADS (unset means 1, 0 means CPU count)."""
     raw = os.environ.get("PERCOBOUND_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return 1
     try:
         value = int(raw)
     except ValueError as exc:

@@ -170,8 +170,15 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     )
 
 
+def _check_level(t: float) -> None:
+    # every comparison against NaN is false, so a NaN level would read as tail 0
+    if math.isnan(t):
+        raise ValueError(f"level t must be a number, got {t!r}")
+
+
 def exact_tail(dist: ExactDistribution, t: float) -> float:
     """Exact P(statistic > t), summed with compensated summation."""
+    _check_level(t)
     selected = dist.probabilities[dist.statistics > t]
     return math.fsum(selected.tolist())
 
@@ -183,6 +190,7 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
     share a common size; delta_i ~ Bernoulli(p_i) independent.  Capped at 20
     Bernoulli variables.  Each partial sum S is solved as 0.5 * (S + S^T).
     """
+    _check_level(t)
     X = _series_terms(matrices, profile)
     n = X.shape[0]
     _check_enumerable(n)

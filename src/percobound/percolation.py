@@ -13,25 +13,31 @@ of threads, with identical results on every platform.
 
 Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
 trials it draws the (trials x n) grid of survival flags with one vectorized
-hash, assembles the chunk's percolated Laplacians as one stack from the
-graph's edge arrays, and solves that stack with stacked eigensolves: one for
+hash and groups the grid's rows into distinct survival patterns.  Every
+per-trial statistic depends on the trial's flags alone, and a row of a stacked
+eigensolve equals the solve of that matrix alone (see spectral.eig_sym), so
+each distinct pattern is evaluated once and its results are copied to the
+trials that drew it: the same bits as evaluating every trial.  On the 6-cycle
+at p = 0.8, 5,000 trials (seed 0) hold 299 distinct (chunk, pattern) pairs.
+The kernel assembles the patterns' percolated Laplacians as one stack from the
+graph's edge arrays and solves that stack with stacked eigensolves: one for
 the deviation norms and one per survivor count for a_delta, plus one for
 lambda_2 of the augmented Laplacians when the caller asks for it.
-Connectivity is union-find over the chunk's live edges, with whole-array
+Connectivity is union-find over the patterns' live edges, with whole-array
 hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
 entries, so memory is O(chunk * n^2) whatever the trial count.  The
 per-sample functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
 oracle go through the same assembly and the same connectivity rule.
 
-Each trial thus costs two eigensolves, plus lambda2_augmented when asked for.
-Only the per-trial CSV reports lambda2_augmented, so simulate asks for it only
-when it writes that file.  It keeps its own eigensolve: the block split above
-gives it from the survivor-block spectrum plus the ghost alphas in exact
-arithmetic, but not bit for bit: the two routes round differently, and the
-values differed in their last bits on 199 of 200 hypercube-8 trials and on
-1,215-1,250 of 5,000 cycle-6 trials (four seeds), which would change the
-per-trial CSV.
+Each distinct pattern of a chunk thus costs two eigensolves, plus
+lambda2_augmented when asked for.  Only the per-trial CSV reports
+lambda2_augmented, so simulate asks for it only when it writes that file.
+It keeps its own eigensolve: the block split above gives it from the
+survivor-block spectrum plus the ghost alphas in exact arithmetic, but not
+bit for bit: the two routes round differently, and the values differed in
+their last bits on 199 of 200 hypercube-8 trials and on 1,215-1,250 of 5,000
+cycle-6 trials (four seeds), which would change the per-trial CSV.
 """
 from __future__ import annotations
 
@@ -283,19 +289,37 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray, live: np.ndarray) 
     return ~np.any(delta & (root != smallest[:, None]), axis=1)
 
 
+def _distinct_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse): delta[first] holds each distinct row once, and
+    delta[first][inverse] equals delta."""
+    # rows packed to bytes and sorted stably; np.unique would import numpy.ma
+    packed = np.packbits(delta, axis=1)
+    order = np.lexsort(packed.T[::-1])
+    ranked = packed[order]
+    starts = np.empty(order.shape[0], dtype=bool)
+    starts[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
                     delta: np.ndarray, with_lambda2_augmented: bool) -> TrialBlock:
-    live = _live_edges(g, delta)
+    # each distinct pattern is evaluated once (see the module docstring)
+    first, inverse = _distinct_rows(delta)
+    patterns = delta[first]
+    live = _live_edges(g, patterns)
     laplacians = _percolated(g, live)
     # a_delta reads the survivor blocks before the ghost diagonal is added
-    a_delta = _survivor_lambda2(laplacians, delta)
-    _add_ghost_diagonal(laplacians, delta, alpha)
+    a_delta = _survivor_lambda2(laplacians, patterns)
+    _add_ghost_diagonal(laplacians, patterns, alpha)
     return TrialBlock(
-        survivor_count=delta.sum(axis=1),
-        is_connected=_survivors_connected(g, delta, live),
-        a_delta=a_delta,
-        deviation_norm=_deviation_norms(laplacians, expected),
-        lambda2_augmented=(eig_sym(laplacians).eigenvalues[:, 1]
+        survivor_count=patterns.sum(axis=1)[inverse],
+        is_connected=_survivors_connected(g, patterns, live)[inverse],
+        a_delta=a_delta[inverse],
+        deviation_norm=_deviation_norms(laplacians, expected)[inverse],
+        lambda2_augmented=(eig_sym(laplacians).eigenvalues[inverse, 1]
                            if with_lambda2_augmented else None),
     )
 
@@ -356,9 +380,11 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
-    seed, start + k) records.  The trials are evaluated a chunk at a time
-    (see the module docstring).  expected lets callers amortize the expected
-    augmented Laplacian across calls; it must equal
+    seed, start + k) records.  The trials are evaluated a chunk at a time,
+    with two eigensolves per distinct survival pattern of a chunk, plus one
+    for lambda2_augmented (see the module docstring).  Trials that draw the
+    same pattern share its results.  expected lets callers amortize the
+    expected augmented Laplacian across calls; it must equal
     expected_augmented_laplacian(g, profile, alpha).  With
     with_lambda2_augmented false, the eigensolve of the augmented Laplacians
     is skipped and lambda2_augmented is None; the other arrays are unchanged.

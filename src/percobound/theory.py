@@ -390,6 +390,12 @@ def check_gap_condition(n: int, d: int, lam: float, p: float,
     _check_ndl(n, d, lam)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
+    return _gap_condition(n, d, lam, p, epsilon)
+
+
+def _gap_condition(n: int, d: int, lam: float, p: float,
+                   epsilon: float) -> tuple[bool, float, float]:
+    """check_gap_condition on inputs it has already checked."""
     k = kearns_saul_k(p)
     c = math.log(4.0 * n / epsilon) / d * k * k
     lhs = (1.0 - lam / d) * p
@@ -453,7 +459,7 @@ def survival_threshold(n: int, d: int, lam: float, epsilon: float,
         lo, hi = 0.5, 1.0
         while hi - lo > _BISECTION_TOL:
             mid = 0.5 * (lo + hi)
-            if check_gap_condition(n, d, lam, mid, epsilon)[0]:
+            if _gap_condition(n, d, lam, mid, epsilon)[0]:
                 hi = mid
             else:
                 lo = mid
@@ -465,7 +471,7 @@ def survival_threshold(n: int, d: int, lam: float, epsilon: float,
         else:
             p_threshold = hi
             for q in np.linspace(p_threshold, 1.0, _SWEEP_POINTS):
-                if not check_gap_condition(n, d, lam, float(q), epsilon)[0]:
+                if not _gap_condition(n, d, lam, float(q), epsilon)[0]:
                     sweep_violations += 1
         beta4_min = -math.log1p(-p_threshold)
 

@@ -30,7 +30,7 @@ from percobound import (
 )
 from percobound.graph_core import edge_laplacian
 
-from conftest import graph_profile, petersen_graph, probabilities
+from conftest import graph_profile, petersen_graph, petersen_induced_8, probabilities
 
 
 def assert_identical(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -209,6 +209,29 @@ def test_chunked_example_spans_chunks():
     assert chunk == 81 and 40 % chunk != 0 and 175 // chunk == 2 and 175 % chunk != 0
 
 
+def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
+                                   with_lambda2_augmented=True) -> None:
+    """Entry k of every array of block is, byte for byte, what the per-trial
+    reference records for trial start + k."""
+    rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)
+            for t in range(start, start + count)]
+    assert len(block) == count
+    deltas, *statistics = zip(*rows)
+    # trial_block draws its flags as one grid, sample() one row at a time
+    grid = percolation._unit_uniforms(seed, start, count, g.n) < profile.p
+    assert_identical(grid, np.array(deltas))
+    assert_identical(np.array([percolation.sample(profile, seed, t).delta
+                               for t in range(start, start + count)]), np.array(deltas))
+    fast_arrays = [block.survivor_count, block.is_connected, block.a_delta,
+                   block.deviation_norm]
+    if with_lambda2_augmented:
+        fast_arrays.append(block.lambda2_augmented)
+    else:
+        assert block.lambda2_augmented is None
+    for fast, slow in zip(fast_arrays, statistics[:len(fast_arrays)]):
+        assert_identical(fast, np.array(slow))
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_profile(min_n=2), st.floats(0.0, 10.0),
        st.integers(-(2**63), 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4),
@@ -228,49 +251,103 @@ def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count
     g, profile = case
     block = trial_block(g, profile, alpha, seed, start, count,
                         with_lambda2_augmented=with_lambda2_augmented)
-    rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)
-            for t in range(start, start + count)]
-    assert len(block) == count
-    deltas, *statistics = zip(*rows)
-    # trial_block draws its flags as one grid, sample() one row at a time
-    grid = percolation._unit_uniforms(seed, start, count, g.n) < profile.p
-    assert_identical(grid, np.array(deltas))
-    assert_identical(np.array([percolation.sample(profile, seed, t).delta
-                               for t in range(start, start + count)]), np.array(deltas))
-    fast_arrays = [block.survivor_count, block.is_connected, block.a_delta,
-                   block.deviation_norm]
-    if with_lambda2_augmented:
-        fast_arrays.append(block.lambda2_augmented)
-    else:
-        assert block.lambda2_augmented is None
-    for fast, slow in zip(fast_arrays, statistics[:len(fast_arrays)]):
-        assert_identical(fast, np.array(slow))
+    assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
+                                   with_lambda2_augmented)
+    row = percolation_reference.run_trial(g, profile, alpha, seed, start)
     record = run_trial(g, profile, alpha, seed, start)
-    assert_identical(record.sample.delta, rows[0][0])
+    assert_identical(record.sample.delta, row[0])
     assert (record.survivor_count, record.is_connected, record.a_delta,
-            record.deviation_norm, record.lambda2_augmented) == rows[0][1:]
+            record.deviation_norm, record.lambda2_augmented) == row[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.0, 10.0), st.integers(0, 2**64 - 1),
+       st.integers(0, 2**40), st.integers(1, 300), st.integers(1, 64))
+# p = 0 and p = 1: every trial of a chunk draws the same pattern
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.0)), 1.0, 0, 5, 40, 16)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1.0)), 1.0, 0, 5, 40, 16)
+@example((petersen_induced_8(), SurvivalProfile([0.0, 1.0, 0.5, 0.9, 1.0, 0.0, 0.3, 0.7])),
+         2.0, 11, 3, 300, 64)
+# ten vertices pack into two bytes per row
+@example((petersen_graph(), SurvivalProfile([0.9] * 8 + [0.5, 0.5])), 1.0, 5, 7, 200, 64)
+# a chunk of one trial, as on graphs of 182 vertices or more
+@example((generate("path", n=4), SurvivalProfile.uniform(4, 0.5)), 0.5, 1, 0, 30, 1)
+def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, count,
+                                                     chunk_length):
+    # small graphs draw few distinct patterns, so chunks repeat many of them;
+    # a small chunk length makes start fall inside a chunk and count span several
+    g, profile = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        assert percolation._chunk_length(g.n) == chunk_length
+        block = trial_block(g, profile, alpha, seed, start, count)
+    assert_block_matches_reference(block, g, profile, alpha, seed, start, count)
+
+
+def record_solves(monkeypatch) -> list:
+    """Every stack percolation hands to eig_sym, grouped by chunk."""
+    chunks = []
+    eig_sym, evaluate_chunk = percolation.eig_sym, percolation._evaluate_chunk
+
+    def recording_eig_sym(M):
+        chunks[-1].append(np.array(M))
+        return eig_sym(M)
+
+    def recording_evaluate_chunk(*args):
+        chunks.append([])
+        return evaluate_chunk(*args)
+
+    monkeypatch.setattr(percolation, "eig_sym", recording_eig_sym)
+    monkeypatch.setattr(percolation, "_evaluate_chunk", recording_evaluate_chunk)
+    return chunks
+
+
+def same_matrices(stack: np.ndarray, matrices: list) -> bool:
+    """Whether stack holds exactly these matrices, byte for byte, in any order."""
+    return sorted(M.tobytes() for M in stack) == sorted(M.tobytes() for M in matrices)
+
+
+def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
+    # the simulate-cycle6 benchmark inputs: 5,000 trials in 6 chunks of up to 910
+    g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
+    alpha, seed, trials = 2.4, 0, 5000
+    expected = expected_augmented_laplacian(g, profile, alpha)
+    chunks = record_solves(monkeypatch)
+    trial_block(g, profile, alpha, seed, 0, trials, expected)
+    step = percolation._chunk_length(g.n)
+    assert len(chunks) == 6
+    distinct_total = 0
+    for start, solved in zip(range(0, trials, step), chunks):
+        count = min(step, trials - start)
+        grid = percolation._unit_uniforms(seed, start, count, g.n) < profile.p
+        patterns = np.unique(grid, axis=0)
+        distinct_total += len(patterns)
+        augmented = [percolation.augmented_laplacian(
+            g, percolation.PercolationSample(delta, seed, 0), alpha) for delta in patterns]
+        *blocks, deviations, augmented_stack = solved
+        assert same_matrices(augmented_stack, augmented)
+        assert_identical(deviations, augmented_stack - expected)
+        # one survivor block per pattern with two survivors or more
+        assert sum(len(b) for b in blocks) == np.count_nonzero(patterns.sum(axis=1) >= 2)
+    assert distinct_total == 299
 
 
 def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
-    # one chunk of 20 trials; the augmented stack is the only eigensolve dropped
+    # one chunk of 20 trials; the augmented stack of its distinct patterns is
+    # the only eigensolve dropped
     g, profile, alpha = petersen_graph(), SurvivalProfile.uniform(10, 0.6), 1.5
-    augmented = np.stack([percolation.augmented_laplacian(g, percolation.sample(profile, 3, t),
-                                                          alpha) for t in range(20)])
-    solved = []
-    eig_sym = percolation.eig_sym
-
-    def recording_eig_sym(M):
-        solved.append(np.array(M))
-        return eig_sym(M)
-
-    monkeypatch.setattr(percolation, "eig_sym", recording_eig_sym)
+    augmented = [percolation.augmented_laplacian(g, percolation.sample(profile, 3, t), alpha)
+                 for t in range(20)]
+    distinct = list({M.tobytes(): M for M in augmented}.values())
+    chunks = record_solves(monkeypatch)
     trial_block(g, profile, alpha, 3, 0, 20)
-    with_augmented = len(solved)
-    assert any(np.array_equal(M, augmented) for M in solved)
-    solved.clear()
+    [solved] = chunks
+    assert same_matrices(solved[-1], distinct)
+    chunks.clear()
     trial_block(g, profile, alpha, 3, 0, 20, with_lambda2_augmented=False)
-    assert len(solved) == with_augmented - 1
-    assert not any(np.array_equal(M, augmented) for M in solved)
+    [without] = chunks
+    assert len(without) == len(solved) - 1
+    assert not any(same_matrices(M, distinct) for M in without)
 
 
 def test_trial_block_needs_two_vertices():

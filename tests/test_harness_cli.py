@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
@@ -237,13 +238,16 @@ class TestSimulate:
         assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(30)]
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
+        # one thread: with two, the peak also holds whatever a worker's chunk
+        # has allocated while the main thread writes CSV rows, an overlap that
+        # depends on timing (about 120 KB, or nothing) but not on the trial count
         g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
-        run_experiment(g, profile, 2.4, 0.25, 100, seed=9, threads=2)  # one-time set-up
+        run_experiment(g, profile, 2.4, 0.25, 100, seed=9, threads=1)  # one-time set-up
         peaks = {}
         for trials in (2_000, 20_000):
             tracemalloc.start()
             try:
-                run_experiment(g, profile, 2.4, 0.25, trials, seed=9, threads=2,
+                run_experiment(g, profile, 2.4, 0.25, trials, seed=9, threads=1,
                                trials_csv=tmp_path / "trials.csv")
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -455,11 +459,11 @@ class TestResolveThreads:
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")
-        assert resolve_threads() >= 1
+        assert resolve_threads() == (os.cpu_count() or 1)
 
-    def test_unset_means_auto(self, monkeypatch):
+    def test_unset_means_one(self, monkeypatch):
         monkeypatch.delenv("PERCOBOUND_THREADS", raising=False)
-        assert resolve_threads() >= 1
+        assert resolve_threads() == 1
 
     def test_negative_rejected(self, monkeypatch):
         monkeypatch.setenv("PERCOBOUND_THREADS", "-2")

@@ -140,6 +140,14 @@ class TestExactTail:
         # only the four small-survivor masks exceed every finite level
         assert exact_tail(dist, 1e12) == pytest.approx(4.0 / 8.0, abs=1e-15)
 
+    def test_nan_level_rejected(self, p3):
+        dist = exact_distribution(p3, SurvivalProfile.uniform(3, 0.5), alpha=1.0,
+                                  statistic_kind="a_delta")
+        # the +inf atoms (mass 0.5) exceed every level, so no tail can be 0.0
+        with pytest.raises(ValueError, match="^level t must be a number, got nan$"):
+            exact_tail(dist, math.nan)
+        assert exact_tail(dist, math.inf) == 0.0
+
     def test_deviation_tail_monotone(self, c4):
         dist = exact_distribution(c4, SurvivalProfile.uniform(4, 0.6), alpha=1.2,
                                   statistic_kind="deviation_norm")
@@ -165,6 +173,11 @@ class TestExactBernoulliSeriesTail:
         # each coordinate is +/-1/2, so the norm is always exactly 1/2
         assert exact_bernoulli_series_tail(X, prof, 0.5) == pytest.approx(1.0, abs=1e-15)
         assert exact_bernoulli_series_tail(X, prof, 0.5 + 1e-12) == 0.0
+
+    def test_nan_level_rejected(self):
+        X, prof = [np.array([[1.0]])], SurvivalProfile([0.9])
+        with pytest.raises(ValueError, match="^level t must be a number, got nan$"):
+            exact_bernoulli_series_tail(X, prof, math.nan)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="profile"):

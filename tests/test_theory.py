@@ -24,6 +24,7 @@ from percobound import (
     survival_threshold,
     threshold_constants,
 )
+from percobound import theory
 from percobound.theory import K_MAX
 
 from conftest import graph_profile, petersen_graph
@@ -428,6 +429,21 @@ class TestSurvivalThreshold:
         loose_c = survival_threshold(64, 63, 1.0, 0.5, mode="closed_form")
         strict_c = survival_threshold(64, 63, 1.0, 0.1, mode="closed_form")
         assert strict_c.beta4_min > loose_c.beta4_min
+
+    @pytest.mark.parametrize("mode", theory.THRESHOLD_MODES)
+    def test_inputs_checked_once(self, monkeypatch, mode):
+        # bisection evaluates the condition about a thousand times on inputs
+        # the entry point has already checked
+        calls = []
+        check_ndl = theory._check_ndl
+
+        def counting(*args):
+            calls.append(args)
+            return check_ndl(*args)
+
+        monkeypatch.setattr(theory, "_check_ndl", counting)
+        survival_threshold(64, 63, 1.0, 0.5, mode=mode)
+        assert calls == [(64, 63, 1.0)]
 
     def test_report_keys(self):
         d = survival_threshold(64, 63, 1.0, 0.5, mode="bisection").to_dict()
