@@ -20,10 +20,10 @@ CPU count).  One is the default because a second thread did not pay on a
 order-256 matrices did not overlap, and in 10 alternating benchmark pairs of
 1 against 2 threads one thread won all 10 on both simulate workloads, with
 a median op_ref of 17.3 against 21.9 on hypercube-8 and 0.347 against 0.419
-on the 6-cycle, and about 2 MiB less peak memory.  The pool stays for hosts
-where chunks do overlap.  Results are byte-identical for any thread count at
-a fixed BLAS thread count, because sampling is counter-based and aggregation
-runs in trial order.
+on the 6-cycle, and about 2 MiB less peak memory.  No workload or host where
+two or more threads win has been measured.  Results are byte-identical for
+any thread count at a fixed BLAS thread count, because sampling is
+counter-based and aggregation runs in trial order.
 """
 from __future__ import annotations
 

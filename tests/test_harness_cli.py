@@ -237,22 +237,33 @@ class TestSimulate:
         assert lines[0] == harness_cli.TRIALS_CSV_HEADER.strip()
         assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(30)]
 
-    def test_memory_does_not_grow_with_trials(self, tmp_path):
-        # one thread: with two, the peak also holds whatever a worker's chunk
-        # has allocated while the main thread writes CSV rows, an overlap that
-        # depends on timing (about 120 KB, or nothing) but not on the trial count
+    @staticmethod
+    def _traced_peaks(csv_path, threads, trial_counts):
         g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
-        run_experiment(g, profile, 2.4, 0.25, 100, seed=9, threads=1)  # one-time set-up
-        peaks = {}
-        for trials in (2_000, 20_000):
+        run_experiment(g, profile, 2.4, 0.25, 100, seed=9, threads=threads)  # one-time set-up
+        peaks = []
+        for trials in trial_counts:
             tracemalloc.start()
             try:
-                run_experiment(g, profile, 2.4, 0.25, trials, seed=9, threads=1,
-                               trials_csv=tmp_path / "trials.csv")
-                peaks[trials] = tracemalloc.get_traced_memory()[1]
+                run_experiment(g, profile, 2.4, 0.25, trials, seed=9, threads=threads,
+                               trials_csv=csv_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[20_000] <= 1.25 * peaks[2_000]
+        return peaks
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        small, large = self._traced_peaks(tmp_path / "trials.csv", 1, (2_000, 20_000))
+        assert large <= 1.25 * small
+
+    def test_memory_does_not_grow_with_trials_on_two_threads(self, tmp_path):
+        # the peak also holds a worker's chunk allocated while the main thread
+        # writes CSV rows, an overlap (about 120 KB) that a run of a few chunks
+        # may miss but one of 22 chunks (20,000 trials) holds; a pool that
+        # submitted every chunk at once would hold about twice as much at
+        # 100,000 trials as at 20,000
+        small, large = self._traced_peaks(tmp_path / "trials.csv", 2, (20_000, 100_000))
+        assert large <= 1.25 * small
 
     def test_monte_carlo_agrees_with_exhaustive_probability(self, c4):
         # connected fraction from 10^4 trials vs the exact enumeration
