@@ -6,12 +6,17 @@ failed, 2 usage or domain error, or a file that cannot be read or written.
 simulate evaluates its trials a chunk at a time with percolation.trial_block
 (sampling, assembly and stacked eigensolves for a whole chunk; see that
 module) and folds each chunk into running aggregates in trial order: counts,
-exact partial sums of the deviation norms, their maximum, and the first few
-lower-bound violations, which a failed validation names on stderr.  The
+the exact sum of the deviation norms, their maximum, and the first few
+lower-bound violations, which a failed validation names on stderr.  The sum
+is one Python integer, the norms scaled by 2**1074 (every float is a whole
+multiple of 2**-1074); each distinct norm of a chunk is added once, times its
+count, so the mean rounds like math.fsum of every norm, divided by the trial
+count, and the integer stays about 2,100 bits wide for any trial count.  The
 per-trial CSV is written a chunk at a time as well, so memory does not grow
-with the trial count and the CSV has no row cap.  lambda_2 of the augmented
-Laplacian is reported only in that CSV, so its eigensolve runs only when the
-CSV is asked for.
+with the trial count and the CSV has no row cap; the rows of a chunk whose
+five values have equal bits share one formatted suffix after the trial
+index.  lambda_2 of the augmented Laplacian is reported only in that CSV, so
+its eigensolve runs only when the CSV is asked for.
 
 The PERCOBOUND_THREADS environment variable sets how many chunks run at once
 on worker threads, at most that many in flight (unset means 1, 0 picks the
@@ -52,6 +57,7 @@ from .oracle import STATISTIC_KINDS, exact_distribution
 from .percolation import (
     SurvivalProfile,
     _chunk_length,
+    _distinct_rows,
     expected_augmented_laplacian,
     trial_block,
 )
@@ -144,29 +150,53 @@ def _in_trial_order(fn, args, threads: int):
             yield pending.popleft().result()
 
 
-def _add_to_partials(partials: list, values) -> None:
-    """Add values to Shewchuk's exact partial sums in place: afterwards
-    math.fsum(partials) equals math.fsum over every value added so far."""
-    for x in values:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
+# every finite float is an integer multiple of 2**-1074, the smallest subnormal
+_ULP_SCALE = 1 << 1074
+
+
+def _scaled_sum(values: np.ndarray) -> int:
+    """Exact sum of finite float64 values, times 2**1074, as one Python int.
+
+    Values with equal bits are grouped and each group is added once, as its
+    count times the value's scaled numerator.
+    """
+    first, inverse = _distinct_rows(values.view(np.uint64)[:, None])
+    total = 0
+    for x, count in zip(values[first].tolist(), np.bincount(inverse).tolist()):
+        num, den = x.as_integer_ratio()
+        total += count * num * (_ULP_SCALE // den)
+    return total
+
+
+def _mean(scaled_sum: int, trials: int) -> float:
+    """Mean of the values a _scaled_sum total adds up: math.fsum of them,
+    divided by trials, or the correctly rounded mean where that sum overflows."""
+    try:
+        # int / int rounds correctly, as math.fsum does
+        return scaled_sum / _ULP_SCALE / trials
+    except OverflowError:
+        return scaled_sum / (_ULP_SCALE * trials)
 
 
 def _write_trial_rows(fh, start: int, block) -> None:
+    """Write one CSV row per trial of block, trial start first.
+
+    Rows whose five values have equal bits share one formatted suffix; the
+    grouping is by bits because -0.0 and 0.0 compare equal but print apart.
+    """
+    keys = np.column_stack([block.survivor_count.astype(np.uint64),
+                            block.is_connected.astype(np.uint64),
+                            block.a_delta.view(np.uint64),
+                            block.deviation_norm.view(np.uint64),
+                            block.lambda2_augmented.view(np.uint64)])
+    first, inverse = _distinct_rows(keys)
     # repr(math.inf) is "inf", the CSV's spelling of a_delta below two survivors
-    rows = zip(range(start, start + len(block)), block.survivor_count.tolist(),
-               block.is_connected.tolist(), block.a_delta.tolist(),
-               block.deviation_norm.tolist(), block.lambda2_augmented.tolist())
-    fh.write("".join(f"{t},{m},{int(c)},{a!r},{d!r},{l2!r}\n" for t, m, c, a, d, l2 in rows))
+    suffixes = [f"{m},{int(c)},{a!r},{d!r},{l2!r}\n" for m, c, a, d, l2 in zip(
+        block.survivor_count[first].tolist(), block.is_connected[first].tolist(),
+        block.a_delta[first].tolist(), block.deviation_norm[first].tolist(),
+        block.lambda2_augmented[first].tolist())]
+    fh.write("".join([f"{t},{suffixes[k]}"
+                      for t, k in zip(range(start, start + len(block)), inverse.tolist())]))
 
 
 def _bound_for(g: WeightedGraph, profile: SurvivalProfile, alpha_spec, epsilon: float,
@@ -185,8 +215,9 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
 
     alpha_spec is a float or "auto" (grid-optimized).  Trials run in chunks
     through percolation.trial_block, on up to `threads` worker threads, and
-    are folded into the aggregates in trial order, so every aggregate is
-    reproducible byte for byte and memory does not grow with `trials`.  If
+    are folded into the aggregates in trial order, the deviation norms into
+    one exact integer sum, so every aggregate is reproducible byte for byte
+    and memory does not grow with `trials`.  If
     trials_csv is a path, that file receives a header and one row per trial,
     in trial order.  It is opened only once the inputs have been checked and
     the bound computed, so a usage error leaves an existing file as it was;
@@ -212,7 +243,7 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
 
     connected = tail_hits = violation_count = 0
     max_dev = -math.inf
-    partials = []  # exact partial sums of the deviation norms
+    scaled_sum = 0  # the deviation norms' exact sum, times 2**1074
     violations = []
     csv_file = (contextlib.nullcontext() if trials_csv is None
                 else open(trials_csv, "w", encoding="utf-8"))
@@ -224,7 +255,7 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
             connected += int(np.count_nonzero(block.is_connected))
             tail_hits += int(np.count_nonzero(devs > report.total))
             max_dev = max(max_dev, float(devs.max()))
-            _add_to_partials(partials, devs.tolist())
+            scaled_sum += _scaled_sum(devs)
             lower = np.minimum(report.lambda2_expected - devs, alpha)
             broken = np.flatnonzero(block.a_delta < lower - LOWER_BOUND_SLACK)
             violation_count += broken.size
@@ -241,7 +272,7 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
         n_trials=trials,
         connected_fraction=fraction,
         connected_fraction_se=se,
-        mean_deviation_norm=math.fsum(partials) / trials,
+        mean_deviation_norm=_mean(scaled_sum, trials),
         max_deviation_norm=max_dev,
         empirical_tail_at_bound=empirical_tail,
         tail_tolerance=tolerance,

@@ -289,15 +289,13 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray, live: np.ndarray) 
     return ~np.any(delta & (root != smallest[:, None]), axis=1)
 
 
-def _distinct_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse): delta[first] holds each distinct row once, and
-    delta[first][inverse] equals delta."""
-    # rows packed to bytes and sorted stably; np.unique would import numpy.ma
-    packed = np.packbits(delta, axis=1)
-    order = np.lexsort(packed.T[::-1])
-    ranked = packed[order]
-    starts = np.empty(order.shape[0], dtype=bool)
-    starts[0] = True
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for a 2-D unsigned-integer key matrix: keys[first]
+    holds each distinct row once, and keys[first][inverse] equals keys."""
+    # rows sorted stably; np.unique would import numpy.ma
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(order.shape[0], dtype=bool)
     np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
@@ -307,7 +305,7 @@ def _distinct_rows(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
                     delta: np.ndarray, with_lambda2_augmented: bool) -> TrialBlock:
     # each distinct pattern is evaluated once (see the module docstring)
-    first, inverse = _distinct_rows(delta)
+    first, inverse = _distinct_rows(np.packbits(delta, axis=1))
     patterns = delta[first]
     live = _live_edges(g, patterns)
     laplacians = _percolated(g, live)

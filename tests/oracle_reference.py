@@ -59,3 +59,11 @@ def bernoulli_series_tail(matrices, profile, t: float) -> float:
                 q *= p[i] if (mask >> i) & 1 else 1.0 - p[i]
             hits.append(q)
     return math.fsum(hits)
+
+
+def write_csv(dist, fh) -> None:
+    """The oracle CSV with every value formatted on its own, row by row."""
+    fh.write("pattern_bits,probability,statistic\n")
+    for t in range(len(dist)):
+        fh.write(f"{dist.pattern_bits(t)},{float(dist.probabilities[t])!r},"
+                 f"{float(dist.statistics[t])!r}\n")

@@ -1,6 +1,10 @@
-"""Vectorized assembly, the hoisted alpha search, the chunked oracle and the
-chunked Monte Carlo kernel against their slow paths."""
+"""Vectorized assembly, the hoisted alpha search, the chunked oracle, the
+chunked Monte Carlo kernel and the grouped CSV writers against their slow
+paths."""
 from __future__ import annotations
+
+import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import assembly_reference as ref
+import harness_reference
 import oracle_reference
 import percolation_reference
 import theory_reference
@@ -21,6 +26,7 @@ from percobound import (
     exact_distribution,
     expected_augmented_laplacian,
     generate,
+    harness_cli,
     optimize_alpha,
     oracle,
     percolation,
@@ -29,6 +35,8 @@ from percobound import (
     trial_block,
 )
 from percobound.graph_core import edge_laplacian
+from percobound.oracle import STATISTIC_KINDS, ExactDistribution
+from percobound.percolation import TrialBlock
 
 from conftest import graph_profile, petersen_graph, petersen_induced_8, probabilities
 
@@ -426,3 +434,80 @@ def test_series_tail_cap_raises_before_any_work(monkeypatch):
     terms = [np.eye(1)] * (oracle.MAX_ENUM_VERTICES + 1)
     with pytest.raises(ValueError, match="capped at 20"):
         exact_bernoulli_series_tail(terms, SurvivalProfile.uniform(len(terms), 0.5), 0.1)
+
+
+# every float, and the ones a CSV must keep apart or spell specially
+csv_floats = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308])
+
+
+def trial_rows_block(rows) -> TrialBlock:
+    m, c, a, d, l2 = zip(*rows)
+    return TrialBlock(np.array(m, dtype=np.int64), np.array(c, dtype=bool),
+                      np.array(a, dtype=float), np.array(d, dtype=float),
+                      np.array(l2, dtype=float))
+
+
+@st.composite
+def repeated_rows(draw):
+    """Trial rows drawn from a pool of a few rows, so most of them repeat."""
+    pool = draw(st.lists(st.tuples(st.integers(0, 2**20), st.booleans(), csv_floats,
+                                   csv_floats, csv_floats), min_size=1, max_size=5))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_rows(), st.integers(0, 2**64))
+# rows equal but for the sign of a zero
+@example([(3, True, 0.0, 0.0, -0.0), (3, True, 0.0, -0.0, -0.0), (3, True, -0.0, 0.0, 0.0)], 0)
+# a_delta +inf below two survivors, subnormal norms, beyond 64-bit trial indices
+@example([(1, True, math.inf, 5e-324, 1e-310), (1, True, math.inf, 5e-324, 1e-310),
+          (6, False, 0.0, 2.2250738585072009e-308, 0.5)], 2**64 - 1)
+def test_trial_rows_match_per_row_reference(rows, start):
+    block = trial_rows_block(rows)
+    fast, slow = io.StringIO(), io.StringIO()
+    harness_cli._write_trial_rows(fast, start, block)
+    harness_reference.write_trial_rows(slow, start, block)
+    assert fast.getvalue() == slow.getvalue()
+
+
+def assert_oracle_csv_matches(dist: ExactDistribution) -> None:
+    fast, slow = io.StringIO(), io.StringIO()
+    dist.write_csv(fast)
+    oracle_reference.write_csv(dist, slow)
+    assert fast.getvalue() == slow.getvalue()
+
+
+@st.composite
+def exact_tables(draw):
+    """An ExactDistribution whose probabilities and statistics repeat."""
+    n = draw(st.integers(1, 6))
+    count = 1 << n
+    values = [draw(st.lists(csv_floats, min_size=1, max_size=4)) for _ in range(2)]
+    q, s = (draw(st.lists(st.sampled_from(v), min_size=count, max_size=count)) for v in values)
+    return ExactDistribution(n, "a_delta", np.arange(count, dtype=np.uint32),
+                             np.array(q), np.array(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_tables(), st.integers(1, 70))
+@example(ExactDistribution(2, "deviation_norm", np.arange(4, dtype=np.uint32),
+                           np.array([0.25, 0.25, -0.0, 0.0]),
+                           np.array([0.0, -0.0, 0.0, -0.0])), 4096)
+def test_oracle_csv_matches_per_row_reference(dist, row_block):
+    # a small row block makes the table span several blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_ROW_BLOCK", row_block)
+        assert_oracle_csv_matches(dist)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_profile(), st.sampled_from(STATISTIC_KINDS), st.floats(0.0, 10.0))
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.5)), "a_delta", 0.0)
+def test_oracle_tables_csv_matches_per_row_reference(case, kind, alpha):
+    # a_delta tables hold +inf atoms: every mask with fewer than two survivors
+    g, profile = case
+    dist = exact_distribution(g, profile, alpha, kind)
+    if kind == "a_delta":
+        assert math.inf in dist.statistics.tolist()
+    assert_oracle_csv_matches(dist)

@@ -4,12 +4,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import percobound
 from percobound import (
     SurvivalProfile,
     harness_cli,
@@ -29,6 +33,7 @@ from percobound.harness_cli import (
     run_experiment,
 )
 
+import harness_reference
 import theory_reference
 
 from conftest import petersen_graph
@@ -280,13 +285,48 @@ class TestSimulate:
 
 @given(st.lists(st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), max_size=30),
                 max_size=6))
+# values that repeat within a chunk, and zeros
+@example([[2.5, 1e-300, 2.5, 2.5], [0.0, 0.0], [], [5e-324] * 30])
+@example([[0.0], [0.0, 0.0, 0.0]])
+@example([[1e300] * 30, [1.0] * 30, [1e300, 1.0, 1e-300] * 10])
 def test_partials_fold_equals_one_fsum(chunks):
     # the deviation sum is folded chunk by chunk, yet must round like one
-    # math.fsum over every trial
+    # math.fsum over every trial, as Shewchuk's partial sums do
+    values = [v for chunk in chunks for v in chunk]
+    scaled = sum(harness_cli._scaled_sum(np.array(chunk, dtype=float)) for chunk in chunks)
+    assert scaled / harness_cli._ULP_SCALE == math.fsum(values)
+    if values:
+        assert harness_cli._mean(scaled, len(values)) == math.fsum(values) / len(values)
     partials = []
     for chunk in chunks:
-        harness_cli._add_to_partials(partials, chunk)
-    assert math.fsum(partials) == math.fsum(v for chunk in chunks for v in chunk)
+        harness_reference.add_to_partials(partials, chunk)
+    assert math.fsum(partials) == math.fsum(values)
+
+
+def test_mean_of_a_sum_beyond_the_float_range(c4):
+    # math.fsum of these norms overflows, their mean does not
+    assert harness_cli._mean(harness_cli._scaled_sum(np.full(4, 1.5e308)), 4) == 1.5e308
+    summary, _ = run_experiment(c4, SurvivalProfile.uniform(4, 0.5), 1e308, 0.1,
+                                trials=200, seed=0)
+    assert 0.0 < summary.mean_deviation_norm <= summary.max_deviation_norm < math.inf
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="eigvalsh of order 256 differs in its last bits between 1 and "
+                   "2 OpenBLAS threads, and BLAS threads are not pinned")
+def test_bound_report_identical_for_one_and_two_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(percobound.__file__))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "percobound.harness_cli", "bound",
+                        "--family", "hypercube", "--k", "8", "--p", "0.9", "--alpha", "7.2",
+                        "--epsilon", "0.1", "--output", str(out)], env=env, check=True)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestThreshold:

@@ -20,6 +20,7 @@ from percobound import (
     expected_augmented_laplacian,
     generate,
     percolated_laplacian,
+    percolation,
     run_trial,
     sample,
     survivor_connectivity,
@@ -320,3 +321,14 @@ class TestRunTrial:
                 rec = run_trial(g, prof, alpha, seed=31337, trial_index=t)
                 lower = min(lam2 - rec.deviation_norm, alpha)
                 assert rec.a_delta >= lower - 1e-8
+
+
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.lists(st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+             min_size=k, max_size=k), max_size=40))))
+def test_distinct_rows_groups_uint64_keys(case):
+    k, rows = case
+    keys = np.array(rows, dtype=np.uint64).reshape(-1, k)
+    first, inverse = percolation._distinct_rows(keys)
+    assert np.array_equal(keys[first][inverse], keys)
+    assert len({row.tobytes() for row in keys[first]}) == len(first)
