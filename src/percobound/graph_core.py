@@ -53,7 +53,8 @@ def is_real(value) -> bool:
 class WeightedGraph:
     """Simple undirected graph on vertices 0..n-1 with positive edge weights.
 
-    Edges are normalized to (i, j, w) with i < j, sorted lexicographically.
+    Every weighted degree must be finite, not only every weight, so that
+    Laplacians and their norms stay finite.  Edges are normalized to (i, j, w) with i < j, sorted lexicographically.
     The attributes src, dst and w hold the same edges as read-only arrays.
     """
 
@@ -97,6 +98,11 @@ class WeightedGraph:
             arr = np.array(column, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # finite weights can still sum past the largest float
+        overflowed = np.flatnonzero(np.isinf(self.degree_vector()))
+        if overflowed.size:
+            raise ValueError(f"weighted degree of vertex {overflowed[0]} overflows: "
+                             f"its edge weights sum past the largest float")
 
     @property
     def edge_count(self) -> int:

@@ -16,7 +16,11 @@ per-trial CSV is written a chunk at a time as well, so memory does not grow
 with the trial count and the CSV has no row cap; the rows of a chunk whose
 five values have equal bits share one formatted suffix after the trial
 index.  lambda_2 of the augmented Laplacian is reported only in that CSV, so
-its eigensolve runs only when the CSV is asked for.
+its eigensolve runs only when the CSV is asked for.  Without the CSV a_delta
+is only compared with its lower-bound level, min(lambda2_expected -
+deviation norm, alpha) - LOWER_BOUND_SLACK, so simulate hands those levels to
+the kernel, which solves a survivor block only where the comparison can fail
+(see percolation.trial_block); the report is the same bytes either way.
 
 The PERCOBOUND_THREADS environment variable sets how many chunks run at once
 on worker threads, at most that many in flight (unset means 1, 0 picks the
@@ -223,8 +227,12 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     the bound computed, so a usage error leaves an existing file as it was;
     it is written a chunk at a time, so a run that fails partway leaves the
     rows of the chunks done before the failure.  lambda2_augmented appears
-    only in that file, so its eigensolve runs only when trials_csv is given;
-    the summary is the same either way.
+    only in that file, so its eigensolve runs only when trials_csv is given.
+    Without trials_csv, a_delta is only compared with each trial's level,
+    min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK (the
+    slack read at each call), and trial_block gets the same levels, so it
+    skips the survivor eigensolves whose comparison cannot fail.  The summary
+    and violations are the same either way.
 
     Returns (ExperimentSummary, violations): violations lists
     (trial_index, a_delta, lower_bound) for the first VIOLATIONS_SHOWN
@@ -237,9 +245,19 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     step = _chunk_length(g.n)
     starts = range(0, trials, step)
 
+    def lower_bounds(devs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's lower bound on a_delta, and the level a_delta must reach."""
+        lower = np.minimum(report.lambda2_expected - devs, alpha)
+        # the slack is read at each call, so a patched one reaches the kernel too
+        return lower, lower - LOWER_BOUND_SLACK
+
+    # the CSV prints every a_delta; without it a_delta is only compared with
+    # its level, so the kernel may skip the solves that cannot fail
+    levels = None if trials_csv is not None else lambda devs: lower_bounds(devs)[1]
+
     def chunk(start: int):
         return trial_block(g, profile, alpha, seed, start, min(step, trials - start), expected,
-                           with_lambda2_augmented=trials_csv is not None)
+                           with_lambda2_augmented=trials_csv is not None, levels=levels)
 
     connected = tail_hits = violation_count = 0
     max_dev = -math.inf
@@ -256,8 +274,8 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
             tail_hits += int(np.count_nonzero(devs > report.total))
             max_dev = max(max_dev, float(devs.max()))
             scaled_sum += _scaled_sum(devs)
-            lower = np.minimum(report.lambda2_expected - devs, alpha)
-            broken = np.flatnonzero(block.a_delta < lower - LOWER_BOUND_SLACK)
+            lower, level = lower_bounds(devs)
+            broken = np.flatnonzero(block.a_delta < level)
             violation_count += broken.size
             for k in broken[:VIOLATIONS_SHOWN - len(violations)].tolist():
                 violations.append((start + k, float(block.a_delta[k]), float(lower[k])))

@@ -20,9 +20,13 @@ each distinct pattern is evaluated once and its results are copied to the
 trials that drew it: the same bits as evaluating every trial.  On the 6-cycle
 at p = 0.8, 5,000 trials (seed 0) hold 299 distinct (chunk, pattern) pairs.
 The kernel assembles the patterns' percolated Laplacians as one stack from the
-graph's edge arrays and solves that stack with stacked eigensolves: one for
-the deviation norms and one per survivor count for a_delta, plus one for
-lambda_2 of the augmented Laplacians when the caller asks for it.
+graph's edge arrays, adds the ghost diagonal and solves the stack with
+stacked eigensolves, in this order: one for the deviation norms, one per
+survivor count for a_delta, and one for lambda_2 of the augmented Laplacians
+when the caller asks for it.  The deviation stack is formed out of place, and
+the ghost diagonal adds alpha * 0 = +0.0 to each survivor's diagonal entry, a
+weighted-degree sum that is never -0.0, so the survivor blocks read after it
+keep their bits.
 Connectivity is union-find over the patterns' live edges, with whole-array
 hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
 entries, so memory is O(chunk * n^2) whatever the trial count.  The
@@ -30,8 +34,15 @@ per-sample functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
 oracle go through the same assembly and the same connectivity rule.
 
-Each distinct pattern of a chunk thus costs two eigensolves, plus
-lambda2_augmented when asked for.  Only the per-trial CSV reports
+Each distinct pattern of a chunk thus costs up to two eigensolves, plus
+lambda2_augmented when asked for.  A caller that only compares a_delta with
+a level, as simulate's per-trial lower-bound check does, can pass those
+levels (a function of the deviation norms): a survivor block is then solved
+only where its level reaches _a_delta_floor(g), which is below every a_delta
+the eigensolver can return, so below it the comparison cannot fail and
+a_delta is left NaN.  On the 8-cube at p = 0.9 and alpha = 7.2 every
+trial's lower bound is below -0.7, and no survivor block is solved.
+Only the per-trial CSV reports
 lambda2_augmented, so simulate asks for it only when it writes that file.
 It keeps its own eigensolve: the block split above gives it from the
 survivor-block spectrum plus the ghost alphas in exact arithmetic, but not
@@ -174,8 +185,10 @@ class TrialRecord:
 class TrialBlock:
     """Per-trial results of consecutive trials, one array entry each.
 
-    a_delta is +inf for trials with fewer than two survivors.
-    lambda2_augmented is None when it was not asked for.
+    a_delta is +inf for trials with fewer than two survivors, and NaN where
+    trial_block was given levels and the trial's level lies below every
+    value a_delta could take.  lambda2_augmented is None when it was not
+    asked for.
     """
 
     survivor_count: np.ndarray
@@ -242,12 +255,20 @@ def _deviation_norms(augmented: np.ndarray, expected: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
 
 
-def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """lambda_2 of each row's survivor block, +inf below two survivors."""
+def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
+                      solve: np.ndarray | None = None) -> np.ndarray:
+    """lambda_2 of each row's survivor block, +inf below two survivors.
+
+    Where the flags solve are false, a block of two or more survivors is not
+    solved and its row gets NaN.
+    """
     # the survivor block of a percolated Laplacian is the survivors' own
     # Laplacian, entry for entry; blocks of equal order m share one eigensolve
     out = np.full(delta.shape[0], math.inf)
     counts = delta.sum(axis=1)
+    if solve is not None:
+        out[~solve & (counts >= 2)] = math.nan
+        counts = np.where(solve, counts, 0)
     # np.unique would import numpy.ma, about 1 MiB of resident memory
     orders = np.flatnonzero(np.bincount(counts))
     for m in orders[orders >= 2].tolist():
@@ -302,21 +323,35 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
+def _a_delta_floor(g: WeightedGraph) -> float:
+    """A level below every a_delta the eigensolver can return for a subgraph of g.
+
+    A survivor Laplacian L_S is positive semidefinite with ||L_S|| <= 2 * its
+    largest weighted degree, and LAPACK's dsyevd returns eigenvalues within
+    p(m) * eps * ||L_S|| of the exact ones, so a computed lambda_2 is at least
+    -p(m) * eps * 2 * max degree; 1e-8 leaves p(m) room for any order.
+    WeightedGraph keeps every weighted degree finite.
+    """
+    return -1e-8 * (1.0 + 2.0 * float(g.degree_vector().max()))
+
+
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray, with_lambda2_augmented: bool) -> TrialBlock:
-    # each distinct pattern is evaluated once (see the module docstring)
+                    delta: np.ndarray, with_lambda2_augmented: bool, levels) -> TrialBlock:
+    # each distinct pattern is evaluated once, its matrices solved in a fixed
+    # order (see the module docstring)
     first, inverse = _distinct_rows(np.packbits(delta, axis=1))
     patterns = delta[first]
     live = _live_edges(g, patterns)
     laplacians = _percolated(g, live)
-    # a_delta reads the survivor blocks before the ghost diagonal is added
-    a_delta = _survivor_lambda2(laplacians, patterns)
     _add_ghost_diagonal(laplacians, patterns, alpha)
+    deviation_norm = _deviation_norms(laplacians, expected)
+    solve = None if levels is None else levels(deviation_norm) >= _a_delta_floor(g)
+    a_delta = _survivor_lambda2(laplacians, patterns, solve)
     return TrialBlock(
         survivor_count=patterns.sum(axis=1)[inverse],
         is_connected=_survivors_connected(g, patterns, live)[inverse],
         a_delta=a_delta[inverse],
-        deviation_norm=_deviation_norms(laplacians, expected)[inverse],
+        deviation_norm=deviation_norm[inverse],
         lambda2_augmented=(eig_sym(laplacians).eigenvalues[inverse, 1]
                            if with_lambda2_augmented else None),
     )
@@ -374,18 +409,25 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
 
 def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
                 start: int, count: int, expected: np.ndarray | None = None,
-                with_lambda2_augmented: bool = True) -> TrialBlock:
+                with_lambda2_augmented: bool = True, levels=None) -> TrialBlock:
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
     seed, start + k) records.  The trials are evaluated a chunk at a time,
-    with two eigensolves per distinct survival pattern of a chunk, plus one
-    for lambda2_augmented (see the module docstring).  Trials that draw the
-    same pattern share its results.  expected lets callers amortize the
-    expected augmented Laplacian across calls; it must equal
+    with up to two eigensolves per distinct survival pattern of a chunk,
+    plus one for lambda2_augmented (see the module docstring).  Trials that
+    draw the same pattern share its results.  expected lets callers amortize
+    the expected augmented Laplacian across calls; it must equal
     expected_augmented_laplacian(g, profile, alpha).  With
     with_lambda2_augmented false, the eigensolve of the augmented Laplacians
     is skipped and lambda2_augmented is None; the other arrays are unchanged.
+
+    levels, for callers that only test a_delta < level, maps an array of
+    deviation norms to the level of each entry, element by element.  A
+    survivor block is then solved only where its level is at least
+    _a_delta_floor(g); below that no computed a_delta is less than the
+    level, and a_delta is NaN there (NaN < level is false as well).  Every
+    other entry of every array keeps its bits.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -402,7 +444,7 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     blocks = [
         _evaluate_chunk(g, alpha, expected,
                         _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p,
-                        with_lambda2_augmented)
+                        with_lambda2_augmented, levels)
         for first in range(start, stop, step)
     ]
     if len(blocks) == 1:

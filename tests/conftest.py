@@ -48,16 +48,16 @@ probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 
 
 @st.composite
-def weighted_graphs(draw, min_n=1, max_n=9):
+def weighted_graphs(draw, min_n=1, max_n=9, max_weight=1e3):
     n = draw(st.integers(min_n, max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    weights = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    weights = st.floats(1e-3, max_weight, allow_nan=False, allow_infinity=False)
     return WeightedGraph(n, tuple((i, j, draw(weights)) for i, j in chosen))
 
 
 @st.composite
-def graph_profile(draw, min_n=1):
-    g = draw(weighted_graphs(min_n=min_n))
+def graph_profile(draw, min_n=1, max_weight=1e3):
+    g = draw(weighted_graphs(min_n=min_n, max_weight=max_weight))
     p = draw(st.lists(probabilities, min_size=g.n, max_size=g.n))
     return g, SurvivalProfile(p)

@@ -4,7 +4,9 @@ paths."""
 from __future__ import annotations
 
 import io
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -332,7 +334,8 @@ def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
         distinct_total += len(patterns)
         augmented = [percolation.augmented_laplacian(
             g, percolation.PercolationSample(delta, seed, 0), alpha) for delta in patterns]
-        *blocks, deviations, augmented_stack = solved
+        # solve order: deviations, then survivor blocks, then the augmented stack
+        deviations, *blocks, augmented_stack = solved
         assert same_matrices(augmented_stack, augmented)
         assert_identical(deviations, augmented_stack - expected)
         # one survivor block per pattern with two survivors or more
@@ -356,6 +359,98 @@ def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
     [without] = chunks
     assert len(without) == len(solved) - 1
     assert not any(same_matrices(M, distinct) for M in without)
+
+
+# levels at and just below the 6-cycle's floor; at p = 1 every deviation norm is 0
+_C6_FLOOR = percolation._a_delta_floor(generate("cycle", n=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_profile(min_n=2, max_weight=1e6), st.floats(0.0, 10.0), st.integers(0, 2**64 - 1),
+       st.integers(1, 120), st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+       st.integers(1, 16))
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1.0)), 0.0, 0, 5, 0.5, _C6_FLOOR, 2)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1.0)), 0.0, 0, 5, 0.5,
+         math.nextafter(_C6_FLOOR, -math.inf), 2)
+@example((generate("hypercube", k=3), SurvivalProfile.uniform(8, 0.9)), 7.2, 0, 100, 0.0, 2.34,
+         16)
+def test_levels_skip_only_a_delta_that_cannot_fall_below_them(case, alpha, seed, count, quantile,
+                                                              offset, chunk_length):
+    # levels shift - deviation norm have the shape of simulate's lower bound;
+    # a shift at a quantile of the norms puts some levels on either side of 0
+    g, profile = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        full = trial_block(g, profile, alpha, seed, 0, count)
+        shift = float(np.quantile(full.deviation_norm, quantile)) + offset
+        gated = trial_block(g, profile, alpha, seed, 0, count, levels=lambda devs: shift - devs)
+    for name in ("survivor_count", "is_connected", "deviation_norm", "lambda2_augmented"):
+        assert_identical(getattr(gated, name), getattr(full, name))
+    level = shift - full.deviation_norm
+    skipped = (level < percolation._a_delta_floor(g)) & (full.survivor_count >= 2)
+    assert np.array_equal(np.isnan(gated.a_delta), skipped)
+    assert_identical(gated.a_delta[~skipped], full.a_delta[~skipped])
+    # every skipped comparison would have held
+    assert not np.any(full.a_delta[skipped] < level[skipped])
+
+
+def two_triangles(weight: float) -> WeightedGraph:
+    """Disconnected: a unit triangle and one of the given weight."""
+    return WeightedGraph(6, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                             (3, 4, weight), (4, 5, weight), (3, 5, weight)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_profile(min_n=2, max_weight=1e6), st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+       st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 16),
+       st.sampled_from([-math.inf, 1e-8, math.inf]))
+@example((two_triangles(1e6), SurvivalProfile([0.9, 0.5, 1.0, 0.2, 0.7, 1.0])), 1.0, 3, 60, 4,
+         1e-8)
+@example((two_triangles(1.0), SurvivalProfile.uniform(6, 0.8)), 0.0, 0, 30, 7, -math.inf)
+@example((generate("hypercube", k=3), SurvivalProfile.uniform(8, 0.9)), 7.2, 0, 60, 16, 1e-8)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1.0)), 0.0, 0, 10, 3, 1e-8)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.0)), 2.0, 0, 10, 3, -math.inf)
+@example((generate("path", n=5), SurvivalProfile([0.0, 1.0, 0.5, 1.0, 0.3])), 0.5, 9, 40, 5,
+         math.inf)
+@example((WeightedGraph(3), SurvivalProfile.uniform(3, 0.5)), 0.0, 1, 20, 4, -math.inf)
+def test_level_gated_run_matches_the_run_that_solves_every_a_delta(case, alpha, seed, trials,
+                                                                   chunk_length, slack):
+    # the trials CSV prints every a_delta, so with it every survivor block is solved
+    g, profile = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(harness_cli, "LOWER_BOUND_SLACK", slack)
+        gated, gated_violations = harness_cli.run_experiment(g, profile, alpha, 0.25, trials,
+                                                             seed)
+        full, full_violations = harness_cli.run_experiment(g, profile, alpha, 0.25, trials, seed,
+                                                           trials_csv=os.devnull)
+    # compared as the report's JSON, where NaN equals NaN and -0.0 differs from 0.0
+    assert json.dumps(gated.to_dict()) == json.dumps(full.to_dict())
+    assert gated_violations == full_violations
+
+
+def test_level_gated_run_solves_no_survivor_block_where_every_bound_is_vacuous(monkeypatch):
+    # on the 3-cube at p = 0.9 and alpha = 7.2 some lower bounds are positive
+    # (1.62 when every vertex survives): exactly those patterns' blocks are solved
+    alpha, q3, q3_profile = 7.2, generate("hypercube", k=3), SurvivalProfile.uniform(8, 0.9)
+    report = deviation_bound(q3, q3_profile, alpha, 0.1)
+    block = trial_block(q3, q3_profile, alpha, 0, 0, 200)
+    _, first = np.unique(percolation._unit_uniforms(0, 0, 200, 8) < q3_profile.p, axis=0,
+                         return_index=True)
+    lower = np.minimum(report.lambda2_expected - block.deviation_norm[first], alpha)
+    needed = ((lower - harness_cli.LOWER_BOUND_SLACK >= percolation._a_delta_floor(q3))
+              & (block.survivor_count[first] >= 2))
+    chunks = record_solves(monkeypatch)
+    # the simulate-hypercube8 inputs: every trial's lower bound is below -1,
+    # so only the deviation stack of each chunk (one trial) is solved
+    g, profile = generate("hypercube", k=8), SurvivalProfile.uniform(256, 0.9)
+    harness_cli.run_experiment(g, profile, alpha, 0.1, 10, seed=0)
+    assert [[M.shape for M in solved] for solved in chunks] == [[(1, 256, 256)]] * 10
+    chunks.clear()
+    harness_cli.run_experiment(q3, q3_profile, alpha, 0.1, 200, seed=0)
+    [[deviations, *blocks]] = chunks
+    assert len(deviations) == len(first)
+    assert 0 < sum(len(b) for b in blocks) == np.count_nonzero(needed) < len(first)
 
 
 def test_trial_block_needs_two_vertices():

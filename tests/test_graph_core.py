@@ -44,6 +44,13 @@ class TestWeightedGraph:
             with pytest.raises(ValueError, match="weight"):
                 WeightedGraph(2, ((0, 1, w),))
 
+    def test_overflowing_weighted_degree_rejected(self):
+        # each weight is finite, vertex 1's two weights sum past the largest float
+        with pytest.raises(ValueError, match="weighted degree of vertex 1 overflows"):
+            WeightedGraph(3, ((0, 1, 1.7e308), (1, 2, 1.7e308)))
+        g = WeightedGraph(3, ((0, 1, 8.9e307), (1, 2, 8.9e307)))
+        assert g.degree_vector()[1] == 1.78e308
+
     def test_non_integer_endpoints_rejected(self):
         for edge in ((True, 2, 1.0), (0, 1.0, 1.0), (0, "1", 1.0)):
             with pytest.raises(ValueError, match="endpoints must be integers"):

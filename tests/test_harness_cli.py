@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from percobound import (
     graph_to_dict,
     read_graph,
     survival_threshold,
+    trial_block,
     write_graph,
 )
 from percobound.harness_cli import (
@@ -234,6 +236,32 @@ class TestSimulate:
             assert f"trial {t}: a_delta {a_delta!r} < lower bound {lower!r}" in captured.err
         assert "trial 5:" not in captured.err
 
+    def test_failed_validation_names_violating_trials_where_every_bound_is_vacuous(
+            self, monkeypatch, capsys):
+        # at p = 0.5 every trial's lower bound is below -0.25, so at the default
+        # slack nothing fails and no survivor block needs solving; an infinite
+        # slack must still make every trial with two or more survivors a violation
+        g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.5)
+        argv = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.5", "--alpha", "0.5",
+                "--epsilon", "0.1", "--trials", "40", "--seed", "2"]
+        assert run_cli(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["bound_report"]["a_lower_bound"] < 0
+        monkeypatch.setattr(harness_cli, "LOWER_BOUND_SLACK", -math.inf)
+        assert run_cli(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        counts = trial_block(g, profile, 0.5, 2, 0, 40).survivor_count
+        violating = np.flatnonzero(counts >= 2).tolist()
+        assert violating[:5] == [0, 2, 4, 5, 6]  # trials 1 and 3 have one survivor or none
+        assert json.loads(captured.out)["lower_bound_violations"] == len(violating)
+        summary, violations = run_experiment(g, profile, 0.5, 0.1, trials=40, seed=2)
+        assert summary.lower_bound_violations == len(violating)
+        assert [t for t, _, _ in violations] == violating[:5]
+        assert f"{len(violating)} lower-bound violations" in captured.err
+        for t, a_delta, lower in violations:
+            assert f"trial {t}: a_delta {a_delta!r} < lower bound {lower!r}" in captured.err
+        for t in (1, 3, violating[5]):
+            assert f"trial {t}:" not in captured.err
+
     def test_trials_csv_written_to_a_path(self, c4, tmp_path):
         csv_path = tmp_path / "trials.csv"
         run_experiment(c4, SurvivalProfile.uniform(4, 0.6), 1.0, 0.25, trials=30, seed=3,
@@ -419,6 +447,21 @@ class TestUsageErrors:
         assert run_cli(["certify", "--graph", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_overflowing_weighted_degree_is_a_usage_error(self, tmp_path, capsys):
+        # finite weights whose sum at vertex 1 overflows: one error line naming
+        # the vertex, and no numpy RuntimeWarning from deeper layers
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 3, "edges": [[0, 1, 1.7e308], [1, 2, 1.7e308]]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["simulate", "--graph", str(path), "--p", "0.5", "--alpha", "1",
+                            "--epsilon", "0.1", "--trials", "100"]) == EXIT_USAGE
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: weighted degree of vertex 1 overflows: "
+                                "its edge weights sum past the largest float\n")
 
     @pytest.mark.parametrize("command, text, message", [
         (["bound", "--epsilon", "0.1"], "[{}, 0.5, 0.5]", "survival probability 0 must be a number"),
