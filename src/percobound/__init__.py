@@ -43,7 +43,7 @@ from .percolation import (
     survivor_connectivity,
     trial_block,
 )
-from .spectral import SpectralResult, eig_sym, lambda2, spectral_norm
+from .spectral import eig_sym, lambda2, spectral_norm
 from .theory import (
     BoundReport,
     ThresholdReport,
@@ -64,7 +64,6 @@ __all__ = [
     "ExactDistribution",
     "PercolationSample",
     "RegularityCertificate",
-    "SpectralResult",
     "SurvivalProfile",
     "ThresholdReport",
     "TrialBlock",

@@ -326,7 +326,7 @@ def certify_ndl(g: WeightedGraph) -> RegularityCertificate:
         # no nontrivial spectrum to measure
         return RegularityCertificate(is_regular=True, d=0, lambda_=0.0,
                                      lambda_over_d=0.0, lambda_equals_d=False)
-    vals = eig_sym(build_adjacency(g)).eigenvalues
+    vals = eig_sym(build_adjacency(g))
     # every adjacency eigenvalue of a d-regular graph lies in [-d, d], so
     # anything above d is solver noise and gets clamped
     lam = float(min(max(abs(vals[0]), abs(vals[-2])), d))

@@ -15,12 +15,13 @@ count, and the integer stays about 2,100 bits wide for any trial count.  The
 per-trial CSV is written a chunk at a time as well, so memory does not grow
 with the trial count and the CSV has no row cap; the rows of a chunk whose
 five values have equal bits share one formatted suffix after the trial
-index.  lambda_2 of the augmented Laplacian is reported only in that CSV, so
-its eigensolve runs only when the CSV is asked for.  Without the CSV a_delta
-is only compared with its lower-bound level, min(lambda2_expected -
-deviation norm, alpha) - LOWER_BOUND_SLACK, so simulate hands those levels to
-the kernel, which solves a survivor block only where the comparison can fail
-(see percolation.trial_block); the report is the same bytes either way.
+index.  Without the CSV, a_delta is only compared with its lower-bound
+level, min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK, and
+lambda_2 of the augmented Laplacian, reported only in that CSV, is not
+needed.  simulate then hands those levels to the kernel, which solves a
+survivor block only where the comparison can fail and skips the augmented
+eigensolve (see percolation.trial_block); the report is the same bytes
+either way.
 
 The PERCOBOUND_THREADS environment variable sets how many chunks run at once
 on worker threads, at most that many in flight (unset means 1, 0 picks the
@@ -226,13 +227,13 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     in trial order.  It is opened only once the inputs have been checked and
     the bound computed, so a usage error leaves an existing file as it was;
     it is written a chunk at a time, so a run that fails partway leaves the
-    rows of the chunks done before the failure.  lambda2_augmented appears
-    only in that file, so its eigensolve runs only when trials_csv is given.
-    Without trials_csv, a_delta is only compared with each trial's level,
-    min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK (the
-    slack read at each call), and trial_block gets the same levels, so it
-    skips the survivor eigensolves whose comparison cannot fail.  The summary
-    and violations are the same either way.
+    rows of the chunks done before the failure.  Without trials_csv, a_delta
+    is only compared with each trial's level, min(lambda2_expected -
+    deviation norm, alpha) - LOWER_BOUND_SLACK (the slack read at each call),
+    and trial_block gets the same levels, so it skips the survivor
+    eigensolves whose comparison cannot fail, and the eigensolve of
+    lambda2_augmented, which only that file reports.  The summary and
+    violations are the same either way.
 
     Returns (ExperimentSummary, violations): violations lists
     (trial_index, a_delta, lower_bound) for the first VIOLATIONS_SHOWN
@@ -251,13 +252,13 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
         # the slack is read at each call, so a patched one reaches the kernel too
         return lower, lower - LOWER_BOUND_SLACK
 
-    # the CSV prints every a_delta; without it a_delta is only compared with
-    # its level, so the kernel may skip the solves that cannot fail
+    # the CSV prints every statistic; without it a_delta is only compared
+    # with its level, so the kernel may skip the solves that cannot fail
     levels = None if trials_csv is not None else lambda devs: lower_bounds(devs)[1]
 
     def chunk(start: int):
         return trial_block(g, profile, alpha, seed, start, min(step, trials - start), expected,
-                           with_lambda2_augmented=trials_csv is not None, levels=levels)
+                           levels)
 
     connected = tail_hits = violation_count = 0
     max_dev = -math.inf
@@ -357,7 +358,8 @@ def _parse_alpha(raw: str):
     if raw == "auto":
         return "auto"
     try:
-        value = float(raw)
+        # + 0.0 turns -0.0 into 0.0, so "-0.0" and "0" give the same report
+        value = float(raw) + 0.0
     except ValueError as exc:
         raise ValueError(f'--alpha must be "auto" or a number, got {raw!r}') from exc
     # written so that NaN fails too
@@ -465,7 +467,8 @@ def cmd_threshold(args) -> int:
 def cmd_oracle(args) -> int:
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
-    dist = exact_distribution(g, profile, args.alpha, args.kind)
+    alpha = args.alpha + 0.0  # as in _parse_alpha: -0.0 becomes 0.0
+    dist = exact_distribution(g, profile, alpha, args.kind)
     fmt = args.format or "csv"
     if fmt == "csv":
         if args.output is None:
@@ -484,7 +487,7 @@ def cmd_oracle(args) -> int:
             "config": {
                 "graph_source": source,
                 "profile": profile_desc,
-                "alpha": args.alpha,
+                "alpha": alpha,
                 "statistic_kind": args.kind,
             },
             "n": dist.n,

@@ -32,7 +32,6 @@ from .percolation import (
     _check_alpha,
     _check_lengths,
     _chunk_length,
-    _deviation_norms,
     _distinct_rows,
     _live_edges,
     _percolated,
@@ -40,7 +39,7 @@ from .percolation import (
     _survivors_connected,
     expected_augmented_laplacian,
 )
-from .spectral import eig_sym
+from .spectral import spectral_norm
 from .theory import _series_terms
 
 __all__ = [
@@ -175,7 +174,7 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
         laplacians = _percolated(g, live)
         if statistic_kind == "deviation_norm":
             _add_ghost_diagonal(laplacians, delta, alpha)
-            statistics[start:stop] = _deviation_norms(laplacians, expected)
+            statistics[start:stop] = spectral_norm(laplacians - expected)
         else:
             statistics[start:stop] = _survivor_lambda2(laplacians, delta)
 
@@ -221,6 +220,6 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
         masks = np.arange(start, min(start + chunk, count))
         coeff = ((masks[:, None] >> bit) & 1) - profile.p
         S = np.einsum("ci,ijk->cjk", coeff, X)
-        norms = np.abs(eig_sym(0.5 * (S + S.mT)).eigenvalues).max(axis=1)
+        norms = spectral_norm(0.5 * (S + S.mT))
         hits += probabilities[masks[norms >= t]].tolist()
     return math.fsum(hits)

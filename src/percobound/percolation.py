@@ -14,19 +14,19 @@ of threads, with identical results on every platform.
 Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
 trials it draws the (trials x n) grid of survival flags with one vectorized
 hash and groups the grid's rows into distinct survival patterns.  Every
-per-trial statistic depends on the trial's flags alone, and a row of a stacked
-eigensolve equals the solve of that matrix alone (see spectral.eig_sym), so
-each distinct pattern is evaluated once and its results are copied to the
-trials that drew it: the same bits as evaluating every trial.  On the 6-cycle
-at p = 0.8, 5,000 trials (seed 0) hold 299 distinct (chunk, pattern) pairs.
-The kernel assembles the patterns' percolated Laplacians as one stack from the
-graph's edge arrays, adds the ghost diagonal and solves the stack with
-stacked eigensolves, in this order: one for the deviation norms, one per
-survivor count for a_delta, and one for lambda_2 of the augmented Laplacians
-when the caller asks for it.  The deviation stack is formed out of place, and
-the ghost diagonal adds alpha * 0 = +0.0 to each survivor's diagonal entry, a
-weighted-degree sum that is never -0.0, so the survivor blocks read after it
-keep their bits.
+per-trial statistic depends on the trial's flags alone, and entry k of a
+stack's spectral_norm or lambda2 equals the value for matrix k alone (see
+the spectral module), so each distinct pattern is evaluated once and its
+results are copied to the trials that drew it: the same bits as evaluating
+every trial.  On the 6-cycle at p = 0.8, 5,000 trials (seed 0) hold 299
+distinct (chunk, pattern) pairs.  The kernel assembles the patterns'
+percolated Laplacians as one stack from the graph's edge arrays, adds the
+ghost diagonal and reduces stacks through spectral_norm and lambda2, one
+eigensolve each, in this order: the deviation norms, a_delta (one stack per
+survivor count), then lambda_2 of the augmented Laplacians.  The deviation
+stack is formed out of place, and the ghost diagonal adds alpha * 0 = +0.0
+to each survivor's diagonal entry, a weighted-degree sum that is never -0.0,
+so the survivor blocks read after it keep their bits.
 Connectivity is union-find over the patterns' live edges, with whole-array
 hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
 entries, so memory is O(chunk * n^2) whatever the trial count.  The
@@ -34,21 +34,23 @@ per-sample functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
 oracle go through the same assembly and the same connectivity rule.
 
-Each distinct pattern of a chunk thus costs up to two eigensolves, plus
-lambda2_augmented when asked for.  A caller that only compares a_delta with
-a level, as simulate's per-trial lower-bound check does, can pass those
-levels (a function of the deviation norms): a survivor block is then solved
-only where its level reaches _a_delta_floor(g), which is below every a_delta
-the eigensolver can return, so below it the comparison cannot fail and
-a_delta is left NaN.  On the 8-cube at p = 0.9 and alpha = 7.2 every
-trial's lower bound is below -0.7, and no survivor block is solved.
-Only the per-trial CSV reports
-lambda2_augmented, so simulate asks for it only when it writes that file.
-It keeps its own eigensolve: the block split above gives it from the
-survivor-block spectrum plus the ghost alphas in exact arithmetic, but not
-bit for bit: the two routes round differently, and the values differed in
-their last bits on 199 of 200 hypercube-8 trials and on 1,215-1,250 of 5,000
-cycle-6 trials (four seeds), which would change the per-trial CSV.
+Without levels, each distinct pattern of a chunk thus costs up to three
+eigensolves, and every statistic is recorded.  A caller that only compares
+a_delta with a level, as simulate's per-trial lower-bound check does, passes
+those levels (a function of the deviation norms) instead.  A survivor block
+is then solved only where its level reaches _a_delta_floor(g), which is below
+every a_delta the eigensolver can return, so below it the comparison cannot
+fail and a_delta is left NaN; lambda2_augmented, which no such comparison
+reads, is not computed.  On the 8-cube at p = 0.9 and alpha = 7.2 every
+trial's lower bound is below -0.7, and no survivor block is solved.  Only
+the per-trial CSV reports lambda2_augmented, so simulate passes levels
+whenever it writes no such file.
+lambda2_augmented keeps its own eigensolve: the block split above gives it
+from the survivor-block spectrum plus the ghost alphas in exact arithmetic,
+but not bit for bit: the two routes round differently, and the values
+differed in their last bits on 199 of 200 hypercube-8 trials and on
+1,215-1,250 of 5,000 cycle-6 trials (four seeds), which would change the
+per-trial CSV.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graph_core import WeightedGraph, edge_laplacian, is_real
-from .spectral import eig_sym
+from .spectral import lambda2, spectral_norm
 
 __all__ = [
     "SurvivalProfile",
@@ -187,8 +189,8 @@ class TrialBlock:
 
     a_delta is +inf for trials with fewer than two survivors, and NaN where
     trial_block was given levels and the trial's level lies below every
-    value a_delta could take.  lambda2_augmented is None when it was not
-    asked for.
+    value a_delta could take.  lambda2_augmented is None when trial_block
+    was given levels.
     """
 
     survivor_count: np.ndarray
@@ -249,12 +251,6 @@ def _add_ghost_diagonal(laplacians: np.ndarray, delta: np.ndarray, alpha: float)
     laplacians[:, diagonal, diagonal] += alpha * ~delta
 
 
-def _deviation_norms(augmented: np.ndarray, expected: np.ndarray) -> np.ndarray:
-    """Spectral norm of each augmented Laplacian minus the expectation."""
-    vals = eig_sym(augmented - expected).eigenvalues
-    return np.maximum(np.abs(vals[:, 0]), np.abs(vals[:, -1]))
-
-
 def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
                       solve: np.ndarray | None = None) -> np.ndarray:
     """lambda_2 of each row's survivor block, +inf below two survivors.
@@ -275,7 +271,7 @@ def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
         rows = np.flatnonzero(counts == m)
         survivors = np.nonzero(delta[rows])[1].reshape(-1, m)
         blocks = laplacians[rows[:, None, None], survivors[:, :, None], survivors[:, None, :]]
-        out[rows] = eig_sym(blocks).eigenvalues[:, 1]
+        out[rows] = lambda2(blocks)
     return out
 
 
@@ -336,7 +332,7 @@ def _a_delta_floor(g: WeightedGraph) -> float:
 
 
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray, with_lambda2_augmented: bool, levels) -> TrialBlock:
+                    delta: np.ndarray, levels) -> TrialBlock:
     # each distinct pattern is evaluated once, its matrices solved in a fixed
     # order (see the module docstring)
     first, inverse = _distinct_rows(np.packbits(delta, axis=1))
@@ -344,7 +340,7 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
     live = _live_edges(g, patterns)
     laplacians = _percolated(g, live)
     _add_ghost_diagonal(laplacians, patterns, alpha)
-    deviation_norm = _deviation_norms(laplacians, expected)
+    deviation_norm = spectral_norm(laplacians - expected)
     solve = None if levels is None else levels(deviation_norm) >= _a_delta_floor(g)
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
     return TrialBlock(
@@ -352,8 +348,7 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
         is_connected=_survivors_connected(g, patterns, live)[inverse],
         a_delta=a_delta[inverse],
         deviation_norm=deviation_norm[inverse],
-        lambda2_augmented=(eig_sym(laplacians).eigenvalues[inverse, 1]
-                           if with_lambda2_augmented else None),
+        lambda2_augmented=lambda2(laplacians)[inverse] if levels is None else None,
     )
 
 
@@ -409,25 +404,24 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
 
 def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
                 start: int, count: int, expected: np.ndarray | None = None,
-                with_lambda2_augmented: bool = True, levels=None) -> TrialBlock:
+                levels=None) -> TrialBlock:
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
     seed, start + k) records.  The trials are evaluated a chunk at a time,
-    with up to two eigensolves per distinct survival pattern of a chunk,
-    plus one for lambda2_augmented (see the module docstring).  Trials that
-    draw the same pattern share its results.  expected lets callers amortize
-    the expected augmented Laplacian across calls; it must equal
-    expected_augmented_laplacian(g, profile, alpha).  With
-    with_lambda2_augmented false, the eigensolve of the augmented Laplacians
-    is skipped and lambda2_augmented is None; the other arrays are unchanged.
+    with up to three eigensolves per distinct survival pattern of a chunk
+    (see the module docstring).  Trials that draw the same pattern share its
+    results.  expected lets callers amortize the expected augmented
+    Laplacian across calls; it must equal
+    expected_augmented_laplacian(g, profile, alpha).
 
     levels, for callers that only test a_delta < level, maps an array of
     deviation norms to the level of each entry, element by element.  A
     survivor block is then solved only where its level is at least
     _a_delta_floor(g); below that no computed a_delta is less than the
-    level, and a_delta is NaN there (NaN < level is false as well).  Every
-    other entry of every array keeps its bits.
+    level, and a_delta is NaN there (NaN < level is false as well).  The
+    eigensolve of the augmented Laplacians is skipped and lambda2_augmented
+    is None.  Every other entry of every array keeps its bits.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -444,7 +438,7 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     blocks = [
         _evaluate_chunk(g, alpha, expected,
                         _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p,
-                        with_lambda2_augmented, levels)
+                        levels)
         for first in range(start, stop, step)
     ]
     if len(blocks) == 1:

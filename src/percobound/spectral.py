@@ -1,25 +1,13 @@
 """Dense symmetric eigensolver wrappers: full spectra, operator norm, lambda_2."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["SpectralResult", "eig_sym", "spectral_norm", "lambda2"]
+__all__ = ["eig_sym", "spectral_norm", "lambda2"]
 
 # Relative symmetry tolerance, measured against the max absolute row sum
 # (an upper bound on the spectral norm for symmetric matrices).
 _SYMMETRY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Spectrum of a symmetric matrix, or of each matrix of a stack.
-
-    eigenvalues are ascending with multiplicity along the last axis.
-    """
-
-    eigenvalues: np.ndarray
 
 
 def _checked_symmetric(M) -> np.ndarray:
@@ -53,10 +41,10 @@ def _checked_symmetric(M) -> np.ndarray:
     return 0.5 * (M + T)
 
 
-def eig_sym(M) -> SpectralResult:
-    """Full spectrum of a symmetric matrix, ascending.
+def eig_sym(M) -> np.ndarray:
+    """Full spectrum of a symmetric matrix, ascending with multiplicity.
 
-    M may also be a (c, m, m) stack; eigenvalues then has shape (c, m), row k
+    M may also be a (c, m, m) stack; the result then has shape (c, m), row k
     bit for bit the spectrum eig_sym(M[k]) gives.  Raises ValueError for
     non-square input or when M (or any matrix of the stack, named by its
     index) deviates from symmetry by more than 1e-10 relative to its largest
@@ -65,25 +53,30 @@ def eig_sym(M) -> SpectralResult:
     its transpose bit for bit (every matrix the library builds) skips the
     check and is solved as it is.
     """
-    return SpectralResult(eigenvalues=np.linalg.eigvalsh(_checked_symmetric(M)))
+    return np.linalg.eigvalsh(_checked_symmetric(M))
 
 
-def _single_spectrum(M) -> np.ndarray:
-    vals = eig_sym(M).eigenvalues
-    if vals.ndim != 1:
-        raise ValueError(f"expected a square matrix, got shape {np.shape(M)}")
-    return vals
+def _per_matrix(values: np.ndarray):
+    # a matrix gives a Python float, a stack one array entry per matrix
+    return float(values) if values.ndim == 0 else values
 
 
-def spectral_norm(M) -> float:
-    """Spectral norm of a symmetric matrix: max |eigenvalue|."""
-    vals = _single_spectrum(M)
-    return float(max(abs(vals[0]), abs(vals[-1])))
+def spectral_norm(M):
+    """Spectral norm, max |eigenvalue|, of a symmetric matrix or of each
+    matrix of a (c, m, m) stack.
+
+    A matrix gives a float; a stack gives an array whose entry k is, bit for
+    bit, spectral_norm(M[k]).  The spectrum is ascending, so the largest
+    magnitude sits at one of its ends.
+    """
+    vals = eig_sym(M)
+    return _per_matrix(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])))
 
 
-def lambda2(M) -> float:
-    """Second smallest eigenvalue (with multiplicity) of a symmetric matrix."""
-    vals = _single_spectrum(M)
-    if vals.shape[0] < 2:
+def lambda2(M):
+    """Second smallest eigenvalue (with multiplicity) of a symmetric matrix
+    or of each matrix of a (c, m, m) stack, as spectral_norm returns it."""
+    vals = eig_sym(M)
+    if vals.shape[-1] < 2:
         raise ValueError("lambda2 needs a matrix of order at least 2")
-    return float(vals[1])
+    return _per_matrix(vals[..., 1])

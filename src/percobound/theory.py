@@ -369,6 +369,8 @@ def _check_ndl(n: int, d: int, lam: float) -> None:
     """The (n, d, lambda) rules shared by the gap condition and the threshold."""
     _require_positive_int("n", n)
     _require_positive_int("d", d)
+    if d >= n:
+        raise ValueError(f"d must be less than n, got d={d}, n={n}")
     if not 0.0 <= lam < d:
         raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
 

@@ -33,6 +33,7 @@ from percobound import (
     oracle,
     percolation,
     run_trial,
+    spectral,
     theory,
     trial_block,
 )
@@ -219,6 +220,11 @@ def test_chunked_example_spans_chunks():
     assert chunk == 81 and 40 % chunk != 0 and 175 // chunk == 2 and 175 % chunk != 0
 
 
+def solve_every_block(devs: np.ndarray) -> np.ndarray:
+    """Levels that solve every survivor block, so only the augmented solve is skipped."""
+    return np.full_like(devs, math.inf)
+
+
 def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
                                    with_lambda2_augmented=True) -> None:
     """Entry k of every array of block is, byte for byte, what the per-trial
@@ -260,7 +266,7 @@ def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count
                                                  with_lambda2_augmented):
     g, profile = case
     block = trial_block(g, profile, alpha, seed, start, count,
-                        with_lambda2_augmented=with_lambda2_augmented)
+                        levels=None if with_lambda2_augmented else solve_every_block)
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
                                    with_lambda2_augmented)
     row = percolation_reference.run_trial(g, profile, alpha, seed, start)
@@ -295,19 +301,26 @@ def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, c
 
 
 def record_solves(monkeypatch) -> list:
-    """Every stack percolation hands to eig_sym, grouped by chunk."""
+    """Every stack the chunk kernel hands to eig_sym, grouped by chunk."""
     chunks = []
-    eig_sym, evaluate_chunk = percolation.eig_sym, percolation._evaluate_chunk
+    running = []  # the running chunk's list; solves outside a chunk are not kept
+    eig_sym, evaluate_chunk = spectral.eig_sym, percolation._evaluate_chunk
 
     def recording_eig_sym(M):
-        chunks[-1].append(np.array(M))
+        if running:
+            running[-1].append(np.array(M))
         return eig_sym(M)
 
     def recording_evaluate_chunk(*args):
         chunks.append([])
-        return evaluate_chunk(*args)
+        running.append(chunks[-1])
+        try:
+            return evaluate_chunk(*args)
+        finally:
+            running.pop()
 
-    monkeypatch.setattr(percolation, "eig_sym", recording_eig_sym)
+    # spectral_norm and lambda2 solve through the spectral module's eig_sym
+    monkeypatch.setattr(spectral, "eig_sym", recording_eig_sym)
     monkeypatch.setattr(percolation, "_evaluate_chunk", recording_evaluate_chunk)
     return chunks
 
@@ -355,7 +368,7 @@ def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
     [solved] = chunks
     assert same_matrices(solved[-1], distinct)
     chunks.clear()
-    trial_block(g, profile, alpha, 3, 0, 20, with_lambda2_augmented=False)
+    trial_block(g, profile, alpha, 3, 0, 20, levels=solve_every_block)
     [without] = chunks
     assert len(without) == len(solved) - 1
     assert not any(same_matrices(M, distinct) for M in without)
@@ -384,8 +397,9 @@ def test_levels_skip_only_a_delta_that_cannot_fall_below_them(case, alpha, seed,
         full = trial_block(g, profile, alpha, seed, 0, count)
         shift = float(np.quantile(full.deviation_norm, quantile)) + offset
         gated = trial_block(g, profile, alpha, seed, 0, count, levels=lambda devs: shift - devs)
-    for name in ("survivor_count", "is_connected", "deviation_norm", "lambda2_augmented"):
+    for name in ("survivor_count", "is_connected", "deviation_norm"):
         assert_identical(getattr(gated, name), getattr(full, name))
+    assert gated.lambda2_augmented is None
     level = shift - full.deviation_norm
     skipped = (level < percolation._a_delta_floor(g)) & (full.survivor_count >= 2)
     assert np.array_equal(np.isnan(gated.a_delta), skipped)
@@ -524,7 +538,7 @@ def test_series_tail_cap_raises_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(oracle, "eig_sym", no_work)
+    monkeypatch.setattr(spectral, "eig_sym", no_work)
     monkeypatch.setattr(oracle, "_pattern_probabilities", no_work)
     terms = [np.eye(1)] * (oracle.MAX_ENUM_VERTICES + 1)
     with pytest.raises(ValueError, match="capped at 20"):

@@ -380,6 +380,15 @@ class TestThreshold:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_degree_not_below_n_is_domain_error(self, capsys):
+        # no simple d-regular graph on n vertices has d >= n
+        code = run_cli(["threshold", "--n", "4", "--d", "10", "--lambda", "1",
+                        "--epsilon", "0.5"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be less than n, got d=10, n=4\n"
+
 
 class TestOracle:
     def test_csv_stdout_and_summary(self, capsys):
@@ -406,6 +415,21 @@ class TestOracle:
                         "--p", "0.5", "--kind", "a_delta"])
         assert code == EXIT_USAGE
         assert "capped at 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["bound", "--epsilon", "0.1"],
+    ["simulate", "--epsilon", "0.1", "--trials", "5"],
+    ["oracle", "--kind", "deviation_norm", "--format", "json"],
+], ids=["bound", "simulate", "oracle"])
+def test_negative_zero_alpha_writes_the_bytes_of_zero(tmp_path, command):
+    outputs = []
+    for alpha in ("-0.0", "0"):
+        out = tmp_path / f"alpha{alpha}.json"
+        assert run_cli([command[0], "--family", "cycle", "--n", "4", "--p", "0.9",
+                        "--alpha", alpha, *command[1:], "--output", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 class TestUsageErrors:

@@ -15,7 +15,7 @@ from percobound import (
     exact_tail,
     generate,
 )
-from percobound import percolation
+from percobound import spectral
 from percobound.oracle import MAX_ENUM_VERTICES, STATISTIC_KINDS
 
 
@@ -103,8 +103,9 @@ class TestExactDistribution:
         def no_eigensolve(M):
             raise AssertionError("enumeration started")
 
-        # the oracle's eigensolves run in the percolation module's chunk code
-        monkeypatch.setattr(percolation, "eig_sym", no_eigensolve)
+        # the oracle's eigensolves run in the percolation module's chunk code,
+        # through the spectral module's reductions
+        monkeypatch.setattr(spectral, "eig_sym", no_eigensolve)
         with pytest.raises(ValueError, match="alpha must be non-negative"):
             exact_distribution(c4, SurvivalProfile.uniform(4, 0.5), alpha=-0.5,
                                statistic_kind="deviation_norm")

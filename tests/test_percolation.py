@@ -159,7 +159,7 @@ class TestLaplacians:
         E = expected_augmented_laplacian(c4, prof, alpha=1.0)
         # 0.25 L + 0.5 I for the uniform profile
         assert np.allclose(E, 0.25 * build_laplacian(c4) + 0.5 * np.eye(4), atol=1e-15)
-        vals = eig_sym(E).eigenvalues
+        vals = eig_sym(E)
         assert np.allclose(vals, [0.5, 1.0, 1.0, 1.5], atol=1e-12)
 
     def test_expected_degenerate_profiles(self, c4):
@@ -241,7 +241,7 @@ def test_augmented_spectrum_splits_into_blocks(case):
     # copy of alpha per ghost
     g, delta, alpha = case
     s = PercolationSample(delta=delta, seed=0, trial_index=0)
-    vals = eig_sym(augmented_laplacian(g, s, alpha)).eigenvalues
+    vals = eig_sym(augmented_laplacian(g, s, alpha))
 
     survivors = [v for v in range(g.n) if delta[v]]
     block = np.zeros((len(survivors), len(survivors)))
@@ -280,7 +280,9 @@ CONNECTED_TOL = 1e-8
 @given(graph_profile(min_n=2), st.integers(0, 2**64 - 1), st.integers(1, 40))
 def test_a_delta_positive_exactly_when_survivors_connected(case, seed, count):
     g, profile = case
-    block = trial_block(g, profile, 1.0, seed, 0, count, with_lambda2_augmented=False)
+    # +inf levels solve every survivor block and skip only the augmented solve
+    block = trial_block(g, profile, 1.0, seed, 0, count,
+                        levels=lambda devs: np.full_like(devs, math.inf))
     assert np.array_equal(block.a_delta == math.inf, block.survivor_count <= 1)
     assert np.array_equal(block.a_delta > CONNECTED_TOL, block.is_connected)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -34,23 +34,23 @@ def cycle_laplacian_spectrum(n: int) -> np.ndarray:
 class TestEigSym:
     def test_zero_matrix(self):
         res = eig_sym(np.zeros((3, 3)))
-        assert np.allclose(res.eigenvalues, 0.0)
+        assert np.allclose(res, 0.0)
 
     def test_diagonal_sorted_ascending(self):
         res = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(res.eigenvalues, [1.0, 2.0, 3.0])
+        assert np.allclose(res, [1.0, 2.0, 3.0])
 
     def test_path3_laplacian(self):
         L = build_laplacian(generate("path", n=3))
-        assert np.allclose(eig_sym(L).eigenvalues, [0.0, 1.0, 3.0], atol=1e-10)
+        assert np.allclose(eig_sym(L), [0.0, 1.0, 3.0], atol=1e-10)
 
     def test_c6_laplacian(self):
         L = build_laplacian(generate("cycle", n=6))
-        assert np.allclose(eig_sym(L).eigenvalues, [0, 1, 1, 3, 3, 4], atol=1e-9)
+        assert np.allclose(eig_sym(L), [0, 1, 1, 3, 3, 4], atol=1e-9)
 
     def test_cycle_closed_form_sample(self):
         for n in (3, 5, 17, 40, 64):
-            vals = eig_sym(build_laplacian(generate("cycle", n=n))).eigenvalues
+            vals = eig_sym(build_laplacian(generate("cycle", n=n)))
             assert np.abs(vals - cycle_laplacian_spectrum(n)).max() <= 1e-8
 
     def test_asymmetric_rejected(self):
@@ -68,14 +68,14 @@ class TestEigSym:
     def test_tiny_asymmetry_tolerated(self):
         M = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
         res = eig_sym(M)
-        assert np.allclose(res.eigenvalues, [1.0, 3.0], atol=1e-10)
+        assert np.allclose(res, [1.0, 3.0], atol=1e-10)
 
     def test_trace_matches_eigenvalue_sum(self):
         rng = np.random.default_rng(7)
         for n in (2, 5, 16, 40):
             R = rng.standard_normal((n, n))
             M = R + R.T
-            vals = eig_sym(M).eigenvalues
+            vals = eig_sym(M)
             norm = max(abs(vals[0]), abs(vals[-1]))
             assert abs(vals.sum() - np.trace(M)) <= 1e-8 * n * max(1.0, norm)
 
@@ -85,10 +85,10 @@ class TestEigSym:
             R = rng.standard_normal((9, m, m)) * 10.0 ** rng.uniform(-3, 3, (9, 1, 1))
             stack = R + R.transpose(0, 2, 1)
             stack[4] = build_laplacian(generate("cycle", n=m))
-            vals = eig_sym(stack).eigenvalues
+            vals = eig_sym(stack)
             assert vals.shape == (9, m)
             for k in range(9):
-                single = eig_sym(stack[k]).eigenvalues
+                single = eig_sym(stack[k])
                 assert vals[k].tobytes() == single.tobytes()
 
     def test_stack_names_the_asymmetric_matrix(self):
@@ -99,7 +99,7 @@ class TestEigSym:
 
     def test_stack_tolerates_tiny_asymmetry(self):
         stack = np.stack([np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])] * 3)
-        assert np.allclose(eig_sym(stack).eigenvalues, [1.0, 3.0], atol=1e-10)
+        assert np.allclose(eig_sym(stack), [1.0, 3.0], atol=1e-10)
 
     def test_stack_of_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
@@ -113,8 +113,8 @@ class TestEigSym:
         rng = np.random.default_rng(3)
         R = rng.standard_normal((12, 12))
         M = R + R.T
-        a = eig_sym(M).eigenvalues
-        b = eig_sym(M).eigenvalues
+        a = eig_sym(M)
+        b = eig_sym(M)
         assert np.array_equal(a, b)
 
 
@@ -134,7 +134,7 @@ def bitwise_symmetric(draw):
 def solve(M):
     """eig_sym's eigenvalues as bytes, or the error it raised."""
     try:
-        return eig_sym(M).eigenvalues.tobytes()
+        return eig_sym(M).tobytes()
     except np.linalg.LinAlgError as exc:
         return repr(exc)
 
@@ -190,12 +190,47 @@ class TestNormAndLambda2:
     def test_lambda2_needs_order_two(self):
         with pytest.raises(ValueError, match="order at least 2"):
             lambda2(np.array([[1.0]]))
+        with pytest.raises(ValueError, match="order at least 2"):
+            lambda2(np.ones((3, 1, 1)))
 
-    @pytest.mark.parametrize("shape", [(3, 1, 1), (2, 4, 4)])
-    def test_stacks_rejected(self, shape):
+    def test_more_than_three_axes_rejected(self):
         for fn in (spectral_norm, lambda2):
             with pytest.raises(ValueError, match="expected a square matrix"):
-                fn(np.ones(shape))
+                fn(np.ones((2, 2, 4, 4)))
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """A (c, m, m) stack equal to its transpose bit for bit, or, when drawn,
+    with one entry nudged by an ulp so the stack takes the tolerance path."""
+    c = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    entries = st.floats(-1e150, 1e150, allow_nan=False)
+    A = draw(hnp.arrays(np.float64, (c, m, m), elements=entries))
+    S = np.where(np.triu(np.ones((m, m), dtype=bool)), A, A.mT)
+    if m > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, c - 1))
+        S[k, 0, 1] = np.nextafter(S[k, 0, 1], math.inf)
+    return S
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_stacks())
+# a stack of one matrix
+@example(build_laplacian(generate("cycle", n=5))[None])
+# a 1e-12 asymmetry sends the whole stack down the tolerance path
+@example(np.stack([np.eye(2), np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])]))
+def test_stack_reductions_match_per_matrix_calls(S):
+    for fn in (spectral_norm, lambda2) if S.shape[-1] >= 2 else (spectral_norm,):
+        try:
+            values = fn(S)
+        except np.linalg.LinAlgError:
+            reject()
+        assert isinstance(values, np.ndarray) and values.shape == (len(S),)
+        singles = [fn(M) for M in S]
+        # a matrix still gives a Python float
+        assert all(type(x) is float for x in singles)
+        assert values.tobytes() == np.array(singles).tobytes()
 
 
 def _random_graph(rng: random.Random, n: int, edge_prob: float) -> WeightedGraph:
@@ -246,7 +281,7 @@ def test_zero_eigenvalue_multiplicity_equals_component_count():
     corpus.append(WeightedGraph(16, ring.edges + shifted))
 
     for g in corpus:
-        vals = eig_sym(build_laplacian(g)).eigenvalues
+        vals = eig_sym(build_laplacian(g))
         zero_multiplicity = int((vals < 1e-8).sum())
         assert zero_multiplicity == _component_count(g)
 
@@ -266,3 +301,29 @@ def test_only_the_spectral_module_calls_numpy_eigensolvers():
             if NUMPY_EIGENSOLVERS.intersection(names):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls and all(c.startswith("spectral.py:") for c in calls), calls
+
+
+def _eig_sym_uses(tree: ast.AST) -> list:
+    """Every name or attribute reference to eig_sym, and every import of it under another name."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "eig_sym"
+            or isinstance(node, ast.Attribute) and node.attr == "eig_sym"
+            or isinstance(node, ast.alias) and node.name == "eig_sym" and node.asname]
+
+
+def test_only_certify_ndl_reads_a_full_spectrum():
+    # every other spectrum is reduced through spectral_norm or lambda2, so a
+    # hand-written reduction of an eig_sym result cannot come back
+    allowed, uses = [], []
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "graph_core.py":
+            allowed = [node for fn in ast.walk(tree)
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "certify_ndl"
+                       for node in _eig_sym_uses(fn)]
+        uses += [(path.name, node) for node in _eig_sym_uses(tree)]
+    assert allowed
+    stray = [f"{name}:{node.lineno}" for name, node in uses if node not in allowed]
+    assert not stray, stray

@@ -337,6 +337,8 @@ class TestGapCondition:
     (True, 3, 1.0, "^n must be a positive integer, got True$"),
     (10.0, 3, 1.0, "^n must be a positive integer, got 10.0$"),
     (10, 0, 0.0, "^d must be a positive integer, got 0$"),
+    (4, 10, 1.0, "^d must be less than n, got d=10, n=4$"),
+    (10, 10, 1.0, "^d must be less than n, got d=10, n=10$"),
     (10, 3, 3.0, "^lambda must satisfy 0 <= lambda < d, got lambda=3.0, d=3$"),
     (10, 3, -1.0, "^lambda must satisfy 0 <= lambda < d, got lambda=-1.0, d=3$"),
     (10, 3, math.nan, "^lambda must satisfy 0 <= lambda < d, got lambda=nan, d=3$"),
