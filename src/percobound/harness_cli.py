@@ -23,17 +23,25 @@ survivor block only where the comparison can fail and skips the augmented
 eigensolve (see percolation.trial_block); the report is the same bytes
 either way.
 
-The PERCOBOUND_THREADS environment variable sets how many chunks run at once
-on worker threads, at most that many in flight (unset means 1, 0 picks the
-CPU count).  One is the default because a second thread did not pay on a
-2-core machine: in one process, two threads calling np.linalg.eigvalsh on
-order-256 matrices did not overlap, and in 10 alternating benchmark pairs of
-1 against 2 threads one thread won all 10 on both simulate workloads, with
-a median op_ref of 17.3 against 21.9 on hypercube-8 and 0.347 against 0.419
-on the 6-cycle, and about 2 MiB less peak memory.  No workload or host where
-two or more threads win has been measured.  Results are byte-identical for
-any thread count at a fixed BLAS thread count, because sampling is
-counter-based and aggregation runs in trial order.
+The PERCOBOUND_THREADS environment variable sets how many worker processes
+evaluate chunks, for simulate and for oracle alike; 0 picks usable_cpus(),
+the CPUs in this process's affinity mask.  Worker 0 is the calling process;
+the others are forked children that pickle their chunks' results back
+through pipes, in order (see percolation._map_in_order).  Threads cannot
+help here: numpy's eigvalsh holds the GIL, and two threads lost all 10
+alternating benchmark pairs against one.  Unset, simulate runs 1 worker: its
+order-256 eigensolves already keep two OpenBLAS threads busy, and on a
+2-core machine two forked workers, each with OpenBLAS threads of its own,
+took simulate-hypercube8 from 1.38-1.43 s to 2.27-3.89 s (3 runs each) and
+gave simulate-cycle6 no gain (op_ref 0.17-0.20 against 0.21-0.26).  Unset,
+oracle runs usable_cpus() workers: its matrices have order at most 20, which
+OpenBLAS solves on one thread, so each CPU can run a worker of its own.
+With the 2 workers that gives on a 2-core machine, oracle-cycle15's op_ref
+fell from 5.83 to 3.88 (medians of 10 alternating benchmark pairs, all 10
+won; about 0.9 s to 0.5 s), every output unchanged.  Results are
+byte-identical for any worker count at a fixed BLAS thread count, because
+sampling is counter-based, a child inherits the caller's BLAS thread count,
+and results are folded in trial (or mask) order.
 """
 from __future__ import annotations
 
@@ -43,8 +51,6 @@ import json
 import math
 import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,6 +69,7 @@ from .percolation import (
     SurvivalProfile,
     _chunk_length,
     _distinct_rows,
+    _map_in_order,
     expected_augmented_laplacian,
     trial_block,
 )
@@ -89,11 +96,20 @@ TRIALS_CSV_HEADER = (
 )
 
 
-def resolve_threads() -> int:
-    """Worker count from PERCOBOUND_THREADS (unset means 1, 0 means CPU count)."""
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else the CPUs installed."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_threads(unset: int = 1) -> int:
+    """Worker count from PERCOBOUND_THREADS (unset means `unset`, 0 means
+    usable_cpus())."""
     raw = os.environ.get("PERCOBOUND_THREADS")
     if raw is None:
-        return 1
+        return unset
     try:
         value = int(raw)
     except ValueError as exc:
@@ -101,7 +117,7 @@ def resolve_threads() -> int:
     if value < 0:
         raise ValueError(f"PERCOBOUND_THREADS must be non-negative, got {value}")
     if value == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return value
 
 
@@ -138,21 +154,6 @@ class ExperimentSummary:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _in_trial_order(fn, args, threads: int):
-    """Yield fn(a) for each a in order, with at most `threads` calls in flight."""
-    if threads <= 1:
-        yield from map(fn, args)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for a in args:
-            if len(pending) == threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, a))
-        while pending:
-            yield pending.popleft().result()
 
 
 # every finite float is an integer multiple of 2**-1074, the smallest subnormal
@@ -219,7 +220,8 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     """Run the Monte Carlo experiment and check the closed-form claims.
 
     alpha_spec is a float or "auto" (grid-optimized).  Trials run in chunks
-    through percolation.trial_block, on up to `threads` worker threads, and
+    through percolation.trial_block, on `threads` worker processes (this one
+    and threads - 1 forked children, see percolation._map_in_order), and
     are folded into the aggregates in trial order, the deviation norms into
     one exact integer sum, so every aggregate is reproducible byte for byte
     and memory does not grow with `trials`.  If
@@ -266,10 +268,10 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     violations = []
     csv_file = (contextlib.nullcontext() if trials_csv is None
                 else open(trials_csv, "w", encoding="utf-8"))
-    with csv_file as fh:
+    with csv_file as fh, contextlib.closing(_map_in_order(chunk, starts, threads)) as blocks:
         if fh is not None:
             fh.write(TRIALS_CSV_HEADER)
-        for start, block in zip(starts, _in_trial_order(chunk, starts, threads)):
+        for start, block in zip(starts, blocks):
             devs = block.deviation_norm
             connected += int(np.count_nonzero(block.is_connected))
             tail_hits += int(np.count_nonzero(devs > report.total))
@@ -468,7 +470,10 @@ def cmd_oracle(args) -> int:
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
     alpha = args.alpha + 0.0  # as in _parse_alpha: -0.0 becomes 0.0
-    dist = exact_distribution(g, profile, alpha, args.kind)
+    # at order 20 or less OpenBLAS solves on one thread, so every usable CPU
+    # can run a worker of its own
+    dist = exact_distribution(g, profile, alpha, args.kind,
+                              workers=resolve_threads(usable_cpus()))
     fmt = args.format or "csv"
     if fmt == "csv":
         if args.output is None:

@@ -8,10 +8,11 @@ Both enumerations walk the masks in ascending order, one fixed-size chunk at
 a time, with no per-mask Python: one shift-and-mask decodes a chunk's
 survival flags.  exact_distribution hands them to the percolation module's
 chunk assembly, stacked eigensolves (a_delta: one per survivor count) and
-union-find, the same code the Monte Carlo kernel runs;
-exact_bernoulli_series_tail forms the chunk's partial sums with one einsum
-and solves them as one stack.  A chunk holds at most _CHUNK_ENTRIES matrix
-entries of order m, so beyond the 2^n-long arrays the memory is O(chunk * m^2).
+union-find, the same code the Monte Carlo kernel runs, and can spread the
+chunks over forked worker processes; exact_bernoulli_series_tail forms the
+chunk's partial sums with one einsum and solves them as one stack.  A chunk
+holds at most _CHUNK_ENTRIES matrix entries of order m, so beyond the
+2^n-long arrays the memory is O(chunk * m^2).
 
 ExactDistribution.write_csv prints each value as its repr, a block of
 _ROW_BLOCK entries at a time, and formats each distinct probability and
@@ -20,6 +21,7 @@ statistic of a block once: a table holds few distinct probabilities (68 of
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,6 +36,7 @@ from .percolation import (
     _chunk_length,
     _distinct_rows,
     _live_edges,
+    _map_in_order,
     _percolated,
     _survivor_lambda2,
     _survivors_connected,
@@ -136,7 +139,7 @@ def _check_enumerable(n: int) -> None:
 
 
 def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
-                       statistic_kind: str) -> ExactDistribution:
+                       statistic_kind: str, workers: int = 1) -> ExactDistribution:
     """Enumerate all 2^n survival patterns and their statistic.
 
     statistic_kind is one of deviation_norm (spectral norm of the augmented
@@ -146,6 +149,10 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     statistic equals, bit for bit, the one the percolation module's
     per-sample functions give for that pattern.  alpha must be finite and
     non-negative for every kind, also those that do not use it.
+
+    The chunks of masks run on `workers` processes, the caller and
+    workers - 1 forked children (see percolation._map_in_order), and every
+    statistic has the same bits for any worker count.
     """
     _check_enumerable(g.n)
     _check_alpha(alpha)
@@ -164,19 +171,22 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
 
     bit = np.arange(n)
     chunk = _chunk_length(n)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        delta = ((np.arange(start, stop)[:, None] >> bit) & 1).astype(bool)
+    starts = range(0, count, chunk)
+
+    def chunk_statistics(start: int) -> np.ndarray:
+        delta = ((np.arange(start, min(start + chunk, count))[:, None] >> bit) & 1).astype(bool)
         live = _live_edges(g, delta)
         if statistic_kind == "connectivity_indicator":
-            statistics[start:stop] = _survivors_connected(g, delta, live)
-            continue
+            return _survivors_connected(g, delta, live)
         laplacians = _percolated(g, live)
         if statistic_kind == "deviation_norm":
             _add_ghost_diagonal(laplacians, delta, alpha)
-            statistics[start:stop] = spectral_norm(laplacians - expected)
-        else:
-            statistics[start:stop] = _survivor_lambda2(laplacians, delta)
+            return spectral_norm(laplacians - expected)
+        return _survivor_lambda2(laplacians, delta)
+
+    with contextlib.closing(_map_in_order(chunk_statistics, starts, workers)) as results:
+        for start, values in zip(starts, results):
+            statistics[start:start + chunk] = values
 
     return ExactDistribution(
         n=n,

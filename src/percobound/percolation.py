@@ -8,8 +8,8 @@ with one copy of alpha per ghost.
 
 Sampling is counter-based (Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC'11): each survival flag is a pure function of (seed,
-trial_index, vertex), so trials can be evaluated in any order, on any number
-of threads, with identical results on every platform.
+trial_index, vertex), so trials can be evaluated in any order, in any number
+of processes, with identical results on every platform.
 
 Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
 trials it draws the (trials x n) grid of survival flags with one vectorized
@@ -55,6 +55,9 @@ per-trial CSV.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,6 +95,97 @@ _CHUNK_ENTRIES = 1 << 15
 def _chunk_length(n: int) -> int:
     """Trials (or masks) per chunk: as many n x n matrices as fit, at least one."""
     return max(1, _CHUNK_ENTRIES // (n * n))
+
+
+def _map_in_order(fn, args, workers: int):
+    """Yield fn(a) for each a of the sequence args, in order, on `workers` processes.
+
+    Item i runs on worker i % workers.  Worker 0 is the calling process; each
+    other worker is a child, forked at the first next(), that pickles its
+    results, in order, into a pipe of its own.  A full pipe stops a child, so it
+    runs at most a pipe buffer ahead of the caller, and memory does not grow
+    with len(args).  A child inherits the caller's state, BLAS thread count
+    included, so the results are the bits the serial loop gives.  An
+    exception that fn raises in a child is raised here at that item's place
+    in the order.  When the generator finishes, fails or is closed, every
+    child is killed and reaped.  Off Linux, or with one worker, the items run
+    serially in this process.
+    """
+    workers = min(workers, len(args))
+    if workers <= 1 or not sys.platform.startswith("linux") or not hasattr(os, "fork"):
+        yield from map(fn, args)
+        return
+    import signal  # only here: the import costs every run about a millisecond
+
+    pids, pipes = [], []
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    for pipe in pipes:
+                        pipe.close()
+                    _serve(fn, args[k::workers], write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        for i, a in enumerate(args):
+            k = i % workers
+            if k == 0:
+                yield fn(a)
+                continue
+            try:
+                ok, value = pickle.load(pipes[k - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pids[k - 1]} exited early") from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(fn, args, fd: int):
+    """Child side of _map_in_order: write (True, fn(a)) for each a to fd, or
+    (False, exception) for the first call that raises, then exit."""
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for a in args:
+                try:
+                    message = pickle.dumps((True, fn(a)), pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                    out.write(_pickled_error(exc))
+                    break
+                out.write(message)
+                out.flush()
+    finally:
+        # skip atexit handlers and the flush of buffers inherited from the caller
+        os._exit(0)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """(False, exc) pickled, or a RuntimeError naming exc where exc does not
+    survive a pickle round trip; the child's traceback is added as a note."""
+    import traceback
+
+    if hasattr(exc, "add_note"):  # Python 3.11 and later
+        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+    try:
+        message = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(message)
+    except Exception:  # noqa: BLE001 - any failure means: send a plain error
+        message = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")),
+                               pickle.HIGHEST_PROTOCOL)
+    return message
 
 
 def _splitmix64(x: int) -> int:

@@ -287,7 +287,7 @@ def test_acceptance_8_eigensolver_closed_forms():
 
 
 def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch):
-    """Simulation reports are byte-identical for any worker thread count."""
+    """Simulation reports are byte-identical for any worker count."""
 
     def check():
         argv_base = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8",

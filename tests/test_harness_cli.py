@@ -34,6 +34,8 @@ from percobound.harness_cli import (
     resolve_threads,
     run_experiment,
 )
+from percobound.oracle import STATISTIC_KINDS
+from percobound.percolation import _chunk_length
 
 import harness_reference
 import theory_reference
@@ -290,13 +292,29 @@ class TestSimulate:
         assert large <= 1.25 * small
 
     def test_memory_does_not_grow_with_trials_on_two_threads(self, tmp_path):
-        # the peak also holds a worker's chunk allocated while the main thread
-        # writes CSV rows, an overlap (about 120 KB) that a run of a few chunks
-        # may miss but one of 22 chunks (20,000 trials) holds; a pool that
-        # submitted every chunk at once would hold about twice as much at
-        # 100,000 trials as at 20,000
+        # two workers: this process evaluates every other chunk and unpickles
+        # the rest from one forked child, whose own memory tracemalloc does not
+        # see.  The child runs at most a pipe buffer ahead, and each chunk it
+        # sends is read only when its turn in the trial order comes, so the
+        # peak here holds about one chunk of each kind, the same at 100,000
+        # trials (110 chunks) as at 20,000 (22 chunks); a reader that took in
+        # every chunk the child sent, before its turn, would hold about five
+        # times as much at 100,000 trials
         small, large = self._traced_peaks(tmp_path / "trials.csv", 2, (20_000, 100_000))
         assert large <= 1.25 * small
+
+    def test_hypercube_report_identical_for_one_and_two_workers(self, tmp_path, monkeypatch):
+        # one trial per chunk at order 256, so the child runs every other trial
+        # with OpenBLAS threads of its own; the CSV needs all three eigensolves
+        outputs = set()
+        for workers in ("1", "2"):
+            out, csv_path = tmp_path / f"{workers}.json", tmp_path / f"{workers}.csv"
+            monkeypatch.setenv("PERCOBOUND_THREADS", workers)
+            assert run_cli(["simulate", "--family", "hypercube", "--k", "8", "--p", "0.9",
+                            "--alpha", "7.2", "--epsilon", "0.1", "--trials", "6",
+                            "--output", str(out), "--trials-csv", str(csv_path)]) == EXIT_OK
+            outputs.add((out.read_bytes(), csv_path.read_bytes()))
+        assert len(outputs) == 1
 
     def test_monte_carlo_agrees_with_exhaustive_probability(self, c4):
         # connected fraction from 10^4 trials vs the exact enumeration
@@ -415,6 +433,49 @@ class TestOracle:
                         "--p", "0.5", "--kind", "a_delta"])
         assert code == EXIT_USAGE
         assert "capped at 20" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", STATISTIC_KINDS)
+    @pytest.mark.parametrize("n, chunks", [(12, 19), (4, 1)])
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch, capsys,
+                                                     kind, n, chunks):
+        assert -(-(1 << n) // _chunk_length(n)) == chunks
+        argv = ["oracle", "--family", "cycle", "--n", str(n), "--p", "0.7",
+                "--alpha", "1.5", "--kind", kind]
+        outputs = set()
+        for workers in (None, "1", "2", "3"):
+            if workers is None:
+                monkeypatch.delenv("PERCOBOUND_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("PERCOBOUND_THREADS", workers)
+            csv_path, json_path = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
+            assert run_cli(argv) == EXIT_OK
+            to_stdout = capsys.readouterr()
+            assert run_cli(argv + ["--output", str(csv_path)]) == EXIT_OK
+            to_csv = capsys.readouterr()
+            assert run_cli(argv + ["--format", "json", "--output", str(json_path)]) == EXIT_OK
+            to_json = capsys.readouterr()
+            assert to_csv.out == to_json.out == ""
+            outputs.add((to_stdout.out, to_stdout.err, csv_path.read_text(), to_csv.err,
+                         json_path.read_text(), to_json.err))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("env, workers", [(None, 3), ("1", 1), ("0", 3), ("2", 2)])
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch, capsys, env, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        if env is None:
+            monkeypatch.delenv("PERCOBOUND_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PERCOBOUND_THREADS", env)
+        seen = []
+
+        def recording(*args, workers=1):
+            seen.append(workers)
+            return exact_distribution(*args)
+
+        monkeypatch.setattr(harness_cli, "exact_distribution", recording)
+        assert run_cli(["oracle", "--family", "path", "--n", "3", "--p", "0.5",
+                        "--kind", "connectivity_indicator"]) == EXIT_OK
+        assert seen == [workers]
 
 
 @pytest.mark.parametrize("command", [
@@ -577,7 +638,26 @@ class TestResolveThreads:
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")
-        assert resolve_threads() == (os.cpu_count() or 1)
+        assert resolve_threads() == harness_cli.usable_cpus()
+
+    def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # as under taskset -c 0 on a machine with more CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("PERCOBOUND_THREADS", "0")
+        assert harness_cli.usable_cpus() == 1
+        assert resolve_threads() == 1
+        monkeypatch.delenv("PERCOBOUND_THREADS")
+        assert resolve_threads() == 1
+        assert resolve_threads(harness_cli.usable_cpus()) == 1
+
+    @pytest.mark.parametrize("installed, usable", [(8, 8), (None, 1)])
+    def test_auto_falls_back_to_the_installed_cpus(self, monkeypatch, installed, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: installed)
+        monkeypatch.setenv("PERCOBOUND_THREADS", "0")
+        assert harness_cli.usable_cpus() == usable
+        assert resolve_threads() == usable
 
     def test_unset_means_one(self, monkeypatch):
         monkeypatch.delenv("PERCOBOUND_THREADS", raising=False)

@@ -6,6 +6,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from percobound import (
     SurvivalProfile,
@@ -17,6 +19,8 @@ from percobound import (
 )
 from percobound import spectral
 from percobound.oracle import MAX_ENUM_VERTICES, STATISTIC_KINDS
+
+from conftest import probabilities, weighted_graphs
 
 
 def bfs_connected_on_survivors(g, delta):
@@ -124,6 +128,26 @@ class TestExactDistribution:
         with pytest.raises(ValueError, match="length"):
             exact_distribution(p3, SurvivalProfile.uniform(4, 0.5), alpha=1.0,
                                statistic_kind="a_delta")
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=weighted_graphs(min_n=9, max_n=11), data=st.data(),
+       alpha=st.just(0.0) | st.floats(0.0, 50.0), kind=st.sampled_from(STATISTIC_KINDS),
+       workers=st.integers(2, 4))
+# 2 to 8 chunks of masks, p = 0 and p = 1 entries, alpha = 0
+@example(g=generate("cycle", n=10), data=None, alpha=0.0, kind="deviation_norm", workers=3)
+@example(g=generate("cycle", n=11), data=None, alpha=0.0, kind="a_delta", workers=2)
+def test_worker_count_changes_no_bit(g, data, alpha, kind, workers):
+    if data is None:
+        p = [0.0, 1.0, 0.5, 1.0, 0.0] + [0.8] * (g.n - 5)
+    else:
+        p = data.draw(st.lists(probabilities, min_size=g.n, max_size=g.n))
+    profile = SurvivalProfile(p)
+    serial = exact_distribution(g, profile, alpha, kind)
+    parallel = exact_distribution(g, profile, alpha, kind, workers=workers)
+    for name in ("patterns", "probabilities", "statistics"):
+        a, b = getattr(serial, name), getattr(parallel, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestExactTail:
