@@ -33,12 +33,10 @@ from .percolation import (
     PercolationSample,
     SurvivalProfile,
     TrialBlock,
-    TrialRecord,
     algebraic_connectivity_survivors,
     augmented_laplacian,
     expected_augmented_laplacian,
     percolated_laplacian,
-    run_trial,
     sample,
     survivor_connectivity,
     trial_block,
@@ -67,7 +65,6 @@ __all__ = [
     "SurvivalProfile",
     "ThresholdReport",
     "TrialBlock",
-    "TrialRecord",
     "WeightedGraph",
     "algebraic_connectivity_survivors",
     "augmented_laplacian",
@@ -92,7 +89,6 @@ __all__ = [
     "optimize_alpha",
     "percolated_laplacian",
     "read_graph",
-    "run_trial",
     "sample",
     "spectral_norm",
     "survival_threshold",

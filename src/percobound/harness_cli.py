@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 a mathematical claim the run was supposed to verify
 failed, 2 usage or domain error, or a file that cannot be read or written.
 
-simulate evaluates its trials a chunk at a time with percolation.trial_block
-(sampling, assembly and stacked eigensolves for a whole chunk; see that
-module) and folds each chunk into running aggregates in trial order: counts,
+simulate evaluates its trials a chunk at a time through
+percolation._trial_chunks, the stream trial_block concatenates (sampling,
+assembly and stacked eigensolves for a whole chunk; see that module), and
+folds each chunk into running aggregates in trial order: counts,
 the exact sum of the deviation norms, their maximum, and the first few
 lower-bound violations, which a failed validation names on stderr.  The sum
 is one Python integer, the norms scaled by 2**1074 (every float is a whole
@@ -25,11 +26,13 @@ either way.
 
 The PERCOBOUND_THREADS environment variable sets how many worker processes
 evaluate chunks, for simulate and for oracle alike; 0 picks usable_cpus(),
-the CPUs in this process's affinity mask.  Worker 0 is the calling process;
-the others are forked children that pickle their chunks' results back
-through pipes, in order (see percolation._map_in_order).  Threads cannot
-help here: numpy's eigvalsh holds the GIL, and two threads lost all 10
-alternating benchmark pairs against one.  Unset, simulate runs 1 worker: its
+the CPUs in this process's affinity mask, and a larger count is capped at
+usable_cpus(), so no value runs more workers than there are CPUs to run them.
+Worker 0 is the calling process; the others are forked children that pickle
+their chunks' results back through pipes, in order (see
+percolation._map_in_order).  Threads cannot help here: numpy's eigvalsh
+holds the GIL, and two threads lost all 10 alternating benchmark pairs
+against one.  Unset, simulate runs 1 worker: its
 order-256 eigensolves already keep two OpenBLAS threads busy, and on a
 2-core machine two forked workers, each with OpenBLAS threads of its own,
 took simulate-hypercube8 from 1.38-1.43 s to 2.27-3.89 s (3 runs each) and
@@ -65,15 +68,9 @@ from .graph_core import (
     read_graph,
 )
 from .oracle import STATISTIC_KINDS, exact_distribution
-from .percolation import (
-    SurvivalProfile,
-    _chunk_length,
-    _distinct_rows,
-    _map_in_order,
-    expected_augmented_laplacian,
-    trial_block,
-)
+from .percolation import SurvivalProfile, _distinct_rows, _trial_chunks
 from .theory import (
+    ALPHA_GRID_SIZE,
     THRESHOLD_MODES,
     BoundReport,
     deviation_bound,
@@ -106,7 +103,7 @@ def usable_cpus() -> int:
 
 def resolve_threads(unset: int = 1) -> int:
     """Worker count from PERCOBOUND_THREADS (unset means `unset`, 0 means
-    usable_cpus())."""
+    usable_cpus()), at most usable_cpus()."""
     raw = os.environ.get("PERCOBOUND_THREADS")
     if raw is None:
         return unset
@@ -118,7 +115,7 @@ def resolve_threads(unset: int = 1) -> int:
         raise ValueError(f"PERCOBOUND_THREADS must be non-negative, got {value}")
     if value == 0:
         return usable_cpus()
-    return value
+    return min(value, usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class ExperimentConfig:
     epsilon: float
     trials: int
     seed: int
-    alpha_grid_size: int = 256
+    alpha_grid_size: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -216,23 +213,23 @@ def _bound_for(g: WeightedGraph, profile: SurvivalProfile, alpha_spec, epsilon: 
 
 def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
                    epsilon: float, trials: int, seed: int, threads: int = 1,
-                   alpha_grid_size: int = 256, trials_csv=None):
+                   alpha_grid_size: int = ALPHA_GRID_SIZE, trials_csv=None):
     """Run the Monte Carlo experiment and check the closed-form claims.
 
     alpha_spec is a float or "auto" (grid-optimized).  Trials run in chunks
-    through percolation.trial_block, on `threads` worker processes (this one
+    from percolation._trial_chunks, on `threads` worker processes (this one
     and threads - 1 forked children, see percolation._map_in_order), and
     are folded into the aggregates in trial order, the deviation norms into
     one exact integer sum, so every aggregate is reproducible byte for byte
-    and memory does not grow with `trials`.  If
-    trials_csv is a path, that file receives a header and one row per trial,
-    in trial order.  It is opened only once the inputs have been checked and
-    the bound computed, so a usage error leaves an existing file as it was;
-    it is written a chunk at a time, so a run that fails partway leaves the
-    rows of the chunks done before the failure.  Without trials_csv, a_delta
+    and memory does not grow with `trials`.  If trials_csv is a path, that
+    file receives a header and one row per trial, in trial order.  It is
+    opened only once the bound is computed and _trial_chunks has checked the
+    inputs, so a usage error leaves an existing file as it was; it is
+    written a chunk at a time, so a run that fails partway leaves the rows
+    of the chunks done before the failure.  Without trials_csv, a_delta
     is only compared with each trial's level, min(lambda2_expected -
     deviation norm, alpha) - LOWER_BOUND_SLACK (the slack read at each call),
-    and trial_block gets the same levels, so it skips the survivor
+    and the kernel gets the same levels, so it skips the survivor
     eigensolves whose comparison cannot fail, and the eigensolve of
     lambda2_augmented, which only that file reports.  The summary and
     violations are the same either way.
@@ -244,9 +241,6 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     alpha, report = _bound_for(g, profile, alpha_spec, epsilon, alpha_grid_size)
-    expected = expected_augmented_laplacian(g, profile, alpha)
-    step = _chunk_length(g.n)
-    starts = range(0, trials, step)
 
     def lower_bounds(devs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each trial's lower bound on a_delta, and the level a_delta must reach."""
@@ -257,10 +251,8 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     # the CSV prints every statistic; without it a_delta is only compared
     # with its level, so the kernel may skip the solves that cannot fail
     levels = None if trials_csv is not None else lambda devs: lower_bounds(devs)[1]
-
-    def chunk(start: int):
-        return trial_block(g, profile, alpha, seed, start, min(step, trials - start), expected,
-                           levels)
+    # checked here, before the CSV is opened; the chunks run as the loop asks
+    chunks = _trial_chunks(g, profile, alpha, seed, 0, trials, levels, threads)
 
     connected = tail_hits = violation_count = 0
     max_dev = -math.inf
@@ -268,10 +260,10 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     violations = []
     csv_file = (contextlib.nullcontext() if trials_csv is None
                 else open(trials_csv, "w", encoding="utf-8"))
-    with csv_file as fh, contextlib.closing(_map_in_order(chunk, starts, threads)) as blocks:
+    with csv_file as fh, contextlib.closing(chunks):
         if fh is not None:
             fh.write(TRIALS_CSV_HEADER)
-        for start, block in zip(starts, blocks):
+        for start, block in chunks:
             devs = block.deviation_norm
             connected += int(np.count_nonzero(block.is_connected))
             tail_hits += int(np.count_nonzero(devs > report.total))
@@ -563,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile(p_bound)
     p_bound.add_argument("--alpha", default="auto",
                          help='ghost diagonal weight, or "auto" to grid-optimize')
-    p_bound.add_argument("--alpha-grid", type=int, default=256, help="alpha grid size")
+    p_bound.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE,
+                         help="alpha grid size")
     p_bound.add_argument("--epsilon", type=float, required=True, help="failure probability")
     p_bound.set_defaults(func=cmd_bound)
 
@@ -572,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_sim)
     _add_profile(p_sim)
     p_sim.add_argument("--alpha", default="auto")
-    p_sim.add_argument("--alpha-grid", type=int, default=256)
+    p_sim.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE)
     p_sim.add_argument("--epsilon", type=float, required=True)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--trials-csv", default=None, help="also write one CSV row per trial")

@@ -33,10 +33,9 @@ from .percolation import (
     _add_ghost_diagonal,
     _check_alpha,
     _check_lengths,
-    _chunk_length,
+    _chunks,
     _distinct_rows,
     _live_edges,
-    _map_in_order,
     _percolated,
     _survivor_lambda2,
     _survivors_connected,
@@ -150,9 +149,10 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     per-sample functions give for that pattern.  alpha must be finite and
     non-negative for every kind, also those that do not use it.
 
-    The chunks of masks run on `workers` processes, the caller and
-    workers - 1 forked children (see percolation._map_in_order), and every
-    statistic has the same bits for any worker count.
+    The chunks of masks run through percolation._chunks on `workers`
+    processes, the caller and workers - 1 forked children (see
+    percolation._map_in_order), and every statistic has the same bits for
+    any worker count.
     """
     _check_enumerable(g.n)
     _check_alpha(alpha)
@@ -170,11 +170,9 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
         expected = expected_augmented_laplacian(g, profile, alpha)
 
     bit = np.arange(n)
-    chunk = _chunk_length(n)
-    starts = range(0, count, chunk)
 
-    def chunk_statistics(start: int) -> np.ndarray:
-        delta = ((np.arange(start, min(start + chunk, count))[:, None] >> bit) & 1).astype(bool)
+    def chunk_statistics(first: int, last: int) -> np.ndarray:
+        delta = ((np.arange(first, last)[:, None] >> bit) & 1).astype(bool)
         live = _live_edges(g, delta)
         if statistic_kind == "connectivity_indicator":
             return _survivors_connected(g, delta, live)
@@ -184,9 +182,9 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
             return spectral_norm(laplacians - expected)
         return _survivor_lambda2(laplacians, delta)
 
-    with contextlib.closing(_map_in_order(chunk_statistics, starts, workers)) as results:
-        for start, values in zip(starts, results):
-            statistics[start:start + chunk] = values
+    with contextlib.closing(_chunks(chunk_statistics, 0, count, n, workers)) as chunks:
+        for first, values in chunks:
+            statistics[first:first + len(values)] = values
 
     return ExactDistribution(
         n=n,
@@ -223,13 +221,14 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
     _check_enumerable(n)
     count = 1 << n
     probabilities = _pattern_probabilities(profile.p)
-    hits = []
     bit = np.arange(n)
-    chunk = _chunk_length(X.shape[1])
-    for start in range(0, count, chunk):
-        masks = np.arange(start, min(start + chunk, count))
+
+    def chunk_hits(first: int, last: int) -> list:
+        masks = np.arange(first, last)
         coeff = ((masks[:, None] >> bit) & 1) - profile.p
         S = np.einsum("ci,ijk->cjk", coeff, X)
         norms = spectral_norm(0.5 * (S + S.mT))
-        hits += probabilities[masks[norms >= t]].tolist()
-    return math.fsum(hits)
+        return probabilities[masks[norms >= t]].tolist()
+
+    return math.fsum([q for _, hits in _chunks(chunk_hits, 0, count, X.shape[1])
+                      for q in hits])

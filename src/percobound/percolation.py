@@ -11,22 +11,25 @@ as 1, 2, 3", SC'11): each survival flag is a pure function of (seed,
 trial_index, vertex), so trials can be evaluated in any order, in any number
 of processes, with identical results on every platform.
 
-Monte Carlo trials run through one chunk kernel, trial_block.  For a chunk of
-trials it draws the (trials x n) grid of survival flags with one vectorized
-hash and groups the grid's rows into distinct survival patterns.  Every
-per-trial statistic depends on the trial's flags alone, and entry k of a
-stack's spectral_norm or lambda2 equals the value for matrix k alone (see
-the spectral module), so each distinct pattern is evaluated once and its
-results are copied to the trials that drew it: the same bits as evaluating
-every trial.  On the 6-cycle at p = 0.8, 5,000 trials (seed 0) hold 299
-distinct (chunk, pattern) pairs.  The kernel assembles the patterns'
-percolated Laplacians as one stack from the graph's edge arrays, adds the
-ghost diagonal and reduces stacks through spectral_norm and lambda2, one
-eigensolve each, in this order: the deviation norms, a_delta (one stack per
-survivor count), then lambda_2 of the augmented Laplacians.  The deviation
-stack is formed out of place, and the ghost diagonal adds alpha * 0 = +0.0
-to each survivor's diagonal entry, a weighted-degree sum that is never -0.0,
-so the survivor blocks read after it keep their bits.
+Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
+stream feeds: _trial_chunks checks the inputs, then walks the trials through
+_chunks, the one chunk driver, which the oracle's mask loops share.
+trial_block concatenates that stream, and simulate folds it a chunk at a
+time.  For a chunk of trials the kernel draws the (trials x n) grid of
+survival flags with one vectorized hash and groups the grid's rows into
+distinct survival patterns.  Every per-trial statistic depends on the trial's
+flags alone, and entry k of a stack's spectral_norm or lambda2 equals the
+value for matrix k alone (see the spectral module), so each distinct pattern
+is evaluated once and its results are copied to the trials that drew it: the
+same bits as evaluating every trial.  On the 6-cycle at p = 0.8, 5,000 trials
+(seed 0) hold 299 distinct (chunk, pattern) pairs.  The kernel assembles the
+patterns' percolated Laplacians as one stack from the graph's edge arrays,
+adds the ghost diagonal and reduces stacks through spectral_norm and lambda2,
+one eigensolve each, in this order: the deviation norms, a_delta (one stack
+per survivor count), then lambda_2 of the augmented Laplacians.  The
+deviation stack is formed out of place, and the ghost diagonal adds
+alpha * 0 = +0.0 to each survivor's diagonal entry, a weighted-degree sum
+that is never -0.0, so the survivor blocks read after it keep their bits.
 Connectivity is union-find over the patterns' live edges, with whole-array
 hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
 entries, so memory is O(chunk * n^2) whatever the trial count.  The
@@ -54,6 +57,7 @@ per-trial CSV.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -68,7 +72,6 @@ from .spectral import lambda2, spectral_norm
 __all__ = [
     "SurvivalProfile",
     "PercolationSample",
-    "TrialRecord",
     "TrialBlock",
     "sample",
     "percolated_laplacian",
@@ -77,7 +80,6 @@ __all__ = [
     "survivor_connectivity",
     "algebraic_connectivity_survivors",
     "trial_block",
-    "run_trial",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -88,13 +90,28 @@ _U64 = np.uint64
 
 # Matrix entries in one chunk's stack of n x n matrices: 910 trials at n = 6,
 # 145 masks at n = 15, one matrix from n = 182 on.  Larger chunks raise peak
-# memory without running faster.  Shared by trial_block and the oracle.
+# memory without running faster.  Shared by the trials and the oracle (_chunks).
 _CHUNK_ENTRIES = 1 << 15
 
 
 def _chunk_length(n: int) -> int:
     """Trials (or masks) per chunk: as many n x n matrices as fit, at least one."""
     return max(1, _CHUNK_ENTRIES // (n * n))
+
+
+def _chunks(fn, start: int, stop: int, order: int, workers: int = 1):
+    """Yield (first, fn(first, last)) for consecutive ranges [first, last)
+    covering [start, stop), each at most _chunk_length(order) items long.
+
+    The ranges run through _map_in_order on `workers` processes and come
+    back in order; closing this generator closes that one, so every child
+    is killed and reaped.
+    """
+    step = _chunk_length(order)
+    firsts = range(start, stop, step)
+    results = _map_in_order(lambda first: fn(first, min(first + step, stop)), firsts, workers)
+    with contextlib.closing(results):
+        yield from zip(firsts, results)
 
 
 def _map_in_order(fn, args, workers: int):
@@ -263,18 +280,6 @@ class PercolationSample:
     @property
     def survivor_count(self) -> int:
         return int(self.delta.sum())
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo trial as run_trial returns it: its sample and statistics."""
-
-    sample: PercolationSample
-    survivor_count: int
-    is_connected: bool
-    a_delta: float
-    deviation_norm: float
-    lambda2_augmented: float
 
 
 @dataclass(frozen=True)
@@ -496,26 +501,14 @@ def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> 
     return float(_survivor_lambda2(_percolated(g, _live_edges(g, delta)), delta)[0])
 
 
-def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
-                start: int, count: int, expected: np.ndarray | None = None,
-                levels=None) -> TrialBlock:
-    """Sample and evaluate trials start, start + 1, ..., start + count - 1.
+def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
+                  start: int, count: int, levels=None, workers: int = 1):
+    """Check the inputs, then return a generator of (first, TrialBlock) for
+    the chunks of trials start, ..., start + count - 1, in trial order.
 
-    Entry k of each array is, bit for bit, what run_trial(g, profile, alpha,
-    seed, start + k) records.  The trials are evaluated a chunk at a time,
-    with up to three eigensolves per distinct survival pattern of a chunk
-    (see the module docstring).  Trials that draw the same pattern share its
-    results.  expected lets callers amortize the expected augmented
-    Laplacian across calls; it must equal
-    expected_augmented_laplacian(g, profile, alpha).
-
-    levels, for callers that only test a_delta < level, maps an array of
-    deviation norms to the level of each entry, element by element.  A
-    survivor block is then solved only where its level is at least
-    _a_delta_floor(g); below that no computed a_delta is less than the
-    level, and a_delta is NaN there (NaN < level is false as well).  The
-    eigensolve of the augmented Laplacians is skipped and lambda2_augmented
-    is None.  Every other entry of every array keeps its bits.
+    The chunks run on `workers` processes (see _map_in_order).  The checks
+    and the expected augmented Laplacian run here, before anything is
+    forked, so a bad input raises before the generator is started.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -525,37 +518,36 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     if g.n < 2:
         raise ValueError("trials need a graph on at least 2 vertices: lambda_2 of "
                          "the augmented Laplacian is undefined below that")
-    if expected is None:
-        expected = expected_augmented_laplacian(g, profile, alpha)
-    stop = start + count
-    step = _chunk_length(g.n)
-    blocks = [
-        _evaluate_chunk(g, alpha, expected,
-                        _unit_uniforms(seed, first, min(step, stop - first), g.n) < profile.p,
-                        levels)
-        for first in range(start, stop, step)
-    ]
+    expected = expected_augmented_laplacian(g, profile, alpha)
+
+    def evaluate(first: int, last: int) -> TrialBlock:
+        delta = _unit_uniforms(seed, first, last - first, g.n) < profile.p
+        return _evaluate_chunk(g, alpha, expected, delta, levels)
+
+    return _chunks(evaluate, start, start + count, g.n, workers)
+
+
+def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
+                start: int, count: int, levels=None) -> TrialBlock:
+    """Sample and evaluate trials start, start + 1, ..., start + count - 1.
+
+    Entry k of each array is, bit for bit, entry 0 of trial_block(g,
+    profile, alpha, seed, start + k, 1), whose flags sample(profile, seed,
+    start + k) draws.  The trials are evaluated a chunk at a time, with up
+    to three eigensolves per distinct survival pattern of a chunk (see the
+    module docstring).  Trials that draw the same pattern share its results.
+
+    levels, for callers that only test a_delta < level, maps an array of
+    deviation norms to the level of each entry, element by element.  A
+    survivor block is then solved only where its level is at least
+    _a_delta_floor(g); below that no computed a_delta is less than the
+    level, and a_delta is NaN there (NaN < level is false as well).  The
+    eigensolve of the augmented Laplacians is skipped and lambda2_augmented
+    is None.  Every other entry of every array keeps its bits.
+    """
+    blocks = [block for _, block in _trial_chunks(g, profile, alpha, seed, start, count, levels)]
     if len(blocks) == 1:
         return blocks[0]
     columns = ([getattr(b, f.name) for b in blocks] for f in fields(TrialBlock))
     return TrialBlock(*(None if parts[0] is None else np.concatenate(parts)
                         for parts in columns))
-
-
-def run_trial(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
-              seed: int, trial_index: int, _expected: np.ndarray | None = None) -> TrialRecord:
-    """Sample one realization and record its connectivity and deviation data.
-
-    This is trial_block for one trial.  _expected lets callers amortize the
-    expected augmented Laplacian across trials; it must equal
-    expected_augmented_laplacian(g, profile, alpha).
-    """
-    block = trial_block(g, profile, alpha, seed, trial_index, 1, _expected)
-    return TrialRecord(
-        sample=sample(profile, seed, trial_index),
-        survivor_count=int(block.survivor_count[0]),
-        is_connected=bool(block.is_connected[0]),
-        a_delta=float(block.a_delta[0]),
-        deviation_norm=float(block.deviation_norm[0]),
-        lambda2_augmented=float(block.lambda2_augmented[0]),
-    )

@@ -46,6 +46,8 @@ __all__ = [
 K_MAX = 0.5 / math.sqrt(2.0)
 
 THRESHOLD_MODES = ("closed_form", "bisection")
+# points of each optimize_alpha grid pass, unless the caller gives another count
+ALPHA_GRID_SIZE = 256
 
 _BISECTION_TOL = 1e-12
 _SWEEP_POINTS = 1000
@@ -288,7 +290,7 @@ def _better(candidate: BoundReport, incumbent: BoundReport | None) -> bool:
 
 
 def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
-                   alpha_grid_size: int = 256) -> tuple[float, BoundReport]:
+                   alpha_grid_size: int = ALPHA_GRID_SIZE) -> tuple[float, BoundReport]:
     """Pick alpha maximizing a_lower_bound on a deterministic grid.
 
     The grid spans [0, 2 * max_i sum_j p_j w_ij] plus the mean-row-sum

@@ -32,12 +32,13 @@ from percobound import (
     generate,
     kearns_saul_k,
     lambda2,
-    run_trial,
     sample,
     survival_threshold,
     survivor_connectivity,
     threshold_constants,
+    trial_block,
 )
+from percobound import harness_cli
 from percobound.harness_cli import main
 
 from conftest import petersen_graph, petersen_induced_8
@@ -167,15 +168,11 @@ def test_acceptance_4_per_trial_lower_bound():
             profile = _profiles_for(g.n)[profile_ix]
             mean_row = _mean_row_alpha(g, profile)
             alpha = [0.3 * mean_row, mean_row, 1.7 * mean_row][index % 3]
-            expected = expected_augmented_laplacian(g, profile, alpha)
-            lam2 = lambda2(expected)
-            for trial in range(trials):
-                record = run_trial(g, profile, alpha, seed=909, trial_index=trial,
-                                   _expected=expected)
-                lower = min(lam2 - record.deviation_norm, alpha)
-                total += 1
-                if record.a_delta < lower - 1e-8:
-                    violations += 1
+            lam2 = lambda2(expected_augmented_laplacian(g, profile, alpha))
+            block = trial_block(g, profile, alpha, seed=909, start=0, count=trials)
+            lower = np.minimum(lam2 - block.deviation_norm, alpha)
+            total += len(block)
+            violations += int(np.count_nonzero(block.a_delta < lower - 1e-8))
         assert total == 24 * trials >= 10_000
         assert violations == 0, f"{violations} of {total} trials violated the bound"
 
@@ -288,6 +285,9 @@ def test_acceptance_8_eigensolver_closed_forms():
 
 def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch):
     """Simulation reports are byte-identical for any worker count."""
+
+    # PERCOBOUND_THREADS is capped at usable_cpus(); at 8 no count below is cut
+    monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 8)
 
     def check():
         argv_base = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8",

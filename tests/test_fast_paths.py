@@ -32,7 +32,6 @@ from percobound import (
     optimize_alpha,
     oracle,
     percolation,
-    run_trial,
     spectral,
     theory,
     trial_block,
@@ -270,10 +269,10 @@ def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
                                    with_lambda2_augmented)
     row = percolation_reference.run_trial(g, profile, alpha, seed, start)
-    record = run_trial(g, profile, alpha, seed, start)
-    assert_identical(record.sample.delta, row[0])
-    assert (record.survivor_count, record.is_connected, record.a_delta,
-            record.deviation_norm, record.lambda2_augmented) == row[1:]
+    one = trial_block(g, profile, alpha, seed, start, 1)
+    assert_identical(percolation.sample(profile, seed, start).delta, row[0])
+    assert (int(one.survivor_count[0]), bool(one.is_connected[0]), float(one.a_delta[0]),
+            float(one.deviation_norm[0]), float(one.lambda2_augmented[0])) == row[1:]
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,7 +335,7 @@ def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
     alpha, seed, trials = 2.4, 0, 5000
     expected = expected_augmented_laplacian(g, profile, alpha)
     chunks = record_solves(monkeypatch)
-    trial_block(g, profile, alpha, seed, 0, trials, expected)
+    trial_block(g, profile, alpha, seed, 0, trials)
     step = percolation._chunk_length(g.n)
     assert len(chunks) == 6
     distinct_total = 0

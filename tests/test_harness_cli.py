@@ -166,6 +166,8 @@ class TestSimulate:
         assert payload["bound_report"]["total"] == pytest.approx(8.7630291177550832, abs=1e-9)
 
     def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, monkeypatch):
+        # as on 4 CPUs or more, so PERCOBOUND_THREADS=4 is not capped
+        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 4)
         outputs = []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / f"{name}.json"
@@ -206,7 +208,9 @@ class TestSimulate:
         assert csv_path.read_text() == "kept\n"
 
     def test_reports_and_csv_identical_for_one_two_three_threads(self, tmp_path, monkeypatch):
-        # 327 trials per chunk on the 10-cycle: 2,000 trials make 7 chunks
+        # 327 trials per chunk on the 10-cycle: 2,000 trials make 7 chunks;
+        # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
+        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
         outputs = set()
         for threads in ("1", "2", "3"):
             out, csv_path = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
@@ -439,6 +443,8 @@ class TestOracle:
     def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch, capsys,
                                                      kind, n, chunks):
         assert -(-(1 << n) // _chunk_length(n)) == chunks
+        # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
+        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
         argv = ["oracle", "--family", "cycle", "--n", str(n), "--p", "0.7",
                 "--alpha", "1.5", "--kind", kind]
         outputs = set()
@@ -633,8 +639,15 @@ class TestUsageErrors:
 
 class TestResolveThreads:
     def test_explicit(self, monkeypatch):
+        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
         monkeypatch.setenv("PERCOBOUND_THREADS", "3")
         assert resolve_threads() == 3
+
+    def test_capped_at_the_usable_cpus(self, monkeypatch):
+        # 5000 would fork 4,999 children for an oracle run of 12,946 chunks
+        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 2)
+        monkeypatch.setenv("PERCOBOUND_THREADS", "5000")
+        assert resolve_threads() == 2
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")

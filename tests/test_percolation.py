@@ -1,7 +1,9 @@
 """Sampling determinism, Laplacian assembly, and survivor-connectivity tests."""
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from percobound import (
     generate,
     percolated_laplacian,
     percolation,
-    run_trial,
     sample,
     survivor_connectivity,
     trial_block,
@@ -144,7 +145,7 @@ class TestLaplacians:
         for call in (lambda: augmented_laplacian(c4, s, alpha),
                      lambda: expected_augmented_laplacian(c4, prof, alpha),
                      lambda: trial_block(c4, prof, alpha, 0, 0, 3),
-                     lambda: run_trial(c4, prof, alpha, 0, 0),
+                     lambda: trial_block(c4, prof, alpha, 0, 0, 1),
                      lambda: exact_distribution(c4, prof, alpha, "deviation_norm")):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -290,23 +291,14 @@ def test_a_delta_positive_exactly_when_survivors_connected(case, seed, count):
 class TestRunTrial:
     def test_record_consistency(self, petersen):
         prof = SurvivalProfile.uniform(10, 0.7)
-        rec = run_trial(petersen, prof, alpha=1.5, seed=99, trial_index=3)
+        rec = trial_block(petersen, prof, alpha=1.5, seed=99, start=3, count=1)
         s = sample(prof, 99, 3)
-        assert np.array_equal(rec.sample.delta, s.delta)
-        assert rec.survivor_count == int(s.delta.sum())
+        assert rec.survivor_count[0] == int(s.delta.sum())
         count, connected = survivor_connectivity(petersen, s)
-        assert (rec.survivor_count, rec.is_connected) == (count, connected)
+        assert (rec.survivor_count[0], rec.is_connected[0]) == (count, connected)
         # connectivity decision must agree with the spectral statistic
-        if rec.survivor_count >= 2:
-            assert rec.is_connected == (rec.a_delta > 1e-8)
-
-    def test_precomputed_expected_equivalent(self, c4):
-        prof = SurvivalProfile.uniform(4, 0.6)
-        E = expected_augmented_laplacian(c4, prof, 1.2)
-        a = run_trial(c4, prof, 1.2, seed=5, trial_index=11)
-        b = run_trial(c4, prof, 1.2, seed=5, trial_index=11, _expected=E)
-        assert a.deviation_norm == b.deviation_norm
-        assert a.lambda2_augmented == b.lambda2_augmented
+        if rec.survivor_count[0] >= 2:
+            assert rec.is_connected[0] == (rec.a_delta[0] > 1e-8)
 
     def test_per_trial_lower_bound_holds(self):
         # a_delta >= min(lambda_2(expected) - deviation, alpha) on every trial
@@ -320,9 +312,9 @@ class TestRunTrial:
         for g, prof, alpha in cases:
             lam2 = lambda2(expected_augmented_laplacian(g, prof, alpha))
             for t in range(300):
-                rec = run_trial(g, prof, alpha, seed=31337, trial_index=t)
-                lower = min(lam2 - rec.deviation_norm, alpha)
-                assert rec.a_delta >= lower - 1e-8
+                rec = trial_block(g, prof, alpha, seed=31337, start=t, count=1)
+                lower = min(lam2 - rec.deviation_norm[0], alpha)
+                assert rec.a_delta[0] >= lower - 1e-8
 
 
 @given(st.integers(1, 5).flatmap(lambda k: st.tuples(st.just(k), st.lists(
@@ -334,3 +326,37 @@ def test_distinct_rows_groups_uint64_keys(case):
     first, inverse = percolation._distinct_rows(keys)
     assert np.array_equal(keys[first][inverse], keys)
     assert len({row.tobytes() for row in keys[first]}) == len(first)
+
+
+
+def _mentions(tree: ast.AST, names: set) -> list:
+    """Every node of tree that names one of names: a name, an attribute, an
+    import, a definition or a string constant."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)) and node.name in names
+            or isinstance(node, ast.Constant) and node.value in names]
+
+
+CHUNK_HELPERS = {"_chunk_length", "_map_in_order"}
+
+
+def test_one_chunk_driver_and_no_one_trial_wrapper():
+    # every chunk loop goes through percolation._chunks, and trial_block is
+    # the one Monte Carlo entry point
+    driver, uses, gone = [], [], []
+    for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "percolation.py":
+            driver = [node for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name == "_chunks"
+                      for node in _mentions(fn, CHUNK_HELPERS)]
+        uses += [(path.name, node) for node in _mentions(tree, CHUNK_HELPERS)
+                 if not isinstance(node, ast.FunctionDef)]
+        gone += [f"{path.name}:{node.lineno}"
+                 for node in _mentions(tree, {"run_trial", "TrialRecord"})]
+    assert len(driver) == 2
+    stray = [f"{name}:{node.lineno}" for name, node in uses if node not in driver]
+    assert not stray, stray
+    assert not gone, gone
