@@ -30,7 +30,6 @@ from .oracle import (
     exact_tail,
 )
 from .percolation import (
-    PercolationSample,
     SurvivalProfile,
     TrialBlock,
     algebraic_connectivity_survivors,
@@ -60,7 +59,6 @@ __all__ = [
     "__version__",
     "BoundReport",
     "ExactDistribution",
-    "PercolationSample",
     "RegularityCertificate",
     "SurvivalProfile",
     "ThresholdReport",

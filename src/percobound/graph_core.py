@@ -49,6 +49,13 @@ def is_real(value) -> bool:
         not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real))
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, a Python or a numpy one, and not a bool."""
+    # exact int first, as in is_real
+    return type(value) is int or (
+        not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Integral))
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple undirected graph on vertices 0..n-1 with positive edge weights.
@@ -62,8 +69,10 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        if not is_integer(self.n):
             raise ValueError("vertex count n must be an integer")
+        # stored as Python ints, so that graph_to_dict's JSON takes them
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError("vertex count n must be at least 1")
         normalized = []
@@ -73,9 +82,10 @@ class WeightedGraph:
                 i, j, w = edge
             except (TypeError, ValueError):
                 raise ValueError(f"edge {edge!r} must be (i, j, w)") from None
-            if (not isinstance(i, int) or not isinstance(j, int)
-                    or isinstance(i, bool) or isinstance(j, bool)):
-                raise ValueError(f"edge endpoints must be integers, got {edge!r}")
+            if type(i) is not int or type(j) is not int:
+                if not (is_integer(i) and is_integer(j)):
+                    raise ValueError(f"edge endpoints must be integers, got {edge!r}")
+                i, j = int(i), int(j)
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge {edge!r} endpoint out of range for n={self.n}")
             if i == j:

@@ -337,7 +337,10 @@ def _load_profile(args, n: int) -> tuple[SurvivalProfile, dict]:
     if args.p is not None:
         return SurvivalProfile.uniform(n, args.p), {"uniform_p": args.p}
     with open(args.profile, "r", encoding="utf-8") as fh:
-        values = json.load(fh)
+        try:
+            values = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"could not parse profile file {args.profile}: {exc}") from exc
     if not isinstance(values, list):
         raise ValueError("profile file must hold a JSON array of probabilities")
     profile = SurvivalProfile(values)

@@ -6,13 +6,12 @@ Bernoulli series.  Enumeration is capped at n = 20 vertices.
 
 Both enumerations walk the masks in ascending order, one fixed-size chunk at
 a time, with no per-mask Python: one shift-and-mask decodes a chunk's
-survival flags.  exact_distribution hands them to the percolation module's
-chunk assembly, stacked eigensolves (a_delta: one per survivor count) and
-union-find, the same code the Monte Carlo kernel runs, and can spread the
-chunks over forked worker processes; exact_bernoulli_series_tail forms the
-chunk's partial sums with one einsum and solves them as one stack.  A chunk
-holds at most _CHUNK_ENTRIES matrix entries of order m, so beyond the
-2^n-long arrays the memory is O(chunk * m^2).
+survival flags.  exact_distribution hands that grid to the percolation
+module's per-pattern functions, as the Monte Carlo kernel does, and can
+spread the chunks over forked worker processes; exact_bernoulli_series_tail
+forms the chunk's partial sums with one einsum and solves them as one stack.
+A chunk holds at most _CHUNK_ENTRIES matrix entries of order m, so beyond
+the 2^n-long arrays the memory is O(chunk * m^2).
 
 ExactDistribution.write_csv prints each value as its repr, a block of
 _ROW_BLOCK entries at a time, and formats each distinct probability and
@@ -30,16 +29,14 @@ import numpy as np
 from .graph_core import WeightedGraph
 from .percolation import (
     SurvivalProfile,
-    _add_ghost_diagonal,
     _check_alpha,
     _check_lengths,
     _chunks,
     _distinct_rows,
-    _live_edges,
-    _percolated,
-    _survivor_lambda2,
-    _survivors_connected,
+    algebraic_connectivity_survivors,
+    augmented_laplacian,
     expected_augmented_laplacian,
+    survivor_connectivity,
 )
 from .spectral import spectral_norm
 from .theory import _series_terms
@@ -79,34 +76,35 @@ def _float_reprs(values: np.ndarray) -> list:
 class ExactDistribution:
     """Exact joint table of (pattern, probability, statistic).
 
-    patterns[t] encodes the survival flags of entry t little-endian: bit i is
-    delta_i.  Patterns are in ascending mask order and cover all 2^n of them,
-    so probabilities sum to 1.  statistics may contain +inf (a_delta with
-    fewer than two survivors).
+    Entry t is the survival pattern whose flags are the bits of t, little-
+    endian: bit i is delta_i.  The entries cover all 2^n masks in ascending
+    order, so probabilities sum to 1.  statistics may contain +inf (a_delta
+    with fewer than two survivors).
     """
 
     n: int
     statistic_kind: str
-    patterns: np.ndarray
     probabilities: np.ndarray
     statistics: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.patterns.shape[0])
+        return int(self.probabilities.shape[0])
 
     def total_probability(self) -> float:
         return math.fsum(self.probabilities.tolist())
 
     def pattern_bits(self, t: int) -> str:
         """Binary string of entry t, vertex 0 first."""
-        return _bit_strings(self.patterns[t:t + 1], self.n)[0]
+        if not 0 <= t < len(self):
+            raise IndexError(f"entry {t} is outside [0, {len(self)})")
+        return _bit_strings(np.array([t]), self.n)[0]
 
     def row_blocks(self):
         """Yield (bits, probabilities, statistics) lists for consecutive blocks
         of entries in entry order: pattern_bits strings and Python floats."""
         for start in range(0, len(self), _ROW_BLOCK):
-            stop = start + _ROW_BLOCK
-            yield (_bit_strings(self.patterns[start:stop], self.n),
+            stop = min(start + _ROW_BLOCK, len(self))
+            yield (_bit_strings(np.arange(start, stop), self.n),
                    self.probabilities[start:stop].tolist(),
                    self.statistics[start:stop].tolist())
 
@@ -115,8 +113,8 @@ class ExactDistribution:
         fh.write("pattern_bits,probability,statistic\n")
         # repr(math.inf) is "inf", the CSV's spelling; no statistic is -inf
         for start in range(0, len(self), _ROW_BLOCK):
-            stop = start + _ROW_BLOCK
-            rows = zip(_bit_strings(self.patterns[start:stop], self.n),
+            stop = min(start + _ROW_BLOCK, len(self))
+            rows = zip(_bit_strings(np.arange(start, stop), self.n),
                        _float_reprs(self.probabilities[start:stop]),
                        _float_reprs(self.statistics[start:stop]))
             fh.write("".join([f"{b},{q},{s}\n" for b, q, s in rows]))
@@ -144,10 +142,11 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     statistic_kind is one of deviation_norm (spectral norm of the augmented
     Laplacian minus its expectation, needs alpha), a_delta (algebraic
     connectivity of the survivors, +inf below two survivors), or
-    connectivity_indicator (1.0 if the survivors are connected).  Every
-    statistic equals, bit for bit, the one the percolation module's
-    per-sample functions give for that pattern.  alpha must be finite and
-    non-negative for every kind, also those that do not use it.
+    connectivity_indicator (1.0 if the survivors are connected).  Each
+    chunk's grid of flags goes through the percolation module's per-pattern
+    functions, so every statistic is, bit for bit, what they give that
+    pattern alone.  alpha must be finite and non-negative for every kind,
+    also those that do not use it.
 
     The chunks of masks run through percolation._chunks on `workers`
     processes, the caller and workers - 1 forked children (see
@@ -173,14 +172,11 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
 
     def chunk_statistics(first: int, last: int) -> np.ndarray:
         delta = ((np.arange(first, last)[:, None] >> bit) & 1).astype(bool)
-        live = _live_edges(g, delta)
         if statistic_kind == "connectivity_indicator":
-            return _survivors_connected(g, delta, live)
-        laplacians = _percolated(g, live)
+            return survivor_connectivity(g, delta)[1]
         if statistic_kind == "deviation_norm":
-            _add_ghost_diagonal(laplacians, delta, alpha)
-            return spectral_norm(laplacians - expected)
-        return _survivor_lambda2(laplacians, delta)
+            return spectral_norm(augmented_laplacian(g, delta, alpha) - expected)
+        return algebraic_connectivity_survivors(g, delta)
 
     with contextlib.closing(_chunks(chunk_statistics, 0, count, n, workers)) as chunks:
         for first, values in chunks:
@@ -189,7 +185,6 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     return ExactDistribution(
         n=n,
         statistic_kind=statistic_kind,
-        patterns=np.arange(count, dtype=np.uint32),
         probabilities=probabilities,
         statistics=statistics,
     )

@@ -22,20 +22,22 @@ flags alone, and entry k of a stack's spectral_norm or lambda2 equals the
 value for matrix k alone (see the spectral module), so each distinct pattern
 is evaluated once and its results are copied to the trials that drew it: the
 same bits as evaluating every trial.  On the 6-cycle at p = 0.8, 5,000 trials
-(seed 0) hold 299 distinct (chunk, pattern) pairs.  The kernel assembles the
-patterns' percolated Laplacians as one stack from the graph's edge arrays,
-adds the ghost diagonal and reduces stacks through spectral_norm and lambda2,
-one eigensolve each, in this order: the deviation norms, a_delta (one stack
-per survivor count), then lambda_2 of the augmented Laplacians.  The
+(seed 0) hold 299 distinct (chunk, pattern) pairs.  Every matrix and
+connectivity flag comes from the four per-pattern functions
+(percolated_laplacian, augmented_laplacian, survivor_connectivity,
+algebraic_connectivity_survivors), which take one (n,) pattern of flags or a
+(c, n) grid and give each row of a grid, bit for bit, that row's own result;
+the kernel and the exhaustive oracle call them on whole grids.  The kernel
+reduces the patterns' augmented Laplacians through spectral_norm and lambda2,
+one stacked eigensolve each, in this order: the deviation norms, a_delta (one
+stack per survivor count), then lambda_2 of the augmented Laplacians.  The
 deviation stack is formed out of place, and the ghost diagonal adds
 alpha * 0 = +0.0 to each survivor's diagonal entry, a weighted-degree sum
-that is never -0.0, so the survivor blocks read after it keep their bits.
-Connectivity is union-find over the patterns' live edges, with whole-array
-hooking and path compression.  A chunk holds at most _CHUNK_ENTRIES matrix
-entries, so memory is O(chunk * n^2) whatever the trial count.  The
-per-sample functions (percolated_laplacian, augmented_laplacian,
-survivor_connectivity, algebraic_connectivity_survivors) and the exhaustive
-oracle go through the same assembly and the same connectivity rule.
+that is never -0.0, so the survivor blocks read from the augmented stack keep
+their bits.  Connectivity is union-find over the patterns' live edges, with
+whole-array hooking and path compression.  A chunk holds at most
+_CHUNK_ENTRIES matrix entries, so memory is O(chunk * n^2) whatever the trial
+count.
 
 Without levels, each distinct pattern of a chunk thus costs up to three
 eigensolves, and every statistic is recorded.  A caller that only compares
@@ -71,7 +73,6 @@ from .spectral import lambda2, spectral_norm
 
 __all__ = [
     "SurvivalProfile",
-    "PercolationSample",
     "TrialBlock",
     "sample",
     "percolated_laplacian",
@@ -256,30 +257,13 @@ class SurvivalProfile:
     def uniform(cls, n: int, p: float) -> "SurvivalProfile":
         if n < 1:
             raise ValueError("profile length must be at least 1")
+        # float() would take a bool or a string; the constructor rejects both
+        if not is_real(p):
+            raise ValueError(f"survival probability must be a number, got {p!r}")
         return cls(np.full(n, float(p)))
 
     def __len__(self) -> int:
         return int(self.p.shape[0])
-
-
-@dataclass(frozen=True)
-class PercolationSample:
-    """One realization of the survival flags, with its provenance."""
-
-    delta: np.ndarray
-    seed: int
-    trial_index: int
-
-    def __post_init__(self):
-        arr = np.array(self.delta, dtype=bool, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("delta must be a 1-d boolean vector")
-        arr.setflags(write=False)
-        object.__setattr__(self, "delta", arr)
-
-    @property
-    def survivor_count(self) -> int:
-        return int(self.delta.sum())
 
 
 @dataclass(frozen=True)
@@ -307,10 +291,14 @@ def _check_lengths(g: WeightedGraph, length: int, what: str) -> None:
         raise ValueError(f"{what} has length {length} but the graph has {g.n} vertices")
 
 
-def _sample_rows(g: WeightedGraph, s: PercolationSample) -> np.ndarray:
-    """The sample's flags as a one-row (1, n) grid, after checking its length."""
-    _check_lengths(g, s.delta.shape[0], "sample")
-    return s.delta[None]
+def _flag_grid(g: WeightedGraph, delta) -> tuple[np.ndarray, bool]:
+    """Survival flags as a (c, n) bool grid, and whether they were one (n,) pattern."""
+    grid = np.asarray(delta, dtype=bool)
+    if grid.ndim not in (1, 2):
+        raise ValueError("survival flags must be one (n,) pattern or a (c, n) grid, "
+                         f"got {grid.ndim} dimensions")
+    _check_lengths(g, grid.shape[-1], "sample")
+    return (grid[None], True) if grid.ndim == 1 else (grid, False)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -324,30 +312,18 @@ def _check_trial_index(trial_index: int) -> None:
         raise ValueError("trial_index must be non-negative")
 
 
-def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> PercolationSample:
-    """Draw the survival flags for one trial.
+def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> np.ndarray:
+    """The read-only (n,) bool survival flags of one trial.
 
     delta_i = 1 iff a hash-derived uniform for (seed, trial_index, i) falls
-    below p_i, so p_i = 0 and p_i = 1 are exact.
+    below p_i, so p_i = 0 and p_i = 1 are exact.  Row k of the grid that
+    trial_block draws for trials start, start + 1, ... is sample(profile,
+    seed, start + k).
     """
     _check_trial_index(trial_index)
-    u = _unit_uniforms(seed, trial_index, 1, len(profile))[0]
-    return PercolationSample(delta=u < profile.p, seed=seed, trial_index=trial_index)
-
-
-def _live_edges(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
-    """(c, E) flags: edge k of row r has both endpoints alive."""
-    return delta[:, g.src] & delta[:, g.dst]
-
-
-def _percolated(g: WeightedGraph, live: np.ndarray) -> np.ndarray:
-    # w on live edges, +0.0 on dead ones: the (c, n, n) percolated Laplacians
-    return edge_laplacian(g, np.where(live, g.w, 0.0))
-
-
-def _add_ghost_diagonal(laplacians: np.ndarray, delta: np.ndarray, alpha: float) -> None:
-    diagonal = np.arange(delta.shape[1])
-    laplacians[:, diagonal, diagonal] += alpha * ~delta
+    delta = _unit_uniforms(seed, trial_index, 1, len(profile))[0] < profile.p
+    delta.setflags(write=False)
+    return delta
 
 
 def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
@@ -374,16 +350,17 @@ def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
     return out
 
 
-def _survivors_connected(g: WeightedGraph, delta: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _survivors_connected(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
     """Whether each row's survivors form one component; at most one counts as connected.
 
-    Union-find over the live edges of every row at once: vertex v of row r is
-    node r * n + v, each round hooks the larger root of every edge whose ends
-    are still apart onto the smaller one, then compresses every path to its
-    root.  Ghosts have no live edge, so they stay roots of their own.
+    Union-find over the live edges (both ends alive) of every row at once:
+    vertex v of row r is node r * n + v, each round hooks the larger root of
+    every edge whose ends are still apart onto the smaller one, then
+    compresses every path to its root.  Ghosts have no live edge, so they
+    stay roots of their own.
     """
     c, n = delta.shape
-    rows, edges = np.nonzero(live)
+    rows, edges = np.nonzero(delta[:, g.src] & delta[:, g.dst])
     a = rows * n + g.src[edges]
     b = rows * n + g.dst[edges]
     root = np.arange(c * n)
@@ -436,33 +413,39 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
     # order (see the module docstring)
     first, inverse = _distinct_rows(np.packbits(delta, axis=1))
     patterns = delta[first]
-    live = _live_edges(g, patterns)
-    laplacians = _percolated(g, live)
-    _add_ghost_diagonal(laplacians, patterns, alpha)
+    laplacians = augmented_laplacian(g, patterns, alpha)
     deviation_norm = spectral_norm(laplacians - expected)
     solve = None if levels is None else levels(deviation_norm) >= _a_delta_floor(g)
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
+    survivor_count, is_connected = survivor_connectivity(g, patterns)
     return TrialBlock(
-        survivor_count=patterns.sum(axis=1)[inverse],
-        is_connected=_survivors_connected(g, patterns, live)[inverse],
+        survivor_count=survivor_count[inverse],
+        is_connected=is_connected[inverse],
         a_delta=a_delta[inverse],
         deviation_norm=deviation_norm[inverse],
         lambda2_augmented=lambda2(laplacians)[inverse] if levels is None else None,
     )
 
 
-def percolated_laplacian(g: WeightedGraph, s: PercolationSample) -> np.ndarray:
-    """Laplacian of the graph after deleting non-survivors (n x n, zero rows for ghosts)."""
-    return _percolated(g, _live_edges(g, _sample_rows(g, s)))[0]
+def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
+    """Laplacian of the graph after deleting non-survivors (n x n, zero rows for ghosts).
+
+    delta is one (n,) pattern of survival flags, or a (c, n) grid for a (c, n, n) stack.
+    """
+    grid, single = _flag_grid(g, delta)
+    # w on live edges (both ends alive), +0.0 on dead ones
+    laplacians = edge_laplacian(g, np.where(grid[:, g.src] & grid[:, g.dst], g.w, 0.0))
+    return laplacians[0] if single else laplacians
 
 
-def augmented_laplacian(g: WeightedGraph, s: PercolationSample, alpha: float) -> np.ndarray:
+def augmented_laplacian(g: WeightedGraph, delta, alpha: float) -> np.ndarray:
     """Percolated Laplacian plus alpha on each ghost's diagonal entry."""
     _check_alpha(alpha)
-    delta = _sample_rows(g, s)
-    laplacians = _percolated(g, _live_edges(g, delta))
-    _add_ghost_diagonal(laplacians, delta, alpha)
-    return laplacians[0]
+    grid, single = _flag_grid(g, delta)
+    laplacians = percolated_laplacian(g, grid)
+    diagonal = np.arange(g.n)
+    laplacians[:, diagonal, diagonal] += alpha * ~grid
+    return laplacians[0] if single else laplacians
 
 
 def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
@@ -480,25 +463,28 @@ def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
     return L
 
 
-def survivor_connectivity(g: WeightedGraph, s: PercolationSample) -> tuple[int, bool]:
+def survivor_connectivity(g: WeightedGraph, delta) -> tuple:
     """(survivor count, connected flag) for the surviving induced subgraph.
 
     Connectivity is decided combinatorially by union-find; zero or one
-    survivor counts as connected.
+    survivor counts as connected.  A (c, n) grid gives two arrays: the
+    counts and the flags of its rows.
     """
-    delta = _sample_rows(g, s)
-    connected = _survivors_connected(g, delta, _live_edges(g, delta))
-    return s.survivor_count, bool(connected[0])
+    grid, single = _flag_grid(g, delta)
+    counts = grid.sum(axis=1)
+    connected = _survivors_connected(g, grid)
+    return (int(counts[0]), bool(connected[0])) if single else (counts, connected)
 
 
-def algebraic_connectivity_survivors(g: WeightedGraph, s: PercolationSample) -> float:
+def algebraic_connectivity_survivors(g: WeightedGraph, delta) -> float | np.ndarray:
     """lambda_2 of the surviving induced subgraph's Laplacian.
 
     With zero or one survivor there is nothing to disconnect and the value
-    is +infinity by convention.
+    is +infinity by convention.  A (c, n) grid gives an array, one value per row.
     """
-    delta = _sample_rows(g, s)
-    return float(_survivor_lambda2(_percolated(g, _live_edges(g, delta)), delta)[0])
+    grid, single = _flag_grid(g, delta)
+    values = _survivor_lambda2(percolated_laplacian(g, grid), grid)
+    return float(values[0]) if single else values
 
 
 def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
@@ -532,10 +518,11 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, entry 0 of trial_block(g,
-    profile, alpha, seed, start + k, 1), whose flags sample(profile, seed,
-    start + k) draws.  The trials are evaluated a chunk at a time, with up
-    to three eigensolves per distinct survival pattern of a chunk (see the
-    module docstring).  Trials that draw the same pattern share its results.
+    profile, alpha, seed, start + k, 1), and is what the per-pattern
+    functions give the flags sample(profile, seed, start + k).  The trials
+    are evaluated a chunk at a time, with up to three eigensolves per
+    distinct survival pattern of a chunk (see the module docstring).  Trials
+    that draw the same pattern share its results.
 
     levels, for callers that only test a_delta < level, maps an array of
     deviation norms to the level of each entry, element by element.  A

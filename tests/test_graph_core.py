@@ -56,6 +56,20 @@ class TestWeightedGraph:
             with pytest.raises(ValueError, match="endpoints must be integers"):
                 WeightedGraph(3, (edge,))
 
+    def test_numpy_integers_accepted_as_python_ints(self, tmp_path):
+        g = WeightedGraph(np.int64(3), [(np.int64(0), np.uint8(1), 1.0), (2, np.int32(1), 0.5)])
+        assert g == WeightedGraph(3, ((0, 1, 1.0), (1, 2, 0.5)))
+        assert type(g.n) is int and all(type(v) is int for i, j, _ in g.edges for v in (i, j))
+        path = tmp_path / "g.json"
+        write_graph(g, path)
+        assert read_graph(path) == g
+        for edge in ((np.True_, 1, 1.0), (0, True, 1.0)):
+            with pytest.raises(ValueError, match="endpoints must be integers"):
+                WeightedGraph(3, (edge,))
+        for n in (True, np.True_, 3.0):
+            with pytest.raises(ValueError, match="vertex count n must be an integer"):
+                WeightedGraph(n)
+
     def test_malformed_edge_rejected(self):
         for edge in (5, (0, 1), (0, 1, 1.0, 2.0)):
             with pytest.raises(ValueError, match=r"must be \(i, j, w\)"):

@@ -570,6 +570,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_unparsable_profile_file_is_named(self, tmp_path, capsys):
+        prof = tmp_path / "bad.json"
+        prof.write_text("[0.5, 0.5\n")
+        code = run_cli(["bound", "--family", "path", "--n", "3", "--profile", str(prof),
+                        "--alpha", "1", "--epsilon", "0.1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not parse profile file {prof}: ")
+
     def test_bad_alpha_string(self, capsys):
         code = run_cli(["bound", "--family", "cycle", "--n", "4", "--p", "0.5",
                         "--alpha", "lots", "--epsilon", "0.1"])

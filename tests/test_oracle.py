@@ -56,19 +56,19 @@ class TestExactDistribution:
         for kind in ("deviation_norm", "a_delta", "connectivity_indicator"):
             dist = exact_distribution(c4, prof, alpha=0.7, statistic_kind=kind)
             assert dist.total_probability() == pytest.approx(1.0, abs=1e-12)
-            assert len(dist.patterns) == 16
+            assert len(dist) == 16
 
     def test_certain_survival_concentrates_mass(self, p3):
         dist = exact_distribution(p3, SurvivalProfile.uniform(3, 1.0), alpha=1.0,
                                   statistic_kind="a_delta")
-        by_mass = {int(t): q for t, q in zip(dist.patterns, dist.probabilities) if q > 0.0}
+        by_mass = {t: q for t, q in enumerate(dist.probabilities) if q > 0.0}
         assert by_mass == {0b111: pytest.approx(1.0)}
 
     def test_a_delta_infinite_atoms(self, p3):
         # masks with at most one survivor are connected by convention
         dist = exact_distribution(p3, SurvivalProfile.uniform(3, 0.5), alpha=1.0,
                                   statistic_kind="a_delta")
-        infinite = [int(t) for t, s in zip(dist.patterns, dist.statistics) if math.isinf(s)]
+        infinite = [t for t, s in enumerate(dist.statistics) if math.isinf(s)]
         assert sorted(infinite) == [0b000, 0b001, 0b010, 0b100]
 
     def test_pattern_bits_little_endian(self, p3):
@@ -79,12 +79,15 @@ class TestExactDistribution:
         (bits, _, _), = dist.row_blocks()
         assert bits == [dist.pattern_bits(t) for t in range(len(dist))]
         assert bits[1] == "100" and bits[6] == "011"
+        for t in (-1, len(dist)):
+            with pytest.raises(IndexError):
+                dist.pattern_bits(t)
 
     def test_heterogeneous_pattern_probabilities(self, p3):
         prof = SurvivalProfile([0.9, 0.5, 0.25])
         dist = exact_distribution(p3, prof, alpha=1.0,
                                   statistic_kind="connectivity_indicator")
-        lookup = dict(zip((int(t) for t in dist.patterns), dist.probabilities))
+        lookup = dict(enumerate(dist.probabilities))
         assert lookup[0b000] == pytest.approx(0.1 * 0.5 * 0.75, rel=1e-14)
         assert lookup[0b101] == pytest.approx(0.9 * 0.5 * 0.25, rel=1e-14)
         assert lookup[0b010] == pytest.approx(0.1 * 0.5 * 0.75, rel=1e-14)
@@ -93,8 +96,8 @@ class TestExactDistribution:
         prof = SurvivalProfile.uniform(4, 0.7)
         dist = exact_distribution(c4, prof, alpha=1.0,
                                   statistic_kind="connectivity_indicator")
-        for mask, stat in zip(dist.patterns, dist.statistics):
-            delta = [bool((int(mask) >> v) & 1) for v in range(4)]
+        for mask, stat in enumerate(dist.statistics):
+            delta = [bool((mask >> v) & 1) for v in range(4)]
             assert stat == float(bfs_connected_on_survivors(c4, delta))
 
     def test_enumeration_cap(self):
@@ -145,7 +148,7 @@ def test_worker_count_changes_no_bit(g, data, alpha, kind, workers):
     profile = SurvivalProfile(p)
     serial = exact_distribution(g, profile, alpha, kind)
     parallel = exact_distribution(g, profile, alpha, kind, workers=workers)
-    for name in ("patterns", "probabilities", "statistics"):
+    for name in ("probabilities", "statistics"):
         a, b = getattr(serial, name), getattr(parallel, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from percobound import (
-    PercolationSample,
     SurvivalProfile,
     WeightedGraph,
     algebraic_connectivity_survivors,
@@ -56,6 +55,13 @@ class TestSurvivalProfile:
                        [np.float64(0.25), 1], (0.5, 0.5)):
             assert SurvivalProfile(values).p.dtype == np.float64
 
+    def test_uniform_rejects_booleans_and_strings(self):
+        for value in (True, np.True_, "0.5", None):
+            message = f"^survival probability must be a number, got {value!r}$"
+            with pytest.raises(ValueError, match=message):
+                SurvivalProfile.uniform(3, value)
+        assert np.array_equal(SurvivalProfile.uniform(2, np.float32(0.5)).p, [0.5, 0.5])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SurvivalProfile([])
@@ -71,14 +77,14 @@ class TestSample:
         prof = SurvivalProfile.uniform(6, 0.5)
         a = sample(prof, seed=1234, trial_index=7)
         b = sample(prof, seed=1234, trial_index=7)
-        assert np.array_equal(a.delta, b.delta)
+        assert np.array_equal(a, b)
         c = sample(prof, seed=1234, trial_index=8)
         d = sample(prof, seed=1235, trial_index=7)
-        assert a.delta.shape == c.delta.shape == d.delta.shape
+        assert a.shape == c.shape == d.shape
 
     def test_extreme_probabilities_exact(self):
-        assert not sample(SurvivalProfile.uniform(50, 0.0), 3, 0).delta.any()
-        assert sample(SurvivalProfile.uniform(50, 1.0), 3, 0).delta.all()
+        assert not sample(SurvivalProfile.uniform(50, 0.0), 3, 0).any()
+        assert sample(SurvivalProfile.uniform(50, 1.0), 3, 0).all()
 
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -90,14 +96,14 @@ class TestSample:
             for trial in (0, 1, 999, 10**7):
                 prof = SurvivalProfile.uniform(17, 0.5)
                 s = sample(prof, seed, trial)
-                assert np.array_equal(s.delta, scalar_delta(seed, trial, prof.p))
+                assert np.array_equal(s, scalar_delta(seed, trial, prof.p))
 
     def test_scalar_reference_module(self):
         # independent reimplementation of the hash in the test tree
         prof = SurvivalProfile(np.linspace(0.05, 0.95, 11))
         for seed, trial in ((0, 0), (42, 17), (987654321, 3)):
             expected = scalar_delta(seed, trial, prof.p)
-            assert np.array_equal(sample(prof, seed, trial).delta, expected)
+            assert np.array_equal(sample(prof, seed, trial), expected)
 
     def test_survival_frequency(self):
         # binomial 3-sigma band around p = 1/2 per vertex
@@ -105,14 +111,14 @@ class TestSample:
         prof = SurvivalProfile.uniform(4, 0.5)
         counts = np.zeros(4)
         for t in range(trials):
-            counts += sample(prof, seed=20240818, trial_index=t).delta
+            counts += sample(prof, seed=20240818, trial_index=t)
         band = 3.0 * math.sqrt(0.25 / trials)
         assert np.abs(counts / trials - 0.5).max() <= band
 
 
 class TestLaplacians:
     def test_percolated_drops_ghost_edges(self, c4):
-        s = PercolationSample(delta=[True, True, True, False], seed=0, trial_index=0)
+        s = np.array([True, True, True, False])
         L = percolated_laplacian(c4, s)
         expect = np.array([
             [1, -1, 0, 0],
@@ -123,23 +129,23 @@ class TestLaplacians:
         assert np.array_equal(L, expect)
 
     def test_full_survival_is_plain_laplacian(self, petersen):
-        s = PercolationSample(delta=[True] * 10, seed=0, trial_index=0)
+        s = np.array([True] * 10)
         assert np.array_equal(percolated_laplacian(petersen, s), build_laplacian(petersen))
 
     def test_augmented_adds_ghost_diagonal(self, c4):
-        s = PercolationSample(delta=[True, False, True, False], seed=0, trial_index=0)
+        s = np.array([True, False, True, False])
         L = augmented_laplacian(c4, s, alpha=2.5)
         assert L[1, 1] == 2.5 and L[3, 3] == 2.5
         assert L[0, 0] == 0.0 and L[2, 2] == 0.0  # 0-2 is not an edge of C4
 
     def test_augmented_rejects_negative_alpha(self, c4):
-        s = PercolationSample(delta=[True] * 4, seed=0, trial_index=0)
+        s = np.array([True] * 4)
         with pytest.raises(ValueError, match="alpha"):
             augmented_laplacian(c4, s, alpha=-0.1)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, c4, alpha):
-        s = PercolationSample(delta=[True, False, True, True], seed=0, trial_index=0)
+        s = np.array([True, False, True, True])
         prof = SurvivalProfile.uniform(4, 0.5)
         message = rf"^alpha must be non-negative and finite, got {alpha!r}$"
         for call in (lambda: augmented_laplacian(c4, s, alpha),
@@ -151,7 +157,7 @@ class TestLaplacians:
                 call()
 
     def test_length_mismatch(self, c4):
-        s = PercolationSample(delta=[True] * 3, seed=0, trial_index=0)
+        s = np.array([True] * 3)
         with pytest.raises(ValueError, match="length"):
             percolated_laplacian(c4, s)
 
@@ -198,27 +204,27 @@ class TestLaplacians:
 class TestSurvivorConnectivity:
     def test_few_survivors_connected_by_convention(self, c4):
         for delta in ([False] * 4, [False, True, False, False]):
-            s = PercolationSample(delta=delta, seed=0, trial_index=0)
+            s = np.array(delta)
             count, connected = survivor_connectivity(c4, s)
             assert connected and count == sum(delta)
             assert algebraic_connectivity_survivors(c4, s) == math.inf
 
     def test_disconnected_pair(self, c4):
         # opposite corners of the 4-cycle do not touch
-        s = PercolationSample(delta=[True, False, True, False], seed=0, trial_index=0)
+        s = np.array([True, False, True, False])
         count, connected = survivor_connectivity(c4, s)
         assert count == 2 and not connected
         assert algebraic_connectivity_survivors(c4, s) == 0.0
 
     def test_connected_path_of_survivors(self, c4):
-        s = PercolationSample(delta=[True, True, True, False], seed=0, trial_index=0)
+        s = np.array([True, True, True, False])
         count, connected = survivor_connectivity(c4, s)
         assert count == 3 and connected
         # survivors induce a 3-path
         assert algebraic_connectivity_survivors(c4, s) == pytest.approx(1.0)
 
     def test_full_survival(self, petersen):
-        s = PercolationSample(delta=[True] * 10, seed=0, trial_index=0)
+        s = np.array([True] * 10)
         assert survivor_connectivity(petersen, s) == (10, True)
         a = algebraic_connectivity_survivors(petersen, s)
         assert a == pytest.approx(2.0, abs=1e-9)  # Petersen Laplacian gap is 3 - 1
@@ -241,7 +247,7 @@ def test_augmented_spectrum_splits_into_blocks(case):
     # eigenvalues of the augmented matrix = survivor-block spectrum plus one
     # copy of alpha per ghost
     g, delta, alpha = case
-    s = PercolationSample(delta=delta, seed=0, trial_index=0)
+    s = np.array(delta)
     vals = eig_sym(augmented_laplacian(g, s, alpha))
 
     survivors = [v for v in range(g.n) if delta[v]]
@@ -293,7 +299,7 @@ class TestRunTrial:
         prof = SurvivalProfile.uniform(10, 0.7)
         rec = trial_block(petersen, prof, alpha=1.5, seed=99, start=3, count=1)
         s = sample(prof, 99, 3)
-        assert rec.survivor_count[0] == int(s.delta.sum())
+        assert rec.survivor_count[0] == int(s.sum())
         count, connected = survivor_connectivity(petersen, s)
         assert (rec.survivor_count[0], rec.is_connected[0]) == (count, connected)
         # connectivity decision must agree with the spectral statistic
@@ -360,3 +366,62 @@ def test_one_chunk_driver_and_no_one_trial_wrapper():
     stray = [f"{name}:{node.lineno}" for name, node in uses if node not in driver]
     assert not stray, stray
     assert not gone, gone
+
+
+@st.composite
+def graph_grid_alpha(draw):
+    """A graph, a grid of 1-8 survival patterns (some with 0 or 1 survivors)
+    and an alpha in [0, 1e3]."""
+    g = draw(weighted_graphs())
+    n = g.n
+    row = (st.lists(st.booleans(), min_size=n, max_size=n) | st.just([False] * n)
+           | st.integers(0, n - 1).map(lambda v: [i == v for i in range(n)]))
+    grid = np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=bool)
+    return g, grid, draw(st.floats(0.0, 1e3))
+
+
+def assert_same_bits(stacked, rows: list) -> None:
+    assert np.array_equal(np.asarray(stacked, dtype=float).view(np.uint64),
+                          np.array(rows, dtype=float).view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_grid_alpha())
+def test_flag_grid_rows_match_single_patterns(case):
+    # each per-pattern function gives row r of a grid the bits of row r alone
+    g, grid, alpha = case
+    calls = (percolated_laplacian, algebraic_connectivity_survivors,
+             lambda g, delta: augmented_laplacian(g, delta, alpha))
+    for call in calls:
+        assert_same_bits(call(g, grid), [call(g, row) for row in grid])
+    counts, connected = survivor_connectivity(g, grid)
+    assert (list(zip(counts.tolist(), connected.tolist()))
+            == [survivor_connectivity(g, row) for row in grid])
+    wrong_length = (grid[:, 1:], np.ones((len(grid), g.n + 1), dtype=bool), grid[0, 1:])
+    for call in (*calls, survivor_connectivity):
+        for flags in (grid[0, 0], grid[None]):
+            with pytest.raises(ValueError, match=r"must be one \(n,\) pattern or a"):
+                call(g, flags)
+        for flags in wrong_length:
+            with pytest.raises(ValueError, match=f"^sample has length {flags.shape[-1]} but"):
+                call(g, flags)
+
+
+ONE_HOME = {"PercolationSample", "_sample_rows", "_live_edges", "_percolated",
+            "_add_ghost_diagonal"}
+ORACLE_PRIVATE = {"_check_alpha", "_check_lengths", "_chunks", "_distinct_rows"}
+
+
+def test_one_home_for_a_patterns_laplacians():
+    # the per-pattern functions build every matrix and connectivity flag; the
+    # wrapper class and the helpers beside them are gone
+    gone, oracle_private = [], set()
+    for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gone += [f"{path.name}:{node.lineno}" for node in _mentions(tree, ONE_HOME)]
+        if path.name == "oracle.py":
+            oracle_private = {alias.name for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) and node.module == "percolation"
+                              for alias in node.names if alias.name.startswith("_")}
+    assert not gone, gone
+    assert oracle_private and oracle_private <= ORACLE_PRIVATE, oracle_private
