@@ -7,6 +7,7 @@ but reject duplicates.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -63,6 +64,10 @@ class WeightedGraph:
     Every weighted degree must be finite, not only every weight, so that
     Laplacians and their norms stay finite.  Edges are normalized to (i, j, w) with i < j, sorted lexicographically.
     The attributes src, dst and w hold the same edges as read-only arrays.
+
+    The edges are checked as whole columns (see _edge_arrays), and a
+    rejected list is reported by its first offending edge in input order,
+    in the words of _edge_message, or as a duplicate of an earlier edge.
     """
 
     n: int
@@ -75,37 +80,10 @@ class WeightedGraph:
         object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError("vertex count n must be at least 1")
-        normalized = []
-        seen = set()
-        for edge in self.edges:
-            try:
-                i, j, w = edge
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {edge!r} must be (i, j, w)") from None
-            if type(i) is not int or type(j) is not int:
-                if not (is_integer(i) and is_integer(j)):
-                    raise ValueError(f"edge endpoints must be integers, got {edge!r}")
-                i, j = int(i), int(j)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {edge!r} endpoint out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i} is not allowed")
-            if i > j:
-                i, j = j, i
-            if not is_real(w):
-                raise ValueError(f"edge ({i},{j}) weight must be a number, got {w!r}")
-            w = float(w)
-            if not (w > 0.0) or not math.isfinite(w):
-                raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            normalized.append((i, j, w))
-        normalized.sort()
-        object.__setattr__(self, "edges", tuple(normalized))
-        columns = tuple(zip(*normalized)) or ((), (), ())
-        for name, column, dtype in zip(("src", "dst", "w"), columns, (np.intp, np.intp, float)):
-            arr = np.array(column, dtype=dtype)
+        edges = tuple(self.edges)
+        columns = _edge_arrays(edges, self.n)
+        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in columns))))
+        for name, arr in zip(("src", "dst", "w"), columns):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         # finite weights can still sum past the largest float
@@ -121,6 +99,104 @@ class WeightedGraph:
     def degree_vector(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix)."""
         return _vertex_sums(self, self.w)
+
+
+def _edge_message(edge, n: int) -> str | None:
+    """Why edge cannot be an edge of a graph on n vertices, or None if it can.
+
+    The rules, in the order they are checked: edge unpacks to (i, j, w), the
+    endpoints are integers in range and differ, and the weight is a real
+    number, finite and positive.  A weight that is a Python int too large for
+    a float raises float()'s OverflowError.  Whether the edge repeats an
+    earlier one is _edge_arrays' check.
+    """
+    try:
+        i, j, w = edge
+    except (TypeError, ValueError):
+        return f"edge {edge!r} must be (i, j, w)"
+    if not (is_integer(i) and is_integer(j)):
+        return f"edge endpoints must be integers, got {edge!r}"
+    i, j = int(i), int(j)
+    if not (0 <= i < n and 0 <= j < n):
+        return f"edge {edge!r} endpoint out of range for n={n}"
+    if i == j:
+        return f"self-loop at vertex {i} is not allowed"
+    i, j = min(i, j), max(i, j)
+    if not is_real(w):
+        return f"edge ({i},{j}) weight must be a number, got {w!r}"
+    w = float(w)
+    if not (w > 0.0) or not math.isfinite(w):
+        return f"edge ({i},{j}) weight must be finite and > 0, got {w}"
+    return None
+
+
+def _column_array(column, accepts, plain: set, dtype, count: int):
+    """column as an array of dtype, or None if an entry fails accepts or lies
+    beyond the range of dtype.
+
+    accepts (is_integer or is_real) looks at nothing but an entry's type, so
+    it is tested once per type, and not at all for the types in plain.
+    """
+    types = set(map(type, column))
+    if not (types <= plain or all(map(accepts, dict(zip(map(type, column), column)).values()))):
+        return None
+    try:
+        return np.fromiter(column, dtype, count)
+    except OverflowError:
+        return None
+
+
+def _edge_arrays(edges: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, w) of edges on n vertices, each edge turned to i < j and
+    the edges sorted by (i, j); or ValueError naming the first offending edge.
+
+    The edges are read as three columns, each checked by type and turned into
+    one array, then every per-edge rule and the duplicate check run on the
+    arrays.  The first edge, in input order, that breaks a rule of
+    _edge_message or repeats the pair of an earlier edge is reported, in
+    _edge_message's words or as a duplicate.  Edges whose columns cannot be
+    read as arrays (of unequal lengths, of a type no rule accepts, or beyond
+    the range of an index or a float) always hold an edge that breaks a rule;
+    the first one is found edge by edge, and the edges before it are checked
+    here first, since one of them may repeat an earlier pair.
+    """
+    count = len(edges)
+    try:
+        # strict: every edge must have as many entries as the first
+        columns = tuple(zip(*edges, strict=True)) if count else ((), (), ())
+    except (TypeError, ValueError):
+        columns = ()
+    arrays = (None,) if len(columns) != 3 else (
+        _column_array(columns[0], is_integer, {int}, np.intp, count),
+        _column_array(columns[1], is_integer, {int}, np.intp, count),
+        _column_array(columns[2], is_real, {float, int}, float, count),
+    )
+    if any(a is None for a in arrays):
+        first = next(k for k, edge in enumerate(edges) if _breaks_a_rule(edge, n))
+        _edge_arrays(edges[:first], n)
+        raise ValueError(_edge_message(edges[first], n))
+    i, j, w = arrays
+    src, dst = np.minimum(i, j), np.maximum(i, j)
+    # written so that NaN weights fail too
+    broken = (src < 0) | (dst >= n) | (src == dst) | ~(w > 0.0) | ~np.isfinite(w)
+    # a stable sort keeps each pair's edges in input order, so the repeats of
+    # a pair are the entries after its first
+    order = np.lexsort((dst, src))
+    repeated = np.zeros(count, dtype=bool)
+    repeated[order[1:]] = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    offenders = np.flatnonzero(broken | repeated)
+    if offenders.size:
+        k = offenders[0]
+        raise ValueError(_edge_message(edges[k], n) or f"duplicate edge ({src[k]},{dst[k]})")
+    return src[order], dst[order], w[order]
+
+
+def _breaks_a_rule(edge, n: int) -> bool:
+    """Whether _edge_message rejects edge, by a message or by OverflowError."""
+    try:
+        return _edge_message(edge, n) is not None
+    except OverflowError:
+        return True
 
 
 @dataclass(frozen=True)
@@ -192,14 +268,19 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
 
 
 def _require_positive_int(name: str, value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+    """value as a Python int, if it is a positive integer (a numpy one too, not a bool)."""
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
+    return int(value)
+
+
+def _unit_weight_graph(n: int, src: np.ndarray, dst: np.ndarray) -> WeightedGraph:
+    """The graph on n vertices with the unit-weight edges (src[k], dst[k])."""
+    return WeightedGraph(n, tuple(zip(src.tolist(), dst.tolist(), itertools.repeat(1.0))))
 
 
 def _complete(n: int) -> WeightedGraph:
-    edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
-    return WeightedGraph(n, tuple(edges))
+    return _unit_weight_graph(n, *np.triu_indices(n, 1))
 
 
 def _cycle(n: int) -> WeightedGraph:
@@ -208,24 +289,22 @@ def _cycle(n: int) -> WeightedGraph:
     if n == 2:
         # the two cycle edges would coincide; keep the single edge
         return WeightedGraph(2, ((0, 1, 1.0),))
-    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
-    return WeightedGraph(n, tuple(edges))
+    v = np.arange(n)
+    return _unit_weight_graph(n, v, (v + 1) % n)
 
 
 def _path(n: int) -> WeightedGraph:
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
-    return WeightedGraph(n, tuple(edges))
+    v = np.arange(n - 1)
+    return _unit_weight_graph(n, v, v + 1)
 
 
 def _hypercube(k: int) -> WeightedGraph:
-    n = 1 << k
-    edges = []
-    for v in range(n):
-        for b in range(k):
-            u = v ^ (1 << b)
-            if v < u:
-                edges.append((v, u, 1.0))
-    return WeightedGraph(n, tuple(edges))
+    # vertex v's neighbours differ from it in one bit; each edge is kept once,
+    # from the end whose bit is 0
+    v = np.arange(1 << k)[:, None]
+    u = v ^ (1 << np.arange(k))
+    keep = v < u
+    return _unit_weight_graph(1 << k, np.broadcast_to(v, u.shape)[keep], u[keep])
 
 
 def _is_prime(q: int) -> bool:
@@ -244,14 +323,13 @@ def _is_prime(q: int) -> bool:
 def _paley(q: int) -> WeightedGraph:
     if not _is_prime(q) or q % 4 != 1:
         raise ValueError(f"paley graph needs a prime q with q % 4 == 1, got {q}")
-    residues = {(x * x) % q for x in range(1, q)}
-    edges = [
-        (i, j, 1.0)
-        for i in range(q)
-        for j in range(i + 1, q)
-        if (j - i) % q in residues
-    ]
-    return WeightedGraph(q, tuple(edges))
+    x = np.arange(1, q)
+    residue = np.zeros(q, dtype=bool)
+    residue[x * x % q] = True
+    # i < j are adjacent when j - i, which lies in 1..q-1, is a square mod q
+    i, j = np.triu_indices(q, 1)
+    keep = residue[j - i]
+    return _unit_weight_graph(q, i[keep], j[keep])
 
 
 def _random_regular(n: int, d: int, seed: int) -> WeightedGraph:
@@ -297,7 +375,10 @@ def generate(family: str, *, n: int | None = None, k: int | None = None,
 
     Supported: complete(n), cycle(n), path(n), hypercube(k), paley(q) for
     prime q with q % 4 == 1, and random_regular(n, d, seed) via the pairing
-    model.  Raises ValueError for unknown families or bad parameters.
+    model.  The integer parameters may be Python or numpy integers, not
+    bools.  Raises ValueError for unknown families or bad parameters.  Every
+    family but random_regular builds its edge list with numpy index
+    arithmetic, in one pass over the vertex pairs it keeps.
     """
     if family == "complete":
         return _complete(_require_positive_int("n", n))
@@ -311,9 +392,9 @@ def generate(family: str, *, n: int | None = None, k: int | None = None,
         return _paley(_require_positive_int("q", q))
     if family == "random_regular":
         n = _require_positive_int("n", n)
-        if not isinstance(d, int) or isinstance(d, bool):
+        if not is_integer(d):
             raise ValueError(f"d must be an integer, got {d!r}")
-        return _random_regular(n, d, seed)
+        return _random_regular(n, int(d), seed)
     raise ValueError(f"unknown graph family {family!r}; expected one of {GENERATOR_FAMILIES}")
 
 

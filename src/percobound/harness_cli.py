@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 a mathematical claim the run was supposed to verify
 failed, 2 usage or domain error, or a file that cannot be read or written.
 
+The parser is built per command: when the command line starts with a
+command, main builds that command's subparser only (build_parser), which
+cuts the fixed cost of every run; otherwise it builds all six.  Every help,
+usage and error text is the same bytes either way, at any terminal width:
+the top-level usage still lists every command.
+
 simulate evaluates its trials a chunk at a time through
 percolation._trial_chunks, the stream trial_block concatenates (sampling,
 assembly and stacked eigensolves for a whole chunk; see that module), and
@@ -502,10 +508,10 @@ def cmd_oracle(args) -> int:
     else:
         finite = ~np.isinf(statistics)
         mean_stat = math.fsum((probabilities[finite] * statistics[finite]).tolist())
-        inf_mass = 1.0 - math.fsum(probabilities[finite].tolist())
+        inf_mass = math.fsum(probabilities[~finite].tolist())
         sys.stderr.write(
             f"mean {args.kind} (finite part) = {mean_stat!r}, "
-            f"P(statistic = inf) = {max(0.0, inf_mass)!r}\n"
+            f"P(statistic = inf) = {inf_mass!r}\n"
         )
     return EXIT_OK
 
@@ -526,7 +532,81 @@ def _add_profile(parser: argparse.ArgumentParser) -> None:
                         help="JSON file with one survival probability per vertex")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_generate(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", required=True, choices=GENERATOR_FAMILIES)
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--k", type=int, default=None)
+    parser.add_argument("--q", type=int, default=None)
+    parser.add_argument("--d", type=int, default=None)
+    parser.set_defaults(func=cmd_generate, graph=None)
+
+
+def _add_certify(parser: argparse.ArgumentParser) -> None:
+    _add_graph_source(parser)
+    parser.set_defaults(func=cmd_certify)
+
+
+def _add_bound(parser: argparse.ArgumentParser) -> None:
+    _add_graph_source(parser)
+    _add_profile(parser)
+    parser.add_argument("--alpha", default="auto",
+                        help='ghost diagonal weight, or "auto" to grid-optimize')
+    parser.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE,
+                        help="alpha grid size")
+    parser.add_argument("--epsilon", type=float, required=True, help="failure probability")
+    parser.set_defaults(func=cmd_bound)
+
+
+def _add_simulate(parser: argparse.ArgumentParser) -> None:
+    _add_graph_source(parser)
+    _add_profile(parser)
+    parser.add_argument("--alpha", default="auto")
+    parser.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE)
+    parser.add_argument("--epsilon", type=float, required=True)
+    parser.add_argument("--trials", type=int, required=True)
+    parser.add_argument("--trials-csv", default=None, help="also write one CSV row per trial")
+    parser.set_defaults(func=cmd_simulate)
+
+
+def _add_threshold(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--lambda", dest="lam", type=float, required=True)
+    parser.add_argument("--epsilon", type=float, required=True)
+    parser.add_argument("--mode", choices=THRESHOLD_MODES, default="closed_form")
+    parser.set_defaults(func=cmd_threshold)
+
+
+def _add_oracle(parser: argparse.ArgumentParser) -> None:
+    _add_graph_source(parser)
+    _add_profile(parser)
+    parser.add_argument("--alpha", type=float, default=0.0,
+                        help="ghost diagonal weight (used by deviation_norm)")
+    parser.add_argument("--kind", required=True, choices=STATISTIC_KINDS)
+    parser.set_defaults(func=cmd_oracle)
+
+
+# each command's help line and the function that adds its arguments, in the
+# order the top-level help lists them
+COMMANDS = {
+    "generate": ("emit a named graph as JSON", _add_generate),
+    "certify": ("certify regularity and the nontrivial spectral radius", _add_certify),
+    "bound": ("closed-form deviation bound and connectivity lower bound", _add_bound),
+    "simulate": ("Monte Carlo percolation run with per-trial validation", _add_simulate),
+    "threshold": ("survival threshold certifying connectivity", _add_threshold),
+    "oracle": ("exhaustive enumeration of all survival patterns", _add_oracle),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The percobound parser, with the subparser of command only, or of every
+    command when command is None or names none.
+
+    A parser for one command gives the bytes the full parser gives for every
+    command line that starts with that command: its help, usage and errors,
+    and the top-level usage, which lists every command all the same.
+    """
+    names = [command] if command in COMMANDS else list(COMMANDS)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     common.add_argument("--output", default=None, help="write the result here instead of stdout")
@@ -537,61 +617,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="percobound",
         description="Spectral lower bounds on algebraic connectivity under random vertex deletion",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", parents=[common], help="emit a named graph as JSON")
-    p_gen.add_argument("--family", required=True, choices=GENERATOR_FAMILIES)
-    p_gen.add_argument("--n", type=int, default=None)
-    p_gen.add_argument("--k", type=int, default=None)
-    p_gen.add_argument("--q", type=int, default=None)
-    p_gen.add_argument("--d", type=int, default=None)
-    p_gen.set_defaults(func=cmd_generate, graph=None)
-
-    p_cert = sub.add_parser("certify", parents=[common],
-                            help="certify regularity and the nontrivial spectral radius")
-    _add_graph_source(p_cert)
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_bound = sub.add_parser("bound", parents=[common],
-                             help="closed-form deviation bound and connectivity lower bound")
-    _add_graph_source(p_bound)
-    _add_profile(p_bound)
-    p_bound.add_argument("--alpha", default="auto",
-                         help='ghost diagonal weight, or "auto" to grid-optimize')
-    p_bound.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE,
-                         help="alpha grid size")
-    p_bound.add_argument("--epsilon", type=float, required=True, help="failure probability")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="Monte Carlo percolation run with per-trial validation")
-    _add_graph_source(p_sim)
-    _add_profile(p_sim)
-    p_sim.add_argument("--alpha", default="auto")
-    p_sim.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE)
-    p_sim.add_argument("--epsilon", type=float, required=True)
-    p_sim.add_argument("--trials", type=int, required=True)
-    p_sim.add_argument("--trials-csv", default=None, help="also write one CSV row per trial")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_thr = sub.add_parser("threshold", parents=[common],
-                           help="survival threshold certifying connectivity")
-    p_thr.add_argument("--n", type=int, required=True)
-    p_thr.add_argument("--d", type=int, required=True)
-    p_thr.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_thr.add_argument("--epsilon", type=float, required=True)
-    p_thr.add_argument("--mode", choices=THRESHOLD_MODES, default="closed_form")
-    p_thr.set_defaults(func=cmd_threshold)
-
-    p_orc = sub.add_parser("oracle", parents=[common],
-                           help="exhaustive enumeration of all survival patterns")
-    _add_graph_source(p_orc)
-    _add_profile(p_orc)
-    p_orc.add_argument("--alpha", type=float, default=0.0,
-                       help="ghost diagonal weight (used by deviation_norm)")
-    p_orc.add_argument("--kind", required=True, choices=STATISTIC_KINDS)
-    p_orc.set_defaults(func=cmd_oracle)
-
+    # with one subparser the usage would list that command alone; the metavar
+    # lists all of them, as argparse does from the full set of choices.  It is
+    # left unset otherwise, since it would also rename the command in errors.
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, parents=[common], help=help_line))
     return parser
 
 
@@ -607,7 +640,9 @@ def _validate_source_args(parser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that starts with a command needs that command's subparser only
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     _validate_source_args(parser, args)
     try:

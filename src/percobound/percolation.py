@@ -408,14 +408,14 @@ def _a_delta_floor(g: WeightedGraph) -> float:
 
 
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray, levels) -> TrialBlock:
+                    delta: np.ndarray, levels, floor: float) -> TrialBlock:
     # each distinct pattern is evaluated once, its matrices solved in a fixed
-    # order (see the module docstring)
+    # order (see the module docstring); floor is _a_delta_floor(g)
     first, inverse = _distinct_rows(np.packbits(delta, axis=1))
     patterns = delta[first]
     laplacians = augmented_laplacian(g, patterns, alpha)
     deviation_norm = spectral_norm(laplacians - expected)
-    solve = None if levels is None else levels(deviation_norm) >= _a_delta_floor(g)
+    solve = None if levels is None else levels(deviation_norm) >= floor
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
     survivor_count, is_connected = survivor_connectivity(g, patterns)
     return TrialBlock(
@@ -492,9 +492,10 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     """Check the inputs, then return a generator of (first, TrialBlock) for
     the chunks of trials start, ..., start + count - 1, in trial order.
 
-    The chunks run on `workers` processes (see _map_in_order).  The checks
-    and the expected augmented Laplacian run here, before anything is
-    forked, so a bad input raises before the generator is started.
+    The chunks run on `workers` processes (see _map_in_order).  The checks,
+    the expected augmented Laplacian and _a_delta_floor(g) run here, once per
+    run and before anything is forked, so a bad input raises before the
+    generator is started.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -505,10 +506,11 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
         raise ValueError("trials need a graph on at least 2 vertices: lambda_2 of "
                          "the augmented Laplacian is undefined below that")
     expected = expected_augmented_laplacian(g, profile, alpha)
+    floor = _a_delta_floor(g)
 
     def evaluate(first: int, last: int) -> TrialBlock:
         delta = _unit_uniforms(seed, first, last - first, g.n) < profile.p
-        return _evaluate_chunk(g, alpha, expected, delta, levels)
+        return _evaluate_chunk(g, alpha, expected, delta, levels, floor)
 
     return _chunks(evaluate, start, start + count, g.n, workers)
 

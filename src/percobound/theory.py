@@ -140,8 +140,9 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     Returns the expected row sums sum_j p_j w_ij and two functions of alpha.
     bound_at finishes the bound: the mismatch term, plus one lambda_2 of the
     alpha-free expected Laplacian L0 with alpha (1 - p) added to its diagonal.
-    upper_at(alpha, lambda2_free), given lambda2_free = lambda_2(L0), bounds
-    bound_at(alpha).a_lower_bound from above with no eigensolve.
+    upper_at(alphas, lambda2_free), given lambda2_free = lambda_2(L0), bounds
+    bound_at(alpha).a_lower_bound from above with no eigensolve, for every
+    alpha of the array alphas at once.
     """
     epsilon = _validate_epsilon(epsilon)
     _check_lengths(g, len(profile), "profile")
@@ -182,14 +183,20 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
         total = term_kbar + term_alpha_mismatch + term_dad + term_dpad + term_sigma
         return term_alpha_mismatch, total
 
-    def upper_at(alpha: float, lambda2_free: float) -> float:
+    row_min, row_max = float(expected_row.min()), float(expected_row.max())
+
+    def upper_at(alphas, lambda2_free: float) -> np.ndarray:
         # Weyl: adding the diagonal alpha (1 - p) >= 0 raises lambda_2 by at
         # most alpha max(1 - p).  The margin exceeds the rounding of both
         # eigensolves, of the diagonal shift and of the subtraction of total.
-        shift = alpha * max_ghost
-        total = mismatch_and_total(alpha)[1]
+        alphas = np.asarray(alphas, dtype=float)
+        shift = alphas * max_ghost
+        # fl(alpha - r) falls as r grows, so max_r |fl(alpha - r)| is taken at
+        # the least or the greatest r: mismatch_and_total's value, bit for bit
+        mismatch = np.maximum(np.abs(alphas - row_min), np.abs(alphas - row_max))
+        total = term_kbar + mismatch + term_dad + term_dpad + term_sigma
         margin = 1e-8 * (l0_norm + shift + total + 1.0)
-        return min(lambda2_free + shift - total, float(alpha)) + margin
+        return np.minimum(lambda2_free + shift - total, alphas) + margin
 
     def bound_at(alpha: float) -> BoundReport:
         term_alpha_mismatch, total = mismatch_and_total(alpha)
@@ -303,11 +310,12 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
     lambda2_expected needs an eigensolve.  By Weyl's inequality it is at most
     lambda_2 at alpha = 0 plus alpha * max(1 - p), which bounds a_lower_bound
     from above in closed form, with a margin above the rounding error.  Each
-    pass solves its candidates in order of decreasing bound (ties to the
-    smaller alpha) and stops at the first whose bound is strictly below the
-    best a_lower_bound found so far: every candidate left is then provably
-    worse, so it could neither win nor tie.  The result is the one a scan of
-    every candidate gives, from as few as two eigensolves when p is uniform.
+    pass bounds all its candidates in one array pass, solves them in order of
+    decreasing bound (ties to the smaller alpha) and stops at the first whose
+    bound is strictly below the best a_lower_bound found so far: every
+    candidate left is then provably worse, so it could neither win nor tie.
+    The result is the one a scan of every candidate gives, from as few as two
+    eigensolves when p is uniform.
     """
     if alpha_grid_size < 2:
         raise ValueError("alpha_grid_size must be at least 2")
@@ -325,11 +333,13 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
     lambda2_free = best.lambda2_expected
 
     def search(candidates, best: BoundReport) -> BoundReport:
-        upper = {float(alpha): upper_at(float(alpha), lambda2_free) for alpha in candidates}
-        for alpha in sorted(upper, key=lambda a: (-upper[a], a)):
-            if upper[alpha] < best.a_lower_bound:
+        alphas = list(dict.fromkeys(map(float, candidates)))
+        upper = upper_at(alphas, lambda2_free)
+        # by decreasing bound, ties to the smaller alpha
+        for k in np.lexsort((alphas, -upper)).tolist():
+            if upper[k] < best.a_lower_bound:
                 break
-            report = solve(alpha)
+            report = solve(alphas[k])
             if _better(report, best):
                 best = report
         return best

@@ -1,6 +1,6 @@
-"""Vectorized assembly, the hoisted alpha search, the chunked oracle, the
-chunked Monte Carlo kernel and the grouped CSV writers against their slow
-paths."""
+"""Vectorized edge checks, generators and assembly, the hoisted alpha search
+and its vectorized ranking, the chunked oracle, the chunked Monte Carlo
+kernel and the grouped CSV writers against their slow paths."""
 from __future__ import annotations
 
 import io
@@ -65,6 +65,133 @@ def test_assembly_matches_edge_loops(case, alpha):
     stack = edge_laplacian(g, values)
     for r in range(3):
         assert_identical(stack[r], edge_laplacian(g, values[r]))
+
+
+def outcome(build):
+    """(build(), None), or (None, (type, message)) of the error it raised."""
+    try:
+        return build(), None
+    except (ValueError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def endpoint_as(v: int):
+    """The same endpoint as a Python or a numpy integer."""
+    return st.sampled_from([v, np.int64(v), np.int32(v)] + ([np.uint8(v)] if v >= 0 else []))
+
+
+valid_weights = st.one_of(st.floats(1e-3, 1e3), st.integers(1, 10),
+                          st.integers(1, 10).map(np.int64),
+                          st.floats(0.5, 1e3, width=32).map(np.float32))
+
+
+def broken_edges(n: int):
+    """Edges that break a per-edge rule, one rule or shape at a time."""
+    bad_endpoints = st.sampled_from([True, np.True_, "1", 1.0, np.float64(1.0), None, -1, n,
+                                     np.int64(n), 2**70, -2**70, np.uint64(2**64 - 1)])
+    bad_weights = st.sampled_from([0.0, -1.0, -0.0, math.nan, math.inf, -math.inf, "2", None,
+                                   True, np.True_, [1.0], 10**400, np.float64(math.nan)])
+    v = st.integers(0, n - 1)
+    return st.one_of(
+        st.tuples(bad_endpoints, v, valid_weights),
+        st.tuples(v, bad_endpoints, valid_weights),
+        v.map(lambda i: (i, i, 1.0)),
+        st.tuples(v, v, bad_weights),
+        st.sampled_from([(0, 1), (0, 1, 1.0, 2.0), [0, 1], 5, None, "ab", "abc",
+                         np.array([0.0, 1.0, 1.0])]),
+    )
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): pairs in any order and orientation, repeated or not,
+    Python or numpy numbers, tuples or lists, with a few broken edges
+    put in at random places."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12,
+                           unique=draw(st.booleans()))) if pairs else []
+    edges = []
+    for i, j in chosen:
+        if draw(st.booleans()):
+            i, j = j, i
+        edge = (draw(endpoint_as(i)), draw(endpoint_as(j)), draw(valid_weights))
+        edges.append(list(edge) if draw(st.booleans()) else edge)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(edges)))
+        edges.insert(at, draw(broken_edges(n)))
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+@example((3, [(0, 1, 1.0), (1, 0, 2.0)]))
+@example((3, [(0, 1, 1.0), [1, 0, 2.0], (0, 0, 1.0)]))
+@example((3, [(0, 1, 1.0), (0, 1, 1.0), (0, 1)]))
+@example((3, [(0, 1, 1.0), (0, 1, 10**400)]))
+@example((3, [(2**70, 1, 1.0)]))
+@example((4, [(3, 1, 2.0), (0, 2, 1)]))
+@example((1, []))
+def test_edge_checks_match_the_edge_loop(case):
+    # the same edges, or the same error for the same first offending edge
+    n, edges = case
+    expected, expected_error = outcome(lambda: ref.normalized_edges(n, edges))
+    g, error = outcome(lambda: WeightedGraph(n, tuple(edges)))
+    assert error == expected_error
+    if expected is not None:
+        assert g.edges == expected
+        assert all(tuple(map(type, edge)) == (int, int, float) for edge in g.edges)
+        columns = tuple(zip(*expected)) or ((), (), ())
+        for name, column, dtype in zip(("src", "dst", "w"), columns, (np.intp, np.intp, float)):
+            assert_identical(getattr(g, name), np.array(column, dtype=dtype))
+            assert not getattr(g, name).flags.writeable
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("complete", [1, 2, 3, 8]),
+    ("cycle", [1, 2, 3, 4, 11]),
+    ("path", [1, 2, 3, 9]),
+    ("hypercube", [1, 2, 3, 6]),
+    ("paley", [5, 13, 29, 101]),
+])
+def test_generators_match_edge_loops(family, sizes):
+    size_name = {"hypercube": "k", "paley": "q"}.get(family, "n")
+    for size in sizes:
+        g = generate(family, **{size_name: size})
+        n = 1 << size if family == "hypercube" else size
+        assert g == WeightedGraph(n, ref.normalized_edges(n, ref.family_edges(family, size)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.01, 0.99), st.lists(st.floats(0.0, 1e4), max_size=6))
+@example((petersen_graph(), SurvivalProfile(np.linspace(0.0, 1.0, 10))), 0.1, [0.0, 2.5])
+@example((WeightedGraph(4), SurvivalProfile.uniform(4, 0.5)), 0.1, [0.0, 1.0])
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 1e-9)), 0.5, [3.0])
+def test_vectorized_upper_bound_matches_the_scalar_one(case, epsilon, extra):
+    g, profile = case
+    expected_row, bound_at, upper_at = theory._alpha_free_part(g, profile, epsilon)
+    lambda2_free = bound_at(0.0).lambda2_expected
+    alphas = [*np.linspace(0.0, 2.0 * float(expected_row.max()), 9).tolist(),
+              float(expected_row.mean()), *extra]
+    scalar = theory_reference.upper_bound(g, profile, epsilon)
+    assert_identical(upper_at(np.array(alphas), lambda2_free),
+                     np.array([scalar(alpha, lambda2_free) for alpha in alphas]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_profile(min_n=2), st.floats(0.01, 0.99), st.sampled_from([2, 8, 256]))
+@example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 0.1, 256)
+@example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 0.1, 256)
+@example((petersen_graph(), SurvivalProfile(np.linspace(0.0, 1.0, 10))), 0.1, 256)
+@example((WeightedGraph(4), SurvivalProfile.uniform(4, 0.5)), 0.1, 256)
+@example((generate("paley", q=13), SurvivalProfile(np.linspace(0.05, 0.95, 13))), 0.1, 2)
+@example((generate("path", n=4), SurvivalProfile([1.0, 1.0, 0.0, 0.0])), 0.1, 256)
+def test_ranking_in_one_array_pass_solves_the_alphas_of_the_scalar_ranking(case, epsilon,
+                                                                           alpha_grid_size):
+    g, profile = case
+    _, evaluated = search_evaluations(g, profile, epsilon, alpha_grid_size)
+    assert [alpha for alpha, _ in evaluated] == theory_reference.pruned_search_alphas(
+        g, profile, epsilon, alpha_grid_size)
 
 
 def search_evaluations(g, profile, epsilon, alpha_grid_size=256):
@@ -159,6 +286,24 @@ def test_pruned_search_edge_cases(g, profile, alpha_grid_size, solves):
                                                                  alpha_grid_size)
     if solves is not None:
         assert len(evaluated) == solves
+
+
+def test_tied_bounds_are_solved_from_the_smaller_alpha(monkeypatch):
+    # every bound tied at +inf: each pass solves all its candidates, ascending
+    g, profile = generate("cycle", n=5), SurvivalProfile.uniform(5, 0.8)
+    alpha_free_part = theory._alpha_free_part
+
+    def tied(*args):
+        expected_row, bound_at, _ = alpha_free_part(*args)
+        return expected_row, bound_at, lambda alphas, lambda2_free: np.full(len(alphas), math.inf)
+
+    monkeypatch.setattr(theory, "_alpha_free_part", tied)
+    _, evaluated = search_evaluations(g, profile, 0.1, alpha_grid_size=8)
+    expected_row = alpha_free_part(g, profile, 0.1)[0]
+    first_pass = theory_reference.grid(expected_row, 8)
+    alphas = [alpha for alpha, _ in evaluated]
+    assert alphas[:len(first_pass)] == first_pass
+    assert alphas[len(first_pass):] == sorted(alphas[len(first_pass):])
 
 
 def test_n2_winner():
@@ -463,6 +608,28 @@ def test_level_gated_run_solves_no_survivor_block_where_every_bound_is_vacuous(m
     [[deviations, *blocks]] = chunks
     assert len(deviations) == len(first)
     assert 0 < sum(len(b) for b in blocks) == np.count_nonzero(needed) < len(first)
+
+
+def test_a_delta_floor_is_computed_once_per_run(monkeypatch):
+    # three chunks of trials, each solved against the floor of the one call
+    g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
+    floors = []
+    a_delta_floor = percolation._a_delta_floor
+
+    def recording(graph):
+        floors.append(a_delta_floor(graph))
+        return floors[-1]
+
+    monkeypatch.setattr(percolation, "_CHUNK_ENTRIES", 10 * g.n * g.n)
+    full = trial_block(g, profile, 2.4, 0, 0, 25)
+    # levels on either side of the floor
+    shift = float(np.median(full.deviation_norm))
+    monkeypatch.setattr(percolation, "_a_delta_floor", recording)
+    gated = trial_block(g, profile, 2.4, 0, 0, 25, levels=lambda devs: shift - devs)
+    assert floors == [a_delta_floor(g)]
+    solved = ~np.isnan(gated.a_delta)
+    assert 0 < np.count_nonzero(solved) < 25
+    assert_identical(gated.a_delta[solved], full.a_delta[solved])
 
 
 def test_trial_block_needs_two_vertices():

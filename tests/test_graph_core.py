@@ -185,6 +185,28 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate("hypercube", k=0)
 
+    @pytest.mark.parametrize("family, params", [
+        ("complete", {"n": 5}), ("cycle", {"n": 5}), ("path", {"n": 5}),
+        ("hypercube", {"k": 3}), ("paley", {"q": 13}),
+        ("random_regular", {"n": 8, "d": 3, "seed": 2}),
+    ])
+    def test_numpy_integer_parameters(self, family, params):
+        as_numpy = {name: np.int64(v) if name != "seed" else v for name, v in params.items()}
+        assert generate(family, **as_numpy) == generate(family, **params)
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("cycle", {"n": True}, "^n must be a positive integer, got True$"),
+        ("hypercube", {"k": np.True_}, "^k must be a positive integer, got np.True_$"),
+        ("paley", {"q": np.float64(13.0)}, r"^q must be a positive integer, got np.float64\(13.0\)$"),
+        ("path", {"n": np.int64(0)}, r"^n must be a positive integer, got np.int64\(0\)$"),
+        ("random_regular", {"n": 8, "d": True}, "^d must be an integer, got True$"),
+        ("random_regular", {"n": 8, "d": np.float64(3.0)},
+         r"^d must be an integer, got np.float64\(3.0\)$"),
+    ])
+    def test_bools_and_floats_rejected(self, family, params, message):
+        with pytest.raises(ValueError, match=message):
+            generate(family, **params)
+
 
 class TestCertify:
     def test_complete_graphs(self):

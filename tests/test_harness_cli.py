@@ -1,6 +1,8 @@
 """End-to-end command-line tests driven through main(argv)."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -432,6 +434,19 @@ class TestOracle:
         assert payload["entries"][0][2] == "inf"
         assert "P(statistic = inf)" in captured.err
 
+    @pytest.mark.parametrize("argv, summary", [
+        # no deviation norm is infinite, so no mass is; 1 - P(finite) left 1.1e-16
+        (["--family", "cycle", "--n", "12", "--p", "0.7", "--alpha", "1.5",
+          "--kind", "deviation_norm"],
+         "mean deviation_norm (finite part) = 1.5916561196641117, P(statistic = inf) = 0.0\n"),
+        # four of the eight masks leave at most one survivor
+        (["--family", "path", "--n", "3", "--p", "0.5", "--kind", "a_delta"],
+         "mean a_delta (finite part) = 0.625, P(statistic = inf) = 0.5\n"),
+    ], ids=["none-infinite", "path3-a_delta"])
+    def test_infinite_mass_is_the_sum_of_the_infinite_entries(self, capsys, argv, summary):
+        assert run_cli(["oracle", *argv]) == EXIT_OK
+        assert capsys.readouterr().err == summary
+
     def test_cap_is_a_clean_error(self, capsys):
         code = run_cli(["oracle", "--family", "complete", "--n", "25",
                         "--p", "0.5", "--kind", "a_delta"])
@@ -497,6 +512,79 @@ def test_negative_zero_alpha_writes_the_bytes_of_zero(tmp_path, command):
                         "--alpha", alpha, *command[1:], "--output", str(out)]) == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def parse_texts(parser, argv) -> tuple:
+    """(stdout, stderr, exit code) of parser.parse_args(argv); code None if it parsed."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+class TestParser:
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", list(harness_cli.COMMANDS))
+    def test_one_command_parser_gives_the_full_parsers_bytes(self, monkeypatch, columns,
+                                                             command):
+        # the top-level usage, the command's help and usage, and its errors
+        monkeypatch.setenv("COLUMNS", columns)
+        full, one = harness_cli.build_parser(), harness_cli.build_parser(command)
+        assert one.format_usage() == full.format_usage()
+        for argv in ([command, "--help"], [command, "--bogus"], [command],
+                     [command, "--seed", "x"], [command, "--family", "cycle", "extra"]):
+            assert parse_texts(one, argv) == parse_texts(full, argv)
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", [None, "nope", "--help"])
+    def test_parser_for_no_command_has_every_command(self, monkeypatch, columns, command):
+        monkeypatch.setenv("COLUMNS", columns)
+        full, other = harness_cli.build_parser(), harness_cli.build_parser(command)
+        assert other.format_help() == full.format_help()
+        assert other.format_usage() == full.format_usage()
+        for argv in ([], ["--help"], ["nope"], ["--bogus"]):
+            assert parse_texts(other, argv) == parse_texts(full, argv)
+
+
+USAGE = "usage: percobound [-h] {generate,certify,bound,simulate,threshold,oracle} ...\n"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["--help"], USAGE + """
+Spectral lower bounds on algebraic connectivity under random vertex deletion
+
+positional arguments:
+  {generate,certify,bound,simulate,threshold,oracle}
+    generate            emit a named graph as JSON
+    certify             certify regularity and the nontrivial spectral radius
+    bound               closed-form deviation bound and connectivity lower
+                        bound
+    simulate            Monte Carlo percolation run with per-trial validation
+    threshold           survival threshold certifying connectivity
+    oracle              exhaustive enumeration of all survival patterns
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["nope"], "", USAGE + "percobound: error: argument command: invalid choice: 'nope' "
+     "(choose from 'generate', 'certify', 'bound', 'simulate', 'threshold', 'oracle')\n"),
+    ([], "", USAGE + "percobound: error: the following arguments are required: command\n"),
+    (["certify"], "", USAGE + "percobound: error: provide --graph FILE or --family NAME\n"),
+    (["certify", "--graph", "g.json", "--family", "cycle"], "",
+     USAGE + "percobound: error: --graph and --family are mutually exclusive\n"),
+    (["bound", "--family", "cycle", "--n", "4", "--epsilon", "0.1"], "",
+     USAGE + "percobound: error: provide exactly one of --p or --profile\n"),
+], ids=["help", "unknown-command", "no-command", "no-source", "two-sources", "no-profile"])
+def test_top_level_texts_list_every_command(monkeypatch, capsys, argv, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == (0 if argv == ["--help"] else EXIT_USAGE)
+    assert capsys.readouterr() == (out, err)
 
 
 class TestUsageErrors:
