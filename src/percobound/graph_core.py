@@ -7,6 +7,7 @@ but reject duplicates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -100,15 +101,24 @@ class WeightedGraph:
         """Weighted degrees (row sums of the adjacency matrix)."""
         return _vertex_sums(self, self.w)
 
+    @functools.cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where edge_laplacian writes edge k: its flat positions i * n + j
+        and j * n + i in an n x n matrix, and the endpoints of every edge
+        interleaved, [i0, j0, i1, j1, ...], which _vertex_sums bins."""
+        n = self.n
+        return (self.src * n + self.dst, self.dst * n + self.src,
+                np.stack((self.src, self.dst), axis=1).ravel())
+
 
 def _edge_message(edge, n: int) -> str | None:
     """Why edge cannot be an edge of a graph on n vertices, or None if it can.
 
     The rules, in the order they are checked: edge unpacks to (i, j, w), the
     endpoints are integers in range and differ, and the weight is a real
-    number, finite and positive.  A weight that is a Python int too large for
-    a float raises float()'s OverflowError.  Whether the edge repeats an
-    earlier one is _edge_arrays' check.
+    number, finite and positive; a number beyond the range of a float, such
+    as a Python int of 400 digits, is not finite.  Whether the edge repeats
+    an earlier one is _edge_arrays' check.
     """
     try:
         i, j, w = edge
@@ -124,7 +134,10 @@ def _edge_message(edge, n: int) -> str | None:
     i, j = min(i, j), max(i, j)
     if not is_real(w):
         return f"edge ({i},{j}) weight must be a number, got {w!r}"
-    w = float(w)
+    try:
+        w = float(w)
+    except OverflowError:
+        return f"edge ({i},{j}) weight must be finite and > 0, got a number beyond the float range"
     if not (w > 0.0) or not math.isfinite(w):
         return f"edge ({i},{j}) weight must be finite and > 0, got {w}"
     return None
@@ -172,7 +185,7 @@ def _edge_arrays(edges: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         _column_array(columns[2], is_real, {float, int}, float, count),
     )
     if any(a is None for a in arrays):
-        first = next(k for k, edge in enumerate(edges) if _breaks_a_rule(edge, n))
+        first = next(k for k, edge in enumerate(edges) if _edge_message(edge, n) is not None)
         _edge_arrays(edges[:first], n)
         raise ValueError(_edge_message(edges[first], n))
     i, j, w = arrays
@@ -189,14 +202,6 @@ def _edge_arrays(edges: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         k = offenders[0]
         raise ValueError(_edge_message(edges[k], n) or f"duplicate edge ({src[k]},{dst[k]})")
     return src[order], dst[order], w[order]
-
-
-def _breaks_a_rule(edge, n: int) -> bool:
-    """Whether _edge_message rejects edge, by a message or by OverflowError."""
-    try:
-        return _edge_message(edge, n) is not None
-    except OverflowError:
-        return True
 
 
 @dataclass(frozen=True)
@@ -234,24 +239,42 @@ def _vertex_sums(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     # bincount returns integers.
     lead = values.shape[:-1]
     rows = math.prod(lead)
-    ends = np.stack((g.src, g.dst), axis=1).ravel()
-    ends = (np.arange(rows)[:, None] * g.n + ends).ravel()
+    ends = g._scatter[2]
+    if rows != 1:
+        ends = (np.arange(rows)[:, None] * g.n + ends).ravel()
     sums = np.bincount(ends, weights=np.repeat(values, 2, axis=-1).ravel(),
                        minlength=rows * g.n)
     return sums.astype(float, copy=False).reshape(lead + (g.n,))
 
 
-def edge_laplacian(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
+def diagonal_view(L: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix of a C-contiguous
+    (..., n, n) array, shape (..., n)."""
+    n = L.shape[-1]
+    return L.reshape(L.shape[:-2] + (n * n,))[..., :: n + 1]
+
+
+def edge_laplacian(g: WeightedGraph, values: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Laplacian of g with edge k (in g.edges order) weighted values[..., k].
 
     values of shape (E,) give one n x n matrix; values of shape (c, E) give
     the (c, n, n) stack whose matrix r weights edge k with values[r, k].
+    The result is a new array, or out, a C-contiguous float array of that
+    shape, which is filled with 0.0 and then written in place: the same
+    bits either way.  Every result equals its transpose bit for bit.
     """
-    L = np.zeros(values.shape[:-1] + (g.n, g.n))
+    n = g.n
+    if out is None:
+        L = np.zeros(values.shape[:-1] + (n, n))
+    else:
+        L = out
+        L.fill(0.0)
+    upper, lower, _ = g._scatter
+    flat = L.reshape(values.shape[:-1] + (n * n,))
     # 0.0 - values keeps a zero edge value at +0.0, as L[i, j] -= 0.0 would
-    L[..., g.src, g.dst] = L[..., g.dst, g.src] = 0.0 - values
-    diagonal = np.arange(g.n)
-    L[..., diagonal, diagonal] = _vertex_sums(g, values)
+    flat[..., upper] = flat[..., lower] = 0.0 - values
+    diagonal_view(L)[...] = _vertex_sums(g, values)
     return L
 
 

@@ -32,9 +32,10 @@ from .percolation import (
     _check_alpha,
     _check_lengths,
     _chunks,
+    _deviation_norms,
     _distinct_rows,
+    _workspace,
     algebraic_connectivity_survivors,
-    augmented_laplacian,
     expected_augmented_laplacian,
     survivor_connectivity,
 )
@@ -167,6 +168,8 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     statistics = np.empty(count)
     if statistic_kind == "deviation_norm":
         expected = expected_augmented_laplacian(g, profile, alpha)
+        # allocated by the first chunk each process runs, so after the fork
+        workspace = _workspace(n)
 
     bit = np.arange(n)
 
@@ -175,7 +178,7 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
         if statistic_kind == "connectivity_indicator":
             return survivor_connectivity(g, delta)[1]
         if statistic_kind == "deviation_norm":
-            return spectral_norm(augmented_laplacian(g, delta, alpha) - expected)
+            return _deviation_norms(g, alpha, expected, delta, workspace)[1]
         return algebraic_connectivity_survivors(g, delta)
 
     with contextlib.closing(_chunks(chunk_statistics, 0, count, n, workers)) as chunks:

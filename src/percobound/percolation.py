@@ -22,22 +22,42 @@ flags alone, and entry k of a stack's spectral_norm or lambda2 equals the
 value for matrix k alone (see the spectral module), so each distinct pattern
 is evaluated once and its results are copied to the trials that drew it: the
 same bits as evaluating every trial.  On the 6-cycle at p = 0.8, 5,000 trials
-(seed 0) hold 299 distinct (chunk, pattern) pairs.  Every matrix and
-connectivity flag comes from the four per-pattern functions
-(percolated_laplacian, augmented_laplacian, survivor_connectivity,
-algebraic_connectivity_survivors), which take one (n,) pattern of flags or a
-(c, n) grid and give each row of a grid, bit for bit, that row's own result;
-the kernel and the exhaustive oracle call them on whole grids.  The kernel
-reduces the patterns' augmented Laplacians through spectral_norm and lambda2,
-one stacked eigensolve each, in this order: the deviation norms, a_delta (one
-stack per survivor count), then lambda_2 of the augmented Laplacians.  The
-deviation stack is formed out of place, and the ghost diagonal adds
-alpha * 0 = +0.0 to each survivor's diagonal entry, a weighted-degree sum
-that is never -0.0, so the survivor blocks read from the augmented stack keep
-their bits.  Connectivity is union-find over the patterns' live edges, with
-whole-array hooking and path compression.  A chunk holds at most
-_CHUNK_ENTRIES matrix entries, so memory is O(chunk * n^2) whatever the trial
-count.
+(seed 0) hold 299 distinct (chunk, pattern) pairs.  The four per-pattern
+functions (percolated_laplacian, augmented_laplacian, survivor_connectivity,
+algebraic_connectivity_survivors) take one (n,) pattern of flags or a (c, n)
+grid and give each row of a grid, bit for bit, that row's own result.  The
+kernel takes its connectivity flags from survivor_connectivity and its
+augmented Laplacians from the step augmented_laplacian runs (_augmented,
+over graph_core.edge_laplacian, the one assembly routine), and the
+exhaustive oracle does the same on its grids of masks.  The kernel reduces
+the patterns' augmented Laplacians through spectral_norm and lambda2, one
+stacked eigensolve each, in this order: the deviation norms, a_delta (one
+stack per survivor count), then lambda_2 of the augmented Laplacians.  Every
+one of those matrices equals its transpose bit for bit by construction, so
+the kernel solves them with check=False (see spectral.eig_sym), the bits the
+check would have passed on.  The ghost diagonal adds alpha * 0 = +0.0 to
+each survivor's diagonal entry, a weighted-degree sum that is never -0.0, so
+the survivor blocks read from the augmented stack keep their bits.
+Connectivity is union-find over the patterns' live edges, with whole-array
+hooking and path compression.
+
+Each process keeps one workspace per run (_workspace): a stack of augmented
+Laplacians and a stack of deviations, each with room for one chunk's
+distinct patterns.  A chunk holds at most _CHUNK_ENTRIES matrix entries, so
+the workspace takes O(chunk * n^2) memory whatever the trial count.  It is
+allocated once per process, by the first chunk the process runs (so each
+forked worker allocates its own, after the fork), and every later chunk of
+the run reuses it, growing it only for a chunk with more distinct patterns
+than any before.  _deviation_norms, shared with the oracle's deviation_norm
+chunks, assembles the augmented Laplacians into the first stack
+(edge_laplacian fills it with 0.0, then writes what a new array would get)
+and forms the deviations in the second with np.subtract(..., out=); the
+survivor blocks are read from the first.  Nothing returned aliases the
+workspace: every array of a TrialBlock is a new one.  From 182 vertices on a
+chunk holds one trial; before the workspace, each such trial allocated and
+freed three n x n arrays, and at n = 256 about 234 pages faulted back in per
+trial (a 200-trial simulate on the 8-cube took 47,035 minor page faults,
+and takes about 2,200 with it).
 
 Without levels, each distinct pattern of a chunk thus costs up to three
 eigensolves, and every statistic is recorded.  A caller that only compares
@@ -68,7 +88,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graph_core import WeightedGraph, edge_laplacian, is_real
+from .graph_core import WeightedGraph, diagonal_view, edge_laplacian, is_real
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -335,18 +355,18 @@ def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
     """
     # the survivor block of a percolated Laplacian is the survivors' own
     # Laplacian, entry for entry; blocks of equal order m share one eigensolve
-    out = np.full(delta.shape[0], math.inf)
     counts = delta.sum(axis=1)
-    if solve is not None:
-        out[~solve & (counts >= 2)] = math.nan
-        counts = np.where(solve, counts, 0)
+    # every block of two or more survivors is NaN until it is solved
+    blocks_of_two = counts >= 2
+    out = np.where(blocks_of_two, math.nan, math.inf)
+    solved = blocks_of_two if solve is None else blocks_of_two & solve
     # np.unique would import numpy.ma, about 1 MiB of resident memory
-    orders = np.flatnonzero(np.bincount(counts))
-    for m in orders[orders >= 2].tolist():
-        rows = np.flatnonzero(counts == m)
+    for m in sorted(set(counts[solved].tolist())):
+        rows = np.flatnonzero(solved & (counts == m))
         survivors = np.nonzero(delta[rows])[1].reshape(-1, m)
         blocks = laplacians[rows[:, None, None], survivors[:, :, None], survivors[:, None, :]]
-        out[rows] = lambda2(blocks)
+        # principal blocks of matrices equal to their transposes are too
+        out[rows] = lambda2(blocks, check=False)
     return out
 
 
@@ -361,30 +381,34 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
     """
     c, n = delta.shape
     rows, edges = np.nonzero(delta[:, g.src] & delta[:, g.dst])
-    a = rows * n + g.src[edges]
-    b = rows * n + g.dst[edges]
+    offsets = rows * n
+    a, b = offsets + g.src[edges], offsets + g.dst[edges]
     root = np.arange(c * n)
     while a.size:
         ra, rb = root[a], root[b]
-        apart = ra != rb
-        if not apart.any():
+        if not (ra != rb).any():
             break
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        # an edge whose ends share a root hooks that root onto itself
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
-    root = root.reshape(c, n)
-    # a row is connected iff every survivor shares the smallest survivor root
-    smallest = np.where(delta, root, c * n).min(axis=1)
-    return ~np.any(delta & (root != smallest[:, None]), axis=1)
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+    # every path is compressed, so each component has one node that is its
+    # own root, its smallest; a row is connected iff at most one survivor is
+    own_roots = (root == np.arange(c * n)).reshape(c, n) & delta
+    return own_roots.sum(axis=1) <= 1
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for a 2-D unsigned-integer key matrix: keys[first]
-    holds each distinct row once, and keys[first][inverse] equals keys."""
+    holds each distinct row once, and keys[first][inverse] equals keys.
+
+    Below two rows both are arange(len(keys)), what the sort gives them.
+    """
+    if keys.shape[0] < 2:
+        # nothing to group: a chunk of one trial, from 182 vertices on
+        index = np.arange(keys.shape[0])
+        return index, index
     # rows sorted stably; np.unique would import numpy.ma
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
@@ -407,14 +431,65 @@ def _a_delta_floor(g: WeightedGraph) -> float:
     return -1e-8 * (1.0 + 2.0 * float(g.degree_vector().max()))
 
 
+def _workspace(n: int):
+    """A function c -> (laplacians, deviations): two C-contiguous (c, n, n)
+    views into one pair of stacks.
+
+    The stacks are allocated by the first call and again only for a c
+    larger than any before, so a process allocates them once where its
+    first chunk needs the most room: from 182 vertices on, where every chunk
+    has one pattern, and in the oracle, whose first chunk is its longest.
+    The memory is O(chunk * n^2), and its pages fault in once.  Every call
+    returns views of it, so nothing a chunk returns may alias them.  Made
+    before a fork and first called after it, each process allocates its own.
+    """
+    stacks = np.empty((2, 0, n, n))
+
+    def views(c: int) -> np.ndarray:
+        nonlocal stacks
+        if stacks.shape[1] < c:
+            stacks = np.empty((2, c, n, n))
+        return stacks[:, :c]
+
+    return views
+
+
+def _live_values(g: WeightedGraph, grid: np.ndarray) -> np.ndarray:
+    # w on live edges (both ends alive), +0.0 on dead ones
+    return np.where(grid[:, g.src] & grid[:, g.dst], g.w, 0.0)
+
+
+def _augmented(g: WeightedGraph, grid: np.ndarray, alpha: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The (c, n, n) augmented Laplacians of a (c, n) grid, in a new array or in out."""
+    laplacians = edge_laplacian(g, _live_values(g, grid), out)
+    diagonal_view(laplacians)[...] += alpha * ~grid
+    return laplacians
+
+
+def _deviation_norms(g: WeightedGraph, alpha: float, expected: np.ndarray,
+                     grid: np.ndarray, workspace) -> tuple[np.ndarray, np.ndarray]:
+    """(augmented Laplacians, deviation norms) of a (c, n) grid.
+
+    The Laplacians are assembled into workspace(c)'s first stack and the
+    deviations formed in its second; the norms are a new array.
+    """
+    laplacians, deviations = workspace(grid.shape[0])
+    _augmented(g, grid, alpha, laplacians)
+    np.subtract(laplacians, expected, out=deviations)
+    # edge_laplacian's matrices equal their transposes, and so do
+    # expected and every difference of such matrices
+    return laplacians, spectral_norm(deviations, check=False)
+
+
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray, levels, floor: float) -> TrialBlock:
+                    delta: np.ndarray, levels, floor: float, workspace) -> TrialBlock:
     # each distinct pattern is evaluated once, its matrices solved in a fixed
-    # order (see the module docstring); floor is _a_delta_floor(g)
+    # order (see the module docstring); floor is _a_delta_floor(g).  Every
+    # array returned is new: indexing with inverse copies.
     first, inverse = _distinct_rows(np.packbits(delta, axis=1))
     patterns = delta[first]
-    laplacians = augmented_laplacian(g, patterns, alpha)
-    deviation_norm = spectral_norm(laplacians - expected)
+    laplacians, deviation_norm = _deviation_norms(g, alpha, expected, patterns, workspace)
     solve = None if levels is None else levels(deviation_norm) >= floor
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
     survivor_count, is_connected = survivor_connectivity(g, patterns)
@@ -423,7 +498,8 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
         is_connected=is_connected[inverse],
         a_delta=a_delta[inverse],
         deviation_norm=deviation_norm[inverse],
-        lambda2_augmented=lambda2(laplacians)[inverse] if levels is None else None,
+        lambda2_augmented=(lambda2(laplacians, check=False)[inverse]
+                           if levels is None else None),
     )
 
 
@@ -433,8 +509,7 @@ def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
     delta is one (n,) pattern of survival flags, or a (c, n) grid for a (c, n, n) stack.
     """
     grid, single = _flag_grid(g, delta)
-    # w on live edges (both ends alive), +0.0 on dead ones
-    laplacians = edge_laplacian(g, np.where(grid[:, g.src] & grid[:, g.dst], g.w, 0.0))
+    laplacians = edge_laplacian(g, _live_values(g, grid))
     return laplacians[0] if single else laplacians
 
 
@@ -442,9 +517,7 @@ def augmented_laplacian(g: WeightedGraph, delta, alpha: float) -> np.ndarray:
     """Percolated Laplacian plus alpha on each ghost's diagonal entry."""
     _check_alpha(alpha)
     grid, single = _flag_grid(g, delta)
-    laplacians = percolated_laplacian(g, grid)
-    diagonal = np.arange(g.n)
-    laplacians[:, diagonal, diagonal] += alpha * ~grid
+    laplacians = _augmented(g, grid, alpha)
     return laplacians[0] if single else laplacians
 
 
@@ -459,7 +532,7 @@ def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
     _check_lengths(g, len(profile), "profile")
     p = profile.p
     L = edge_laplacian(g, p[g.src] * p[g.dst] * g.w)
-    L[np.diag_indices(g.n)] += alpha * (1.0 - p)
+    diagonal_view(L)[...] += alpha * (1.0 - p)
     return L
 
 
@@ -507,10 +580,12 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
                          "the augmented Laplacian is undefined below that")
     expected = expected_augmented_laplacian(g, profile, alpha)
     floor = _a_delta_floor(g)
+    # allocated by the first chunk each process runs, so after the fork
+    workspace = _workspace(g.n)
 
     def evaluate(first: int, last: int) -> TrialBlock:
         delta = _unit_uniforms(seed, first, last - first, g.n) < profile.p
-        return _evaluate_chunk(g, alpha, expected, delta, levels, floor)
+        return _evaluate_chunk(g, alpha, expected, delta, levels, floor, workspace)
 
     return _chunks(evaluate, start, start + count, g.n, workers)
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, _require_positive_int, build_adjacency
+from .graph_core import WeightedGraph, _require_positive_int, build_adjacency, is_integer
 from .percolation import (
     SurvivalProfile,
     _check_alpha,
@@ -362,8 +362,9 @@ def expected_lambda2_regular(n: int, d: int, lam: float, p: float,
     the closed form p d - p^2 lambda.
     """
     _require_positive_int("n", n)
-    if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < n:
+    if not is_integer(d) or not 0 <= d < n:
         raise ValueError(f"d must be an integer with 0 <= d < n, got {d!r}")
+    d = int(d)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if lam > d:

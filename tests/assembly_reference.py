@@ -32,7 +32,11 @@ def normalized_edges(n: int, edges) -> tuple:
             i, j = j, i
         if not is_real(w):
             raise ValueError(f"edge ({i},{j}) weight must be a number, got {w!r}")
-        w = float(w)
+        try:
+            w = float(w)
+        except OverflowError:
+            raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, "
+                             "got a number beyond the float range") from None
         if not (w > 0.0) or not math.isfinite(w):
             raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")
         if (i, j) in seen:

@@ -642,6 +642,17 @@ class TestUsageErrors:
         assert captured.err == ("error: weighted degree of vertex 1 overflows: "
                                 "its edge weights sum past the largest float\n")
 
+    @pytest.mark.parametrize("weight", [10**400, -(10**400)], ids=["huge", "huge-negative"])
+    def test_weight_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys, weight):
+        # json reads a 401-digit integer as a Python int, which float() cannot take
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 3, "edges": [[1, 2, 1.0], [0, 1, %d]]}' % weight)
+        assert run_cli(["certify", "--graph", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: edge (0,1) weight must be finite and > 0, "
+                                "got a number beyond the float range\n")
+
     @pytest.mark.parametrize("command, text, message", [
         (["bound", "--epsilon", "0.1"], "[{}, 0.5, 0.5]", "survival probability 0 must be a number"),
         (["oracle", "--kind", "a_delta"], '[0.5, true, "0.5"]',

@@ -409,7 +409,8 @@ def test_flag_grid_rows_match_single_patterns(case):
 
 ONE_HOME = {"PercolationSample", "_sample_rows", "_live_edges", "_percolated",
             "_add_ghost_diagonal"}
-ORACLE_PRIVATE = {"_check_alpha", "_check_lengths", "_chunks", "_distinct_rows"}
+ORACLE_PRIVATE = {"_check_alpha", "_check_lengths", "_chunks", "_deviation_norms",
+                  "_distinct_rows", "_workspace"}
 
 
 def test_one_home_for_a_patterns_laplacians():

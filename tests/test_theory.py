@@ -293,6 +293,18 @@ class TestExpectedLambda2Regular:
     def test_lambda_zero_allowed(self):
         assert expected_lambda2_regular(10, 3, 0.0, 0.5) == pytest.approx(0.25 * 3 + 1.5 * 0.5)
 
+    @pytest.mark.parametrize("alpha", [None, 2.0])
+    def test_numpy_integer_degree(self, alpha):
+        # the same value, and the same type, as for the Python integer
+        got = expected_lambda2_regular(8, np.int64(3), 1.0, 0.5, alpha=alpha)
+        assert type(got) is float
+        assert got == expected_lambda2_regular(8, 3, 1.0, 0.5, alpha=alpha)
+
+    @pytest.mark.parametrize("d", [True, np.True_, 3.0, np.float64(3.0), "3"])
+    def test_degree_must_be_an_integer(self, d):
+        with pytest.raises(ValueError, match="^d must be an integer with 0 <= d < n"):
+            expected_lambda2_regular(8, d, 1.0, 0.5)
+
 
 # direct 50-digit evaluations of both sides at (n=1000, d=20, lambda=10,
 # epsilon=0.1); the condition fails at every scanned p
