@@ -239,19 +239,24 @@ def _vertex_sums(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
     # bincount returns integers.
     lead = values.shape[:-1]
     rows = math.prod(lead)
-    ends = g._scatter[2]
-    if rows != 1:
-        ends = (np.arange(rows)[:, None] * g.n + ends).ravel()
+    ends = (np.arange(rows)[:, None] * g.n + g._scatter[2]).ravel()
     sums = np.bincount(ends, weights=np.repeat(values, 2, axis=-1).ravel(),
                        minlength=rows * g.n)
     return sums.astype(float, copy=False).reshape(lead + (g.n,))
 
 
+def _flat_view(L: np.ndarray) -> np.ndarray:
+    """L as a view of shape (..., n * n); reshape would copy a
+    non-C-contiguous L, and writes to the copy would be lost."""
+    if not L.flags.c_contiguous:
+        raise ValueError("the matrices must be a C-contiguous array")
+    return L.reshape(L.shape[:-2] + (L.shape[-1] ** 2,))
+
+
 def diagonal_view(L: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of each matrix of a C-contiguous
-    (..., n, n) array, shape (..., n)."""
-    n = L.shape[-1]
-    return L.reshape(L.shape[:-2] + (n * n,))[..., :: n + 1]
+    (..., n, n) array, shape (..., n); any other L raises ValueError."""
+    return _flat_view(L)[..., :: L.shape[-1] + 1]
 
 
 def edge_laplacian(g: WeightedGraph, values: np.ndarray,
@@ -261,17 +266,20 @@ def edge_laplacian(g: WeightedGraph, values: np.ndarray,
     values of shape (E,) give one n x n matrix; values of shape (c, E) give
     the (c, n, n) stack whose matrix r weights edge k with values[r, k].
     The result is a new array, or out, a C-contiguous float array of that
-    shape, which is filled with 0.0 and then written in place: the same
-    bits either way.  Every result equals its transpose bit for bit.
+    shape (any other out raises ValueError), which is filled with 0.0 and
+    then written in place: the same bits either way.  Every result equals
+    its transpose bit for bit.
     """
-    n = g.n
+    shape = values.shape[:-1] + (g.n, g.n)
     if out is None:
-        L = np.zeros(values.shape[:-1] + (n, n))
+        L = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     else:
         L = out
         L.fill(0.0)
     upper, lower, _ = g._scatter
-    flat = L.reshape(values.shape[:-1] + (n * n,))
+    flat = _flat_view(L)
     # 0.0 - values keeps a zero edge value at +0.0, as L[i, j] -= 0.0 would
     flat[..., upper] = flat[..., lower] = 0.0 - values
     diagonal_view(L)[...] = _vertex_sums(g, values)

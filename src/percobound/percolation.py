@@ -34,10 +34,10 @@ the patterns' augmented Laplacians through spectral_norm and lambda2, one
 stacked eigensolve each, in this order: the deviation norms, a_delta (one
 stack per survivor count), then lambda_2 of the augmented Laplacians.  Every
 one of those matrices equals its transpose bit for bit by construction, so
-the kernel solves them with check=False (see spectral.eig_sym), the bits the
-check would have passed on.  The ghost diagonal adds alpha * 0 = +0.0 to
-each survivor's diagonal entry, a weighted-degree sum that is never -0.0, so
-the survivor blocks read from the augmented stack keep their bits.
+spectral.eig_sym's symmetry check passes each on as it is.  The ghost
+diagonal adds alpha * 0 = +0.0 to each survivor's diagonal entry, a
+weighted-degree sum that is never -0.0, so the survivor blocks read from the
+augmented stack keep their bits.
 Connectivity is union-find over the patterns' live edges, with whole-array
 hooking and path compression.
 
@@ -365,8 +365,7 @@ def _survivor_lambda2(laplacians: np.ndarray, delta: np.ndarray,
         rows = np.flatnonzero(solved & (counts == m))
         survivors = np.nonzero(delta[rows])[1].reshape(-1, m)
         blocks = laplacians[rows[:, None, None], survivors[:, :, None], survivors[:, None, :]]
-        # principal blocks of matrices equal to their transposes are too
-        out[rows] = lambda2(blocks, check=False)
+        out[rows] = lambda2(blocks)
     return out
 
 
@@ -401,14 +400,7 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for a 2-D unsigned-integer key matrix: keys[first]
-    holds each distinct row once, and keys[first][inverse] equals keys.
-
-    Below two rows both are arange(len(keys)), what the sort gives them.
-    """
-    if keys.shape[0] < 2:
-        # nothing to group: a chunk of one trial, from 182 vertices on
-        index = np.arange(keys.shape[0])
-        return index, index
+    holds each distinct row once, and keys[first][inverse] equals keys."""
     # rows sorted stably; np.unique would import numpy.ma
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
@@ -477,9 +469,7 @@ def _deviation_norms(g: WeightedGraph, alpha: float, expected: np.ndarray,
     laplacians, deviations = workspace(grid.shape[0])
     _augmented(g, grid, alpha, laplacians)
     np.subtract(laplacians, expected, out=deviations)
-    # edge_laplacian's matrices equal their transposes, and so do
-    # expected and every difference of such matrices
-    return laplacians, spectral_norm(deviations, check=False)
+    return laplacians, spectral_norm(deviations)
 
 
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
@@ -498,8 +488,7 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
         is_connected=is_connected[inverse],
         a_delta=a_delta[inverse],
         deviation_norm=deviation_norm[inverse],
-        lambda2_augmented=(lambda2(laplacians, check=False)[inverse]
-                           if levels is None else None),
+        lambda2_augmented=lambda2(laplacians)[inverse] if levels is None else None,
     )
 
 

@@ -41,7 +41,7 @@ def _checked_symmetric(M) -> np.ndarray:
     return 0.5 * (M + T)
 
 
-def eig_sym(M, *, check: bool = True) -> np.ndarray:
+def eig_sym(M) -> np.ndarray:
     """Full spectrum of a symmetric matrix, ascending with multiplicity.
 
     M may also be a (c, m, m) stack; the result then has shape (c, m), row k
@@ -52,13 +52,8 @@ def eig_sym(M, *, check: bool = True) -> np.ndarray:
     0.5 * (M + M^T), so LAPACK sees exact symmetry; input already equal to
     its transpose bit for bit (every matrix the library builds) skips the
     check and is solved as it is.
-
-    check=False skips every check: the caller vouches that M is a float
-    array equal to its transpose bit for bit, as the Monte Carlo kernel's
-    matrices are by construction, and M is solved as it is, with the bits
-    the check would have passed on.
     """
-    return np.linalg.eigvalsh(_checked_symmetric(M) if check else M)
+    return np.linalg.eigvalsh(_checked_symmetric(M))
 
 
 def _per_matrix(values: np.ndarray):
@@ -66,22 +61,22 @@ def _per_matrix(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def spectral_norm(M, *, check: bool = True):
+def spectral_norm(M):
     """Spectral norm, max |eigenvalue|, of a symmetric matrix or of each
     matrix of a (c, m, m) stack.
 
     A matrix gives a float; a stack gives an array whose entry k is, bit for
     bit, spectral_norm(M[k]).  The spectrum is ascending, so the largest
-    magnitude sits at one of its ends.  check is eig_sym's.
+    magnitude sits at one of its ends.
     """
-    vals = eig_sym(M, check=check)
+    vals = eig_sym(M)
     return _per_matrix(np.maximum(np.abs(vals[..., 0]), np.abs(vals[..., -1])))
 
 
-def lambda2(M, *, check: bool = True):
+def lambda2(M):
     """Second smallest eigenvalue (with multiplicity) of a symmetric matrix
     or of each matrix of a (c, m, m) stack, as spectral_norm returns it."""
-    vals = eig_sym(M, check=check)
+    vals = eig_sym(M)
     if vals.shape[-1] < 2:
         raise ValueError("lambda2 needs a matrix of order at least 2")
     return _per_matrix(vals[..., 1])

@@ -450,10 +450,10 @@ def record_solves(monkeypatch) -> list:
     running = []  # the running chunk's list; solves outside a chunk are not kept
     eig_sym, evaluate_chunk = spectral.eig_sym, percolation._evaluate_chunk
 
-    def recording_eig_sym(M, **kwargs):
+    def recording_eig_sym(M):
         if running:
             running[-1].append(np.array(M))
-        return eig_sym(M, **kwargs)
+        return eig_sym(M)
 
     def recording_evaluate_chunk(*args):
         chunks.append([])

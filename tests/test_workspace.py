@@ -18,7 +18,7 @@ from percobound import (
     percolation,
     survivor_connectivity,
 )
-from percobound.graph_core import edge_laplacian
+from percobound.graph_core import diagonal_view, edge_laplacian
 from percobound.harness_cli import run_experiment
 from percobound.spectral import lambda2, spectral_norm
 
@@ -99,7 +99,7 @@ def assert_nothing_aliases_a_workspace(chunks, handed):
 
 
 def assert_last_chunk_bit_symmetric(handed):
-    # the kernel solves these with check=False: each must equal its transpose
+    # each must equal its transpose bit for bit, so eig_sym solves it as it is
     for stack in handed[-1]:
         assert stack.view(np.uint64).tobytes() == stack.mT.copy().view(np.uint64).tobytes()
 
@@ -179,6 +179,29 @@ def test_edge_laplacian_into_a_used_array_gives_a_new_arrays_bits():
     assert edge_laplacian(CYCLE, values, out) is out
     assert_bits(out, fresh)
     assert out.view(np.uint64).tobytes() == out.mT.copy().view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((6, 2, 6)).transpose(1, 0, 2),  # right shape, not C-contiguous
+    np.zeros((6, 6, 2)).T,                   # Fortran order
+    np.zeros((2, 6, 6), dtype=np.float32),
+    np.zeros((2, 36)),
+    np.zeros((1, 6, 6)),
+], ids=["strided", "fortran", "float32", "flat", "short"])
+def test_edge_laplacian_rejects_an_out_it_cannot_write_in_place(out):
+    # reshape of a non-C-contiguous out would copy, and the writes would be lost
+    values = percolation._live_values(CYCLE, np.ones((2, 6), dtype=bool))
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+        edge_laplacian(CYCLE, values, out)
+    assert not out.any()
+
+
+def test_diagonal_view_writes_through_or_raises():
+    L = np.zeros((2, 3, 3))
+    diagonal_view(L)[...] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert_bits(L, np.array([np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0])]))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        diagonal_view(L.transpose(0, 2, 1)[:, :, ::-1])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
