@@ -81,6 +81,10 @@ class WeightedGraph:
         object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError("vertex count n must be at least 1")
+        # every n x n matrix is addressed through flat intp positions i * n + j
+        if self.n * self.n > np.iinfo(np.intp).max:
+            raise ValueError(f"vertex count n = {self.n} is too large: "
+                             f"n * n must fit in a {np.dtype(np.intp).itemsize * 8}-bit index")
         edges = tuple(self.edges)
         columns = _edge_arrays(edges, self.n)
         object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in columns))))

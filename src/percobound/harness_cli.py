@@ -30,27 +30,7 @@ survivor block only where the comparison can fail and skips the augmented
 eigensolve (see percolation.trial_block); the report is the same bytes
 either way.
 
-The PERCOBOUND_THREADS environment variable sets how many worker processes
-evaluate chunks, for simulate and for oracle alike; 0 picks usable_cpus(),
-the CPUs in this process's affinity mask, and a larger count is capped at
-usable_cpus(), so no value runs more workers than there are CPUs to run them.
-Worker 0 is the calling process; the others are forked children that pickle
-their chunks' results back through pipes, in order (see
-percolation._map_in_order).  Threads cannot help here: numpy's eigvalsh
-holds the GIL, and two threads lost all 10 alternating benchmark pairs
-against one.  Unset, simulate runs 1 worker: its
-order-256 eigensolves already keep two OpenBLAS threads busy, and on a
-2-core machine two forked workers, each with OpenBLAS threads of its own,
-took simulate-hypercube8 from 1.38-1.43 s to 2.27-3.89 s (3 runs each) and
-gave simulate-cycle6 no gain (op_ref 0.17-0.20 against 0.21-0.26).  Unset,
-oracle runs usable_cpus() workers: its matrices have order at most 20, which
-OpenBLAS solves on one thread, so each CPU can run a worker of its own.
-With the 2 workers that gives on a 2-core machine, oracle-cycle15's op_ref
-fell from 5.83 to 3.88 (medians of 10 alternating benchmark pairs, all 10
-won; about 0.9 s to 0.5 s), every output unchanged.  Results are
-byte-identical for any worker count at a fixed BLAS thread count, because
-sampling is counter-based, a child inherits the caller's BLAS thread count,
-and results are folded in trial (or mask) order.
+simulate and oracle take their worker count from _chunking.resolve_threads.
 """
 from __future__ import annotations
 
@@ -58,13 +38,13 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
+from ._chunking import _distinct_rows, resolve_threads
 from .graph_core import (
     GENERATOR_FAMILIES,
     WeightedGraph,
@@ -74,7 +54,7 @@ from .graph_core import (
     read_graph,
 )
 from .oracle import STATISTIC_KINDS, exact_distribution
-from .percolation import SurvivalProfile, _distinct_rows, _trial_chunks
+from .percolation import SurvivalProfile, _trial_chunks
 from .theory import (
     ALPHA_GRID_SIZE,
     THRESHOLD_MODES,
@@ -97,31 +77,6 @@ VIOLATIONS_SHOWN = 5
 TRIALS_CSV_HEADER = (
     "trial_index,survivor_count,is_connected,a_delta,deviation_norm,lambda2_augmented\n"
 )
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has
-    one, else the CPUs installed."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def resolve_threads(unset: int = 1) -> int:
-    """Worker count from PERCOBOUND_THREADS (unset means `unset`, 0 means
-    usable_cpus()), at most usable_cpus()."""
-    raw = os.environ.get("PERCOBOUND_THREADS")
-    if raw is None:
-        return unset
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PERCOBOUND_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"PERCOBOUND_THREADS must be non-negative, got {value}")
-    if value == 0:
-        return usable_cpus()
-    return min(value, usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -223,9 +178,8 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     """Run the Monte Carlo experiment and check the closed-form claims.
 
     alpha_spec is a float or "auto" (grid-optimized).  Trials run in chunks
-    from percolation._trial_chunks, on `threads` worker processes (this one
-    and threads - 1 forked children, see percolation._map_in_order), and
-    are folded into the aggregates in trial order, the deviation norms into
+    from percolation._trial_chunks, on `threads` worker processes, and are
+    folded into the aggregates in trial order, the deviation norms into
     one exact integer sum, so every aggregate is reproducible byte for byte
     and memory does not grow with `trials`.  If trials_csv is a path, that
     file receives a header and one row per trial, in trial order.  It is
@@ -471,10 +425,8 @@ def cmd_oracle(args) -> int:
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
     alpha = args.alpha + 0.0  # as in _parse_alpha: -0.0 becomes 0.0
-    # at order 20 or less OpenBLAS solves on one thread, so every usable CPU
-    # can run a worker of its own
-    dist = exact_distribution(g, profile, alpha, args.kind,
-                              workers=resolve_threads(usable_cpus()))
+    # one worker per usable CPU unless PERCOBOUND_THREADS says otherwise
+    dist = exact_distribution(g, profile, alpha, args.kind, workers=resolve_threads(0))
     fmt = args.format or "csv"
     if fmt == "csv":
         if args.output is None:

@@ -7,11 +7,11 @@ Bernoulli series.  Enumeration is capped at n = 20 vertices.
 Both enumerations walk the masks in ascending order, one fixed-size chunk at
 a time, with no per-mask Python: one shift-and-mask decodes a chunk's
 survival flags.  exact_distribution hands that grid to the percolation
-module's per-pattern functions, as the Monte Carlo kernel does, and can
-spread the chunks over forked worker processes; exact_bernoulli_series_tail
-forms the chunk's partial sums with one einsum and solves them as one stack.
-A chunk holds at most _CHUNK_ENTRIES matrix entries of order m, so beyond
-the 2^n-long arrays the memory is O(chunk * m^2).
+module's per-pattern functions, as the Monte Carlo kernel does;
+exact_bernoulli_series_tail forms the chunk's partial sums with one einsum
+and solves them as one stack.  The chunks come from the _chunking module, so
+beyond the 2^n-long arrays the memory is O(chunk * m^2) for matrices of
+order m.
 
 ExactDistribution.write_csv prints each value as its repr, a block of
 _ROW_BLOCK entries at a time, and formats each distinct probability and
@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._chunking import _chunks, _distinct_rows
 from .graph_core import WeightedGraph
 from .percolation import (
     SurvivalProfile,
     _check_alpha,
     _check_lengths,
-    _chunks,
     _deviation_norms,
-    _distinct_rows,
     _workspace,
     algebraic_connectivity_survivors,
     expected_augmented_laplacian,
@@ -147,12 +146,8 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     chunk's grid of flags goes through the percolation module's per-pattern
     functions, so every statistic is, bit for bit, what they give that
     pattern alone.  alpha must be finite and non-negative for every kind,
-    also those that do not use it.
-
-    The chunks of masks run through percolation._chunks on `workers`
-    processes, the caller and workers - 1 forked children (see
-    percolation._map_in_order), and every statistic has the same bits for
-    any worker count.
+    also those that do not use it.  The chunks of masks run on `workers`
+    processes.
     """
     _check_enumerable(g.n)
     _check_alpha(alpha)

@@ -13,51 +13,45 @@ of processes, with identical results on every platform.
 
 Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
 stream feeds: _trial_chunks checks the inputs, then walks the trials through
-_chunks, the one chunk driver, which the oracle's mask loops share.
-trial_block concatenates that stream, and simulate folds it a chunk at a
-time.  For a chunk of trials the kernel draws the (trials x n) grid of
-survival flags with one vectorized hash and groups the grid's rows into
-distinct survival patterns.  Every per-trial statistic depends on the trial's
-flags alone, and entry k of a stack's spectral_norm or lambda2 equals the
-value for matrix k alone (see the spectral module), so each distinct pattern
-is evaluated once and its results are copied to the trials that drew it: the
-same bits as evaluating every trial.  On the 6-cycle at p = 0.8, 5,000 trials
-(seed 0) hold 299 distinct (chunk, pattern) pairs.  The four per-pattern
-functions (percolated_laplacian, augmented_laplacian, survivor_connectivity,
-algebraic_connectivity_survivors) take one (n,) pattern of flags or a (c, n)
-grid and give each row of a grid, bit for bit, that row's own result.  The
-kernel takes its connectivity flags from survivor_connectivity and its
-augmented Laplacians from the step augmented_laplacian runs (_augmented,
-over graph_core.edge_laplacian, the one assembly routine), and the
-exhaustive oracle does the same on its grids of masks.  The kernel reduces
-the patterns' augmented Laplacians through spectral_norm and lambda2, one
-stacked eigensolve each, in this order: the deviation norms, a_delta (one
-stack per survivor count), then lambda_2 of the augmented Laplacians.  Every
-one of those matrices equals its transpose bit for bit by construction, so
-spectral.eig_sym's symmetry check passes each on as it is.  The ghost
-diagonal adds alpha * 0 = +0.0 to each survivor's diagonal entry, a
-weighted-degree sum that is never -0.0, so the survivor blocks read from the
-augmented stack keep their bits.
-Connectivity is union-find over the patterns' live edges, with whole-array
-hooking and path compression.
+the chunk driver of the _chunking module, which also says how chunks are
+spread over worker processes.  trial_block concatenates that stream, and
+simulate folds it a chunk at a time.  For a chunk of trials the kernel draws
+the (trials x n) grid of survival flags with one vectorized hash and groups
+the grid's rows into distinct survival patterns.  Every per-trial statistic
+depends on the trial's flags alone, and entry k of a stack's spectral_norm or
+lambda2 equals the value for matrix k alone (see the spectral module), so
+each distinct pattern is evaluated once and its results are copied to the
+trials that drew it: the same bits as evaluating every trial.  On the 6-cycle
+at p = 0.8, 5,000 trials (seed 0) hold 299 distinct (chunk, pattern) pairs.
+The four per-pattern functions (percolated_laplacian, augmented_laplacian,
+survivor_connectivity, algebraic_connectivity_survivors) take one (n,)
+pattern of flags or a (c, n) grid and give each row of a grid, bit for bit,
+that row's own result.  The kernel takes its connectivity flags from
+survivor_connectivity and its augmented Laplacians from the step
+augmented_laplacian runs (_augmented, over graph_core.edge_laplacian, the one
+assembly routine), and the exhaustive oracle does the same on its grids of
+masks.  The kernel reduces the patterns' augmented Laplacians through
+spectral_norm and lambda2, one stacked eigensolve each, in this order: the
+deviation norms, a_delta (one stack per survivor count), then lambda_2 of the
+augmented Laplacians.  Every one of those matrices equals its transpose bit
+for bit by construction, so spectral.eig_sym's symmetry check passes each on
+as it is.  The ghost diagonal adds alpha * 0 = +0.0 to each survivor's
+diagonal entry, a weighted-degree sum that is never -0.0, so the survivor
+blocks read from the augmented stack keep their bits.  Connectivity is
+union-find over the patterns' live edges, with whole-array hooking and path
+compression.
 
 Each process keeps one workspace per run (_workspace): a stack of augmented
 Laplacians and a stack of deviations, each with room for one chunk's
-distinct patterns.  A chunk holds at most _CHUNK_ENTRIES matrix entries, so
-the workspace takes O(chunk * n^2) memory whatever the trial count.  It is
-allocated once per process, by the first chunk the process runs (so each
-forked worker allocates its own, after the fork), and every later chunk of
-the run reuses it, growing it only for a chunk with more distinct patterns
-than any before.  _deviation_norms, shared with the oracle's deviation_norm
-chunks, assembles the augmented Laplacians into the first stack
-(edge_laplacian fills it with 0.0, then writes what a new array would get)
-and forms the deviations in the second with np.subtract(..., out=); the
-survivor blocks are read from the first.  Nothing returned aliases the
-workspace: every array of a TrialBlock is a new one.  From 182 vertices on a
-chunk holds one trial; before the workspace, each such trial allocated and
-freed three n x n arrays, and at n = 256 about 234 pages faulted back in per
-trial (a 200-trial simulate on the 8-cube took 47,035 minor page faults,
-and takes about 2,200 with it).
+distinct patterns, so O(chunk * n^2) memory whatever the trial count.  The
+first chunk a process runs allocates it, and every later chunk of the run
+reuses it, growing it only for a chunk with more distinct patterns than any
+before.  _deviation_norms, shared with the oracle's deviation_norm chunks,
+assembles the augmented Laplacians into the first stack (edge_laplacian
+fills it with 0.0, then writes what a new array would get) and forms the
+deviations in the second with np.subtract(..., out=); the survivor blocks are
+read from the first.  Nothing returned aliases the workspace: every array of
+a TrialBlock is a new one.
 
 Without levels, each distinct pattern of a chunk thus costs up to three
 eigensolves, and every statistic is recorded.  A caller that only compares
@@ -79,15 +73,12 @@ per-trial CSV.
 """
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._chunking import _chunks, _distinct_rows
 from .graph_core import WeightedGraph, diagonal_view, edge_laplacian, is_real
 from .spectral import lambda2, spectral_norm
 
@@ -108,123 +99,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
-
-# Matrix entries in one chunk's stack of n x n matrices: 910 trials at n = 6,
-# 145 masks at n = 15, one matrix from n = 182 on.  Larger chunks raise peak
-# memory without running faster.  Shared by the trials and the oracle (_chunks).
-_CHUNK_ENTRIES = 1 << 15
-
-
-def _chunk_length(n: int) -> int:
-    """Trials (or masks) per chunk: as many n x n matrices as fit, at least one."""
-    return max(1, _CHUNK_ENTRIES // (n * n))
-
-
-def _chunks(fn, start: int, stop: int, order: int, workers: int = 1):
-    """Yield (first, fn(first, last)) for consecutive ranges [first, last)
-    covering [start, stop), each at most _chunk_length(order) items long.
-
-    The ranges run through _map_in_order on `workers` processes and come
-    back in order; closing this generator closes that one, so every child
-    is killed and reaped.
-    """
-    step = _chunk_length(order)
-    firsts = range(start, stop, step)
-    results = _map_in_order(lambda first: fn(first, min(first + step, stop)), firsts, workers)
-    with contextlib.closing(results):
-        yield from zip(firsts, results)
-
-
-def _map_in_order(fn, args, workers: int):
-    """Yield fn(a) for each a of the sequence args, in order, on `workers` processes.
-
-    Item i runs on worker i % workers.  Worker 0 is the calling process; each
-    other worker is a child, forked at the first next(), that pickles its
-    results, in order, into a pipe of its own.  A full pipe stops a child, so it
-    runs at most a pipe buffer ahead of the caller, and memory does not grow
-    with len(args).  A child inherits the caller's state, BLAS thread count
-    included, so the results are the bits the serial loop gives.  An
-    exception that fn raises in a child is raised here at that item's place
-    in the order.  When the generator finishes, fails or is closed, every
-    child is killed and reaped.  Off Linux, or with one worker, the items run
-    serially in this process.
-    """
-    workers = min(workers, len(args))
-    if workers <= 1 or not sys.platform.startswith("linux") or not hasattr(os, "fork"):
-        yield from map(fn, args)
-        return
-    import signal  # only here: the import costs every run about a millisecond
-
-    pids, pipes = [], []
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    for pipe in pipes:
-                        pipe.close()
-                    _serve(fn, args[k::workers], write_fd)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        for i, a in enumerate(args):
-            k = i % workers
-            if k == 0:
-                yield fn(a)
-                continue
-            try:
-                ok, value = pickle.load(pipes[k - 1])
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"worker process {pids[k - 1]} exited early") from None
-            if not ok:
-                raise value
-            yield value
-    finally:
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-
-
-def _serve(fn, args, fd: int):
-    """Child side of _map_in_order: write (True, fn(a)) for each a to fd, or
-    (False, exception) for the first call that raises, then exit."""
-    try:
-        with os.fdopen(fd, "wb") as out:
-            for a in args:
-                try:
-                    message = pickle.dumps((True, fn(a)), pickle.HIGHEST_PROTOCOL)
-                except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-                    out.write(_pickled_error(exc))
-                    break
-                out.write(message)
-                out.flush()
-    finally:
-        # skip atexit handlers and the flush of buffers inherited from the caller
-        os._exit(0)
-
-
-def _pickled_error(exc: BaseException) -> bytes:
-    """(False, exc) pickled, or a RuntimeError naming exc where exc does not
-    survive a pickle round trip; the child's traceback is added as a note."""
-    import traceback
-
-    if hasattr(exc, "add_note"):  # Python 3.11 and later
-        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-    try:
-        message = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-        pickle.loads(message)
-    except Exception:  # noqa: BLE001 - any failure means: send a plain error
-        message = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")),
-                               pickle.HIGHEST_PROTOCOL)
-    return message
-
 
 def _splitmix64(x: int) -> int:
     """One splitmix64 step on a 64-bit integer (pure Python reference)."""
@@ -398,19 +272,6 @@ def _survivors_connected(g: WeightedGraph, delta: np.ndarray) -> np.ndarray:
     return own_roots.sum(axis=1) <= 1
 
 
-def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for a 2-D unsigned-integer key matrix: keys[first]
-    holds each distinct row once, and keys[first][inverse] equals keys."""
-    # rows sorted stably; np.unique would import numpy.ma
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    starts = np.ones(order.shape[0], dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 def _a_delta_floor(g: WeightedGraph) -> float:
     """A level below every a_delta the eigensolver can return for a subgraph of g.
 
@@ -552,12 +413,12 @@ def algebraic_connectivity_survivors(g: WeightedGraph, delta) -> float | np.ndar
 def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
                   start: int, count: int, levels=None, workers: int = 1):
     """Check the inputs, then return a generator of (first, TrialBlock) for
-    the chunks of trials start, ..., start + count - 1, in trial order.
+    the chunks of trials start, ..., start + count - 1, in trial order, run
+    on `workers` processes.
 
-    The chunks run on `workers` processes (see _map_in_order).  The checks,
-    the expected augmented Laplacian and _a_delta_floor(g) run here, once per
-    run and before anything is forked, so a bad input raises before the
-    generator is started.
+    The checks, the expected augmented Laplacian and _a_delta_floor(g) run
+    here, once per run and before anything is forked, so a bad input raises
+    before the generator is started.
     """
     _check_alpha(alpha)
     _check_trial_index(start)
@@ -599,8 +460,6 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     is None.  Every other entry of every array keeps its bits.
     """
     blocks = [block for _, block in _trial_chunks(g, profile, alpha, seed, start, count, levels)]
-    if len(blocks) == 1:
-        return blocks[0]
     columns = ([getattr(b, f.name) for b in blocks] for f in fields(TrialBlock))
     return TrialBlock(*(None if parts[0] is None else np.concatenate(parts)
                         for parts in columns))

@@ -178,12 +178,13 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     max_ghost = float(ghost.max())
     l0_norm = float(np.abs(alpha_free_laplacian).sum(axis=1).max())
 
-    def mismatch_and_total(alpha: float) -> tuple[float, float]:
-        term_alpha_mismatch = float(np.abs(alpha - expected_row).max())
-        total = term_kbar + term_alpha_mismatch + term_dad + term_dpad + term_sigma
-        return term_alpha_mismatch, total
-
     row_min, row_max = float(expected_row.min()), float(expected_row.max())
+
+    def mismatch_and_total(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # fl(alpha - r) falls as r grows, so max_r |fl(alpha - r)|, the
+        # mismatch term, is taken at the least or the greatest r
+        mismatch = np.maximum(np.abs(alphas - row_min), np.abs(alphas - row_max))
+        return mismatch, term_kbar + mismatch + term_dad + term_dpad + term_sigma
 
     def upper_at(alphas, lambda2_free: float) -> np.ndarray:
         # Weyl: adding the diagonal alpha (1 - p) >= 0 raises lambda_2 by at
@@ -191,15 +192,12 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
         # eigensolves, of the diagonal shift and of the subtraction of total.
         alphas = np.asarray(alphas, dtype=float)
         shift = alphas * max_ghost
-        # fl(alpha - r) falls as r grows, so max_r |fl(alpha - r)| is taken at
-        # the least or the greatest r: mismatch_and_total's value, bit for bit
-        mismatch = np.maximum(np.abs(alphas - row_min), np.abs(alphas - row_max))
-        total = term_kbar + mismatch + term_dad + term_dpad + term_sigma
+        total = mismatch_and_total(alphas)[1]
         margin = 1e-8 * (l0_norm + shift + total + 1.0)
         return np.minimum(lambda2_free + shift - total, alphas) + margin
 
     def bound_at(alpha: float) -> BoundReport:
-        term_alpha_mismatch, total = mismatch_and_total(alpha)
+        term_alpha_mismatch, total = map(float, mismatch_and_total(np.float64(alpha)))
         L = alpha_free_laplacian.copy()
         L[np.diag_indices(g.n)] += alpha * ghost
         lam2 = lambda2(L)

@@ -1,6 +1,8 @@
 """Shared graph fixtures and hypothesis strategies for the test suite."""
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import strategies as st
 
@@ -61,3 +63,20 @@ def graph_profile(draw, min_n=1, max_weight=1e3):
     g = draw(weighted_graphs(min_n=min_n, max_weight=max_weight))
     p = draw(st.lists(probabilities, min_size=g.n, max_size=g.n))
     return g, SurvivalProfile(p)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child forked while the test runs: a run on w worker
+    processes forks w - 1 children."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -38,7 +38,7 @@ from percobound import (
     threshold_constants,
     trial_block,
 )
-from percobound import harness_cli
+from percobound import _chunking
 from percobound.harness_cli import main
 
 from conftest import petersen_graph, petersen_induced_8
@@ -283,22 +283,26 @@ def test_acceptance_8_eigensolver_closed_forms():
     _report(8, "eigensolver closed forms", check)
 
 
-def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch):
+def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch, forks):
     """Simulation reports are byte-identical for any worker count."""
 
     # PERCOBOUND_THREADS is capped at usable_cpus(); at 8 no count below is cut
-    monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(_chunking, "usable_cpus", lambda: 8)
 
     def check():
         argv_base = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8",
                      "--alpha", "2.4", "--epsilon", "0.25", "--trials", "2000",
                      "--seed", "1234"]
-        blobs = []
+        blobs, workers = [], []
         for threads in ("1", "4", "8"):
             out = tmp_path / f"threads{threads}.json"
             monkeypatch.setenv("PERCOBOUND_THREADS", threads)
+            forks.clear()
             assert main(argv_base + ["--output", str(out)]) == 0
             blobs.append(out.read_bytes())
+            workers.append(1 + len(forks))
+        # 910 trials per chunk on the 6-cycle: 3 chunks, so at most 3 workers
+        assert workers == [1, 3, 3]
         assert blobs[0] == blobs[1] == blobs[2]
         payload = json.loads(blobs[0])
         assert payload["n_trials"] == 2000

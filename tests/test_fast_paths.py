@@ -21,6 +21,7 @@ import theory_reference
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
+    _chunking,
     build_adjacency,
     build_laplacian,
     deviation_bound,
@@ -331,7 +332,7 @@ MULTI_CHUNK = WeightedGraph(11, tuple(
 
 
 def test_multi_chunk_example_spans_chunks():
-    chunk = percolation._chunk_length(MULTI_CHUNK.n)
+    chunk = _chunking._chunk_length(MULTI_CHUNK.n)
     count = 1 << MULTI_CHUNK.n
     assert count > 2 * chunk and count % chunk != 0
 
@@ -360,7 +361,7 @@ CHUNKED = WeightedGraph(20, tuple(
 
 
 def test_chunked_example_spans_chunks():
-    chunk = percolation._chunk_length(CHUNKED.n)
+    chunk = _chunking._chunk_length(CHUNKED.n)
     assert chunk == 81 and 40 % chunk != 0 and 175 // chunk == 2 and 175 % chunk != 0
 
 
@@ -438,8 +439,8 @@ def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, c
     # a small chunk length makes start fall inside a chunk and count span several
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
-        assert percolation._chunk_length(g.n) == chunk_length
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        assert _chunking._chunk_length(g.n) == chunk_length
         block = trial_block(g, profile, alpha, seed, start, count)
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count)
 
@@ -481,7 +482,7 @@ def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
     expected = expected_augmented_laplacian(g, profile, alpha)
     chunks = record_solves(monkeypatch)
     trial_block(g, profile, alpha, seed, 0, trials)
-    step = percolation._chunk_length(g.n)
+    step = _chunking._chunk_length(g.n)
     assert len(chunks) == 6
     distinct_total = 0
     for start, solved in zip(range(0, trials, step), chunks):
@@ -536,7 +537,7 @@ def test_levels_skip_only_a_delta_that_cannot_fall_below_them(case, alpha, seed,
     # a shift at a quantile of the norms puts some levels on either side of 0
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
         full = trial_block(g, profile, alpha, seed, 0, count)
         shift = float(np.quantile(full.deviation_norm, quantile)) + offset
         gated = trial_block(g, profile, alpha, seed, 0, count, levels=lambda devs: shift - devs)
@@ -575,7 +576,7 @@ def test_level_gated_run_matches_the_run_that_solves_every_a_delta(case, alpha, 
     # the trials CSV prints every a_delta, so with it every survivor block is solved
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(percolation, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
         mp.setattr(harness_cli, "LOWER_BOUND_SLACK", slack)
         gated, gated_violations = harness_cli.run_experiment(g, profile, alpha, 0.25, trials,
                                                              seed)
@@ -620,7 +621,7 @@ def test_a_delta_floor_is_computed_once_per_run(monkeypatch):
         floors.append(a_delta_floor(graph))
         return floors[-1]
 
-    monkeypatch.setattr(percolation, "_CHUNK_ENTRIES", 10 * g.n * g.n)
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 10 * g.n * g.n)
     full = trial_block(g, profile, 2.4, 0, 0, 25)
     # levels on either side of the floor
     shift = float(np.median(full.deviation_norm))
@@ -674,7 +675,7 @@ SERIES_MULTI_CHUNK = np.stack([
 
 
 def test_series_multi_chunk_example_spans_chunks():
-    chunk = percolation._chunk_length(SERIES_MULTI_CHUNK.shape[1])
+    chunk = _chunking._chunk_length(SERIES_MULTI_CHUNK.shape[1])
     count = 1 << SERIES_MULTI_CHUNK.shape[0]
     assert count > 2 * chunk and count % chunk != 0
 

@@ -51,6 +51,12 @@ class TestWeightedGraph:
         g = WeightedGraph(3, ((0, 1, 8.9e307), (1, 2, 8.9e307)))
         assert g.degree_vector()[1] == 1.78e308
 
+    def test_vertex_count_whose_square_overflows_an_index_rejected(self):
+        # the least n with n * n past the largest intp
+        n = math.isqrt(np.iinfo(np.intp).max) + 1
+        with pytest.raises(ValueError, match=f"^vertex count n = {n} is too large"):
+            WeightedGraph(n)
+
     def test_non_integer_endpoints_rejected(self):
         for edge in ((True, 2, 1.0), (0, 1.0, 1.0), (0, "1", 1.0)):
             with pytest.raises(ValueError, match="endpoints must be integers"):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import percobound
 from percobound import (
     SurvivalProfile,
+    _chunking,
     harness_cli,
     exact_distribution,
     generate,
@@ -37,7 +38,7 @@ from percobound.harness_cli import (
     run_experiment,
 )
 from percobound.oracle import STATISTIC_KINDS
-from percobound.percolation import _chunk_length
+from percobound._chunking import _chunk_length
 
 import harness_reference
 import theory_reference
@@ -167,15 +168,19 @@ class TestSimulate:
         assert payload["empirical_tail_at_bound"] <= payload["tail_tolerance"]
         assert payload["bound_report"]["total"] == pytest.approx(8.7630291177550832, abs=1e-9)
 
-    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, monkeypatch):
-        # as on 4 CPUs or more, so PERCOBOUND_THREADS=4 is not capped
-        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 4)
-        outputs = []
+    def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, monkeypatch, forks):
+        # as on 4 CPUs or more, so PERCOBOUND_THREADS=4 is not capped; 2,048
+        # trials per chunk on the 4-cycle, so 6,500 trials make 4 chunks
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 4)
+        outputs, workers = [], []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / f"{name}.json"
             monkeypatch.setenv("PERCOBOUND_THREADS", threads)
-            assert run_cli(self.ARGS + ["--output", str(out)]) == EXIT_OK
+            forks.clear()
+            assert run_cli(self.ARGS + ["--trials", "6500", "--output", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
+            workers.append(1 + len(forks))
+        assert workers == [1, 1, 4]
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_trials_csv(self, tmp_path):
@@ -209,18 +214,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert csv_path.read_text() == "kept\n"
 
-    def test_reports_and_csv_identical_for_one_two_three_threads(self, tmp_path, monkeypatch):
+    def test_reports_and_csv_identical_for_one_two_three_threads(self, tmp_path, monkeypatch,
+                                                                  forks):
         # 327 trials per chunk on the 10-cycle: 2,000 trials make 7 chunks;
         # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
-        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 3)
         outputs = set()
         for threads in ("1", "2", "3"):
             out, csv_path = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
             monkeypatch.setenv("PERCOBOUND_THREADS", threads)
+            forks.clear()
             assert run_cli(["simulate", "--family", "cycle", "--n", "10", "--p", "0.8",
                             "--alpha", "2.0", "--epsilon", "0.25", "--trials", "2000",
                             "--seed", "77", "--output", str(out),
                             "--trials-csv", str(csv_path)]) == EXIT_OK
+            assert 1 + len(forks) == int(threads)
             outputs.add((out.read_bytes(), csv_path.read_bytes()))
         assert len(outputs) == 1
 
@@ -455,11 +463,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("kind", STATISTIC_KINDS)
     @pytest.mark.parametrize("n, chunks", [(12, 19), (4, 1)])
-    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch, capsys,
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch, capsys, forks,
                                                      kind, n, chunks):
         assert -(-(1 << n) // _chunk_length(n)) == chunks
         # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
-        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 3)
         argv = ["oracle", "--family", "cycle", "--n", str(n), "--p", "0.7",
                 "--alpha", "1.5", "--kind", kind]
         outputs = set()
@@ -468,6 +476,7 @@ class TestOracle:
                 monkeypatch.delenv("PERCOBOUND_THREADS", raising=False)
             else:
                 monkeypatch.setenv("PERCOBOUND_THREADS", workers)
+            forks.clear()
             csv_path, json_path = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
             assert run_cli(argv) == EXIT_OK
             to_stdout = capsys.readouterr()
@@ -476,6 +485,8 @@ class TestOracle:
             assert run_cli(argv + ["--format", "json", "--output", str(json_path)]) == EXIT_OK
             to_json = capsys.readouterr()
             assert to_csv.out == to_json.out == ""
+            # unset means one worker per usable CPU; never more workers than chunks
+            assert len(forks) == 3 * (min(int(workers or 3), chunks) - 1)
             outputs.add((to_stdout.out, to_stdout.err, csv_path.read_text(), to_csv.err,
                          json_path.read_text(), to_json.err))
         assert len(outputs) == 1
@@ -653,6 +664,18 @@ class TestUsageErrors:
         assert captured.err == ("error: edge (0,1) weight must be finite and > 0, "
                                 "got a number beyond the float range\n")
 
+    @pytest.mark.parametrize("n", [10**400, 10**12], ids=["401-digits", "ten-to-the-12"])
+    def test_vertex_count_beyond_flat_indexing_is_a_usage_error(self, tmp_path, capsys, n):
+        # n * n must fit in an intp: 10**400 overflowed a C long deep in numpy,
+        # and 10**12 asked numpy for a 7.28 TiB array
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": %d, "edges": []}' % n)
+        assert run_cli(["certify", "--graph", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: vertex count n = {n} is too large")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("command, text, message", [
         (["bound", "--epsilon", "0.1"], "[{}, 0.5, 0.5]", "survival probability 0 must be a number"),
         (["oracle", "--kind", "a_delta"], '[0.5, true, "0.5"]',
@@ -747,37 +770,37 @@ class TestUsageErrors:
 
 class TestResolveThreads:
     def test_explicit(self, monkeypatch):
-        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 3)
         monkeypatch.setenv("PERCOBOUND_THREADS", "3")
         assert resolve_threads() == 3
 
     def test_capped_at_the_usable_cpus(self, monkeypatch):
         # 5000 would fork 4,999 children for an oracle run of 12,946 chunks
-        monkeypatch.setattr(harness_cli, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
         monkeypatch.setenv("PERCOBOUND_THREADS", "5000")
         assert resolve_threads() == 2
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")
-        assert resolve_threads() == harness_cli.usable_cpus()
+        assert resolve_threads() == _chunking.usable_cpus()
 
     def test_auto_counts_the_cpus_this_process_may_use(self, monkeypatch):
         # as under taskset -c 0 on a machine with more CPUs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")
-        assert harness_cli.usable_cpus() == 1
+        assert _chunking.usable_cpus() == 1
         assert resolve_threads() == 1
         monkeypatch.delenv("PERCOBOUND_THREADS")
         assert resolve_threads() == 1
-        assert resolve_threads(harness_cli.usable_cpus()) == 1
+        assert resolve_threads(0) == 1
 
     @pytest.mark.parametrize("installed, usable", [(8, 8), (None, 1)])
     def test_auto_falls_back_to_the_installed_cpus(self, monkeypatch, installed, usable):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: installed)
         monkeypatch.setenv("PERCOBOUND_THREADS", "0")
-        assert harness_cli.usable_cpus() == usable
+        assert _chunking.usable_cpus() == usable
         assert resolve_threads() == usable
 
     def test_unset_means_one(self, monkeypatch):

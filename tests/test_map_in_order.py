@@ -1,4 +1,4 @@
-"""percolation._map_in_order: forked workers give the serial results, in
+"""_chunking._map_in_order: forked workers give the serial results, in
 order, and leave no child process behind."""
 from __future__ import annotations
 
@@ -8,26 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from percobound.percolation import _map_in_order
+from percobound._chunking import _map_in_order
 
 pytestmark = pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(os, "fork"),
                                 reason="workers are forked on Linux only")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pid of every child forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
 
 
 def assert_reaped(pids):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
+    _chunking,
     algebraic_connectivity_survivors,
     augmented_laplacian,
     build_laplacian,
@@ -329,7 +330,7 @@ class TestRunTrial:
 def test_distinct_rows_groups_uint64_keys(case):
     k, rows = case
     keys = np.array(rows, dtype=np.uint64).reshape(-1, k)
-    first, inverse = percolation._distinct_rows(keys)
+    first, inverse = _chunking._distinct_rows(keys)
     assert np.array_equal(keys[first][inverse], keys)
     assert len({row.tobytes() for row in keys[first]}) == len(first)
 
@@ -349,12 +350,12 @@ CHUNK_HELPERS = {"_chunk_length", "_map_in_order"}
 
 
 def test_one_chunk_driver_and_no_one_trial_wrapper():
-    # every chunk loop goes through percolation._chunks, and trial_block is
+    # every chunk loop goes through _chunking._chunks, and trial_block is
     # the one Monte Carlo entry point
     driver, uses, gone = [], [], []
     for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "percolation.py":
+        if path.name == "_chunking.py":
             driver = [node for fn in ast.walk(tree)
                       if isinstance(fn, ast.FunctionDef) and fn.name == "_chunks"
                       for node in _mentions(fn, CHUNK_HELPERS)]
@@ -366,6 +367,37 @@ def test_one_chunk_driver_and_no_one_trial_wrapper():
     stray = [f"{name}:{node.lineno}" for name, node in uses if node not in driver]
     assert not stray, stray
     assert not gone, gone
+
+
+MOVED = {"_CHUNK_ENTRIES", "_chunk_length", "_chunks", "_map_in_order", "_serve",
+         "_pickled_error", "_distinct_rows", "usable_cpus", "resolve_threads"}
+PROCESS_MODULES = {"os", "sys", "pickle", "contextlib", "signal", "traceback"}
+
+
+def test_chunks_and_workers_have_one_private_module():
+    # _chunking alone defines the chunk, pool, row-grouping and worker-count
+    # names, nothing imports them from percolation, and percolation imports
+    # no process plumbing
+    defined, from_percolation, percolation_imports = [], [], set()
+    for path in sorted(Path(percolation.__file__).parents[1].rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                defined += [(path.name, node.name)] if node.name in MOVED else []
+            elif isinstance(node, ast.Assign):
+                defined += [(path.name, target.id) for target in node.targets
+                            if isinstance(target, ast.Name) and target.id in MOVED]
+            elif isinstance(node, ast.ImportFrom) and node.module == "percolation":
+                from_percolation += [f"{path.name}:{alias.name}" for alias in node.names
+                                     if alias.name in MOVED]
+            if path.name == "percolation.py" and isinstance(node, ast.Import):
+                percolation_imports |= {alias.name.split(".")[0] for alias in node.names}
+            elif path.name == "percolation.py" and isinstance(node, ast.ImportFrom):
+                percolation_imports.add((node.module or "").split(".")[0])
+    assert sorted(defined) == sorted(("_chunking.py", name) for name in MOVED)
+    assert not from_percolation, from_percolation
+    assert "numpy" in percolation_imports
+    assert not percolation_imports & PROCESS_MODULES, percolation_imports & PROCESS_MODULES
 
 
 @st.composite
@@ -409,8 +441,7 @@ def test_flag_grid_rows_match_single_patterns(case):
 
 ONE_HOME = {"PercolationSample", "_sample_rows", "_live_edges", "_percolated",
             "_add_ghost_diagonal"}
-ORACLE_PRIVATE = {"_check_alpha", "_check_lengths", "_chunks", "_deviation_norms",
-                  "_distinct_rows", "_workspace"}
+ORACLE_PRIVATE = {"_check_alpha", "_check_lengths", "_deviation_norms", "_workspace"}
 
 
 def test_one_home_for_a_patterns_laplacians():

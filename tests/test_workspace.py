@@ -11,6 +11,7 @@ import pytest
 
 from percobound import (
     SurvivalProfile,
+    _chunking,
     algebraic_connectivity_survivors,
     augmented_laplacian,
     expected_augmented_laplacian,
@@ -113,7 +114,7 @@ def solve_below_4_5(devs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("levels", [None, solve_below_4_5], ids=["every-statistic", "levels"])
 def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(levels):
     profile, alpha, seed, start, count = HYPERCUBE_RUN
-    assert percolation._chunk_length(HYPERCUBE.n) == 1
+    assert _chunking._chunk_length(HYPERCUBE.n) == 1
     chunks, handed = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, levels)
     assert [len(block) for _, block in chunks] == [1] * count
     assert_matches_slow_path(chunks, HYPERCUBE, profile, alpha, seed, start, count, levels)
@@ -147,7 +148,7 @@ def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functio
     # needs more room than the first, and the last chunk is short
     profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.8), 2.4, 0, 50
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(percolation, "_CHUNK_ENTRIES", 12 * 36)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
         chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
     assert [len(block) for _, block in chunks] == [12, 12, 12, 12, 2]
     assert [views.shape[1] for views in handed] == [7, 6, 11, 9, 2]
