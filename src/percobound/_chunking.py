@@ -38,9 +38,9 @@ CPUs to run them.
   2-core machine, oracle-cycle15's op_ref fell from 5.83 to 3.88 (medians of
   10 alternating benchmark pairs, all 10 won).
 
-_distinct_rows groups equal rows of a key matrix: the kernel evaluates each
-distinct survival pattern of a chunk once, and the CLI and the oracle format
-each distinct value of a chunk once.
+_distinct_rows groups equal rows of a key matrix: the Monte Carlo stream
+looks each distinct survival pattern of a chunk up in its run's memo once,
+and the CLI and the oracle format each distinct value of a chunk once.
 """
 from __future__ import annotations
 

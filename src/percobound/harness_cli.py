@@ -54,7 +54,7 @@ from .graph_core import (
     read_graph,
 )
 from .oracle import STATISTIC_KINDS, exact_distribution
-from .percolation import SurvivalProfile, _trial_chunks
+from .percolation import SurvivalProfile, _check_seed, _trial_chunks
 from .theory import (
     ALPHA_GRID_SIZE,
     THRESHOLD_MODES,
@@ -598,6 +598,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate_source_args(parser, args)
     try:
+        _check_seed(args.seed)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

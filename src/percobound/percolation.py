@@ -15,14 +15,21 @@ Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
 stream feeds: _trial_chunks checks the inputs, then walks the trials through
 the chunk driver of the _chunking module, which also says how chunks are
 spread over worker processes.  trial_block concatenates that stream, and
-simulate folds it a chunk at a time.  For a chunk of trials the kernel draws
-the (trials x n) grid of survival flags with one vectorized hash and groups
-the grid's rows into distinct survival patterns.  Every per-trial statistic
-depends on the trial's flags alone, and entry k of a stack's spectral_norm or
-lambda2 equals the value for matrix k alone (see the spectral module), so
-each distinct pattern is evaluated once and its results are copied to the
-trials that drew it: the same bits as evaluating every trial.  On the 6-cycle
-at p = 0.8, 5,000 trials (seed 0) hold 299 distinct (chunk, pattern) pairs.
+simulate folds it a chunk at a time.  For a chunk of trials the stream draws
+the (trials x n) grid of survival flags with one vectorized hash, and the
+run's pattern memo (_PatternMemo, one per run and process) groups the grid's
+rows into distinct survival patterns and looks each up by its packed flags.
+Only the patterns the run has not drawn before go to the kernel, in one call.
+Every per-trial statistic depends on the trial's flags alone, entry k of a
+stack's spectral_norm or lambda2 equals the value for matrix k alone (see
+the spectral module), and levels depend on the deviation norm alone, so each
+distinct pattern is evaluated once per run and its results are copied to
+every trial that draws it: the same bits as evaluating every trial.  On the
+6-cycle at p = 0.8, 5,000 trials (seed 0) hold 60 distinct patterns, which
+the 6 chunks would solve 299 times without the memo.  The memo keeps the
+first _MEMO_PATTERNS patterns a process draws and no more, so its memory
+does not grow with the trial count either; a pattern drawn after that is
+solved in each chunk that draws it.  A forked worker fills its own memo.
 The four per-pattern functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) take one (n,)
 pattern of flags or a (c, n) grid and give each row of a grid, bit for bit,
@@ -53,8 +60,9 @@ deviations in the second with np.subtract(..., out=); the survivor blocks are
 read from the first.  Nothing returned aliases the workspace: every array of
 a TrialBlock is a new one.
 
-Without levels, each distinct pattern of a chunk thus costs up to three
-eigensolves, and every statistic is recorded.  A caller that only compares
+Without levels, each distinct pattern of a run, up to the memo's cap, thus
+costs up to three eigensolves in each process, and every statistic is
+recorded.  A caller that only compares
 a_delta with a level, as simulate's per-trial lower-bound check does, passes
 those levels (a function of the deviation norms) instead.  A survivor block
 is then solved only where its level reaches _a_delta_floor(g), which is below
@@ -78,7 +86,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._chunking import _chunks, _distinct_rows
+from ._chunking import _CHUNK_ENTRIES, _chunks, _distinct_rows
 from .graph_core import WeightedGraph, diagonal_view, edge_laplacian, is_real
 from .spectral import lambda2, spectral_norm
 
@@ -99,6 +107,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
+
+# Distinct survival patterns a run's memo keeps in each process
+# (_PatternMemo).  An entry takes about 150 bytes at n = 256 (packed flags,
+# a dict slot and five results), so 4,096 take about as much memory as a
+# chunk's two workspace stacks of _CHUNK_ENTRIES float64 entries each.
+_MEMO_PATTERNS = _CHUNK_ENTRIES // 8
 
 def _splitmix64(x: int) -> int:
     """One splitmix64 step on a 64-bit integer (pure Python reference)."""
@@ -206,14 +220,21 @@ def _check_trial_index(trial_index: int) -> None:
         raise ValueError("trial_index must be non-negative")
 
 
+def _check_seed(seed: int) -> None:
+    # the hash takes 64 bits, so any other seed would repeat one of these
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> np.ndarray:
     """The read-only (n,) bool survival flags of one trial.
 
     delta_i = 1 iff a hash-derived uniform for (seed, trial_index, i) falls
     below p_i, so p_i = 0 and p_i = 1 are exact.  Row k of the grid that
     trial_block draws for trials start, start + 1, ... is sample(profile,
-    seed, start + k).
+    seed, start + k).  The seed must lie in [0, 2**64).
     """
+    _check_seed(seed)
     _check_trial_index(trial_index)
     delta = _unit_uniforms(seed, trial_index, 1, len(profile))[0] < profile.p
     delta.setflags(write=False)
@@ -334,23 +355,64 @@ def _deviation_norms(g: WeightedGraph, alpha: float, expected: np.ndarray,
 
 
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
-                    delta: np.ndarray, levels, floor: float, workspace) -> TrialBlock:
-    # each distinct pattern is evaluated once, its matrices solved in a fixed
-    # order (see the module docstring); floor is _a_delta_floor(g).  Every
-    # array returned is new: indexing with inverse copies.
-    first, inverse = _distinct_rows(np.packbits(delta, axis=1))
-    patterns = delta[first]
+                    patterns: np.ndarray, levels, floor: float, workspace) -> TrialBlock:
+    # one entry per row of patterns, its matrices solved in a fixed order
+    # (see the module docstring); floor is _a_delta_floor(g)
     laplacians, deviation_norm = _deviation_norms(g, alpha, expected, patterns, workspace)
     solve = None if levels is None else levels(deviation_norm) >= floor
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
     survivor_count, is_connected = survivor_connectivity(g, patterns)
-    return TrialBlock(
-        survivor_count=survivor_count[inverse],
-        is_connected=is_connected[inverse],
-        a_delta=a_delta[inverse],
-        deviation_norm=deviation_norm[inverse],
-        lambda2_augmented=lambda2(laplacians)[inverse] if levels is None else None,
-    )
+    return TrialBlock(survivor_count, is_connected, a_delta, deviation_norm,
+                      lambda2(laplacians) if levels is None else None)
+
+
+class _PatternMemo:
+    """One run's memo in one process: a chunk's survival flags in, their
+    TrialBlock out, each distinct pattern solved only the first time the
+    run draws it.
+
+    solve maps a (c, n) grid of distinct patterns to their TrialBlock.  The
+    memo keeps the results of the first _MEMO_PATTERNS distinct patterns,
+    keyed by their packed flags, and takes no more entries after that.
+    """
+
+    def __init__(self, solve):
+        self.solve = solve
+        self.rows = {}  # a pattern's packed flags -> its row of self.columns
+        # per TrialBlock field, _MEMO_PATTERNS entries or None; set by the first solve
+        self.columns = None
+
+    def __call__(self, delta: np.ndarray) -> TrialBlock:
+        keys = np.packbits(delta, axis=1)
+        first, inverse = _distinct_rows(keys)
+        patterns = [keys[k].tobytes() for k in first.tolist()]
+        rows = np.array([self.rows.get(key, -1) for key in patterns])
+        seen = rows >= 0
+        unseen = np.flatnonzero(~seen)
+        if unseen.size:
+            fresh = list(vars(self.solve(delta[first[unseen]])).values())
+        else:
+            fresh = [None if column is None else column[:0] for column in self.columns]
+        if self.columns is None:
+            self.columns = [None if new is None else np.empty(_MEMO_PATTERNS, new.dtype)
+                            for new in fresh]
+        stored = len(self.rows)
+        kept = unseen[:_MEMO_PATTERNS - stored].tolist()
+        self.rows.update((patterns[k], stored + j) for j, k in enumerate(kept))
+        block = []
+        for column, new in zip(self.columns, fresh):
+            if new is None:
+                block.append(None)
+                continue
+            column[stored:stored + len(kept)] = new[:len(kept)]
+            # each distinct pattern's entry, then each trial's, in a new array
+            table = np.empty(rows.size, new.dtype)
+            table[seen] = column[rows[seen]]
+            table[unseen] = new
+            block.append(table[inverse])
+        # a list, not a generator: unpacking a generator resizes a tuple, and
+        # CPython's free lists then held 80 more traced bytes after each chunk
+        return TrialBlock(*block)
 
 
 def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
@@ -421,6 +483,7 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     before the generator is started.
     """
     _check_alpha(alpha)
+    _check_seed(seed)
     _check_trial_index(start)
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -430,12 +493,14 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
                          "the augmented Laplacian is undefined below that")
     expected = expected_augmented_laplacian(g, profile, alpha)
     floor = _a_delta_floor(g)
-    # allocated by the first chunk each process runs, so after the fork
+    # each process allocates the workspace and fills the memo in the chunks
+    # it runs, so after the fork
     workspace = _workspace(g.n)
+    memo = _PatternMemo(lambda patterns: _evaluate_chunk(g, alpha, expected, patterns, levels,
+                                                         floor, workspace))
 
     def evaluate(first: int, last: int) -> TrialBlock:
-        delta = _unit_uniforms(seed, first, last - first, g.n) < profile.p
-        return _evaluate_chunk(g, alpha, expected, delta, levels, floor, workspace)
+        return memo(_unit_uniforms(seed, first, last - first, g.n) < profile.p)
 
     return _chunks(evaluate, start, start + count, g.n, workers)
 
@@ -448,8 +513,8 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     profile, alpha, seed, start + k, 1), and is what the per-pattern
     functions give the flags sample(profile, seed, start + k).  The trials
     are evaluated a chunk at a time, with up to three eigensolves per
-    distinct survival pattern of a chunk (see the module docstring).  Trials
-    that draw the same pattern share its results.
+    distinct survival pattern of a run, up to the cap (see the module
+    docstring).  Trials that draw the same pattern share its results.
 
     levels, for callers that only test a_delta < level, maps an array of
     deviation norms to the level of each entry, element by element.  A

@@ -1,4 +1,4 @@
-"""Acceptance suite: nine end-to-end validation criteria.
+"""Acceptance suite: ten end-to-end validation criteria.
 
 Each test prints exactly one line, "ACCEPTANCE <k> [<label>]: PASS" or
 "... FAIL", so a -s run reads as a checklist.  Every criterion checks the
@@ -309,3 +309,24 @@ def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch, forks):
         assert payload["lower_bound_violations"] == 0
 
     _report(9, "thread-count invariance", check)
+
+
+def test_acceptance_10_deviation_bound_certifies_connectivity(tmp_path):
+    """Where the deviation bound certifies connectivity, the Monte Carlo run agrees."""
+
+    # complete-256 at p = 0.999 is the one setting found where a_lower_bound > 0
+    # (2.93); the trials CSV makes the kernel solve every survivor block
+    def check():
+        out = tmp_path / "k256.json"
+        assert main(["simulate", "--family", "complete", "--n", "256", "--p", "0.999",
+                     "--alpha", "auto", "--epsilon", "0.1", "--trials", "300", "--seed", "0",
+                     "--output", str(out), "--trials-csv", str(tmp_path / "trials.csv")]) == 0
+        payload = json.loads(out.read_text())
+        epsilon = payload["config"]["epsilon"]
+        assert payload["bound_report"]["a_lower_bound"] > 0
+        assert payload["lower_bound_violations"] == 0
+        assert payload["tail_within_tolerance"] is True
+        assert payload["connected_fraction"] >= (
+            1.0 - epsilon - 3.0 * payload["connected_fraction_se"])
+
+    _report(10, "certified connectivity on complete-256", check)

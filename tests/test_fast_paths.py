@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ from percobound.graph_core import edge_laplacian
 from percobound.oracle import STATISTIC_KINDS, ExactDistribution
 from percobound.percolation import TrialBlock
 
-from conftest import graph_profile, petersen_graph, petersen_induced_8, probabilities
+from conftest import (graph_profile, petersen_graph, petersen_induced_8, probabilities,
+                      weighted_graphs)
 
 
 def assert_identical(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -395,7 +397,7 @@ def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
 
 @settings(max_examples=60, deadline=None)
 @given(graph_profile(min_n=2), st.floats(0.0, 10.0),
-       st.integers(-(2**63), 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(1, 4),
        st.booleans())
 @example((WeightedGraph(5), SurvivalProfile.uniform(5, 0.5)), 1.0, 0, 0, 3, True)
 @example((petersen_graph(), SurvivalProfile.uniform(10, 0.0)), 1.5, 7, 0, 2, True)
@@ -403,7 +405,7 @@ def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
 @example((petersen_graph(), SurvivalProfile.uniform(10, 1.0)), 1.5, 7, 0, 2, False)
 @example((petersen_graph(), SurvivalProfile.uniform(10, 0.6)), 0.0, 3, 11, 4, True)
 @example((petersen_graph(), SurvivalProfile([1.0] + [0.0] * 9)), 2.0, 1, 0, 2, True)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, -5, 3, 4, True)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, 5, 3, 4, True)
 @example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)), 2.4, 2**64 - 1, 0, 4, True)
 @example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175, True)
 @example((CHUNKED, SurvivalProfile(np.linspace(0.3, 0.95, 20))), 3.0, 17, 40, 175, False)
@@ -445,6 +447,72 @@ def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, c
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count)
 
 
+@st.composite
+def near_one(draw):
+    """A graph on 2-9 vertices and survival probabilities at or near 1, so a
+    run draws the same few patterns again and again."""
+    g = draw(weighted_graphs(min_n=2))
+    p = draw(st.lists(st.just(1.0) | st.floats(0.85, 1.0), min_size=g.n, max_size=g.n))
+    return g, SurvivalProfile(p)
+
+
+MEMO_CAPS = [percolation._MEMO_PATTERNS, 2, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_one(), st.floats(0.0, 10.0), st.integers(0, 2**64 - 1), st.integers(0, 2**40),
+       st.integers(1, 120), st.integers(1, 16), st.sampled_from(MEMO_CAPS),
+       st.none() | st.floats(-10.0, 10.0))
+# at least three chunks, with and without levels, at each cap
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7,
+         MEMO_CAPS[0], None)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7,
+         MEMO_CAPS[0], 1.0)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 0, None)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 0, 1.0)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 2, 1.0)
+# two vertices: at most four patterns
+@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5,
+         MEMO_CAPS[0], None)
+@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5,
+         MEMO_CAPS[0], 0.5)
+def test_memoized_runs_match_per_trial_reference(case, alpha, seed, start, count, chunk_length,
+                                                 cap, shift):
+    # one memo per run: a pattern drawn in several chunks is solved in the
+    # first only, and the rest copy its results; levels are shift - norm
+    g, profile = case
+    levels = None if shift is None else (lambda devs: shift - devs)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(percolation, "_MEMO_PATTERNS", cap)
+        block = trial_block(g, profile, alpha, seed, start, count, levels)
+        csv_path = os.path.join(tmp, "trials.csv")
+        harness_cli.run_experiment(g, profile, alpha, 0.25, count, seed, trials_csv=csv_path)
+        with open(csv_path, encoding="utf-8") as fh:
+            csv = fh.read()
+    if levels is None:
+        assert_block_matches_reference(block, g, profile, alpha, seed, start, count)
+    else:
+        rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)
+                for t in range(start, start + count)]
+        _, survivor_count, is_connected, a_delta, deviation_norm, _ = map(np.array, zip(*rows))
+        for fast, slow in ((block.survivor_count, survivor_count),
+                           (block.is_connected, is_connected),
+                           (block.deviation_norm, deviation_norm)):
+            assert_identical(fast, slow)
+        assert block.lambda2_augmented is None
+        # a survivor block is solved exactly where its level reaches the floor
+        skipped = (levels(deviation_norm) < percolation._a_delta_floor(g)) & (survivor_count >= 2)
+        expected = np.where(skipped, math.nan, a_delta)
+        assert block.a_delta.dtype == expected.dtype
+        assert block.a_delta.tobytes() == expected.tobytes()
+    reference = io.StringIO()
+    reference.write(harness_cli.TRIALS_CSV_HEADER)
+    harness_reference.write_trial_rows(reference, 0, trial_rows_block(
+        [percolation_reference.run_trial(g, profile, alpha, seed, t)[1:] for t in range(count)]))
+    assert csv == reference.getvalue()
+
+
 def record_solves(monkeypatch) -> list:
     """Every stack the chunk kernel hands to eig_sym, grouped by chunk."""
     chunks = []
@@ -476,28 +544,32 @@ def same_matrices(stack: np.ndarray, matrices: list) -> bool:
 
 
 def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
-    # the simulate-cycle6 benchmark inputs: 5,000 trials in 6 chunks of up to 910
+    # the simulate-cycle6 benchmark inputs: 5,000 trials in 6 chunks of up to
+    # 910; a pattern is solved in the first chunk that draws it, and a chunk
+    # that draws no new pattern solves nothing
     g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
     alpha, seed, trials = 2.4, 0, 5000
     expected = expected_augmented_laplacian(g, profile, alpha)
     chunks = record_solves(monkeypatch)
     trial_block(g, profile, alpha, seed, 0, trials)
     step = _chunking._chunk_length(g.n)
-    assert len(chunks) == 6
-    distinct_total = 0
-    for start, solved in zip(range(0, trials, step), chunks):
-        count = min(step, trials - start)
-        grid = percolation._unit_uniforms(seed, start, count, g.n) < profile.p
-        patterns = np.unique(grid, axis=0)
-        distinct_total += len(patterns)
+    grid = percolation._unit_uniforms(seed, 0, trials, g.n) < profile.p
+    seen, new_per_chunk = set(), []
+    for start in range(0, trials, step):
+        new = [delta for delta in np.unique(grid[start:start + step], axis=0)
+               if delta.tobytes() not in seen]
+        seen.update(delta.tobytes() for delta in new)
+        new_per_chunk.append(new)
+    assert len(new_per_chunk) == 6
+    for patterns, solved in zip([new for new in new_per_chunk if new], chunks, strict=True):
         augmented = [percolation.augmented_laplacian(g, delta, alpha) for delta in patterns]
         # solve order: deviations, then survivor blocks, then the augmented stack
         deviations, *blocks, augmented_stack = solved
         assert same_matrices(augmented_stack, augmented)
         assert_identical(deviations, augmented_stack - expected)
         # one survivor block per pattern with two survivors or more
-        assert sum(len(b) for b in blocks) == np.count_nonzero(patterns.sum(axis=1) >= 2)
-    assert distinct_total == 299
+        assert sum(len(b) for b in blocks) == sum(delta.sum() >= 2 for delta in patterns)
+    assert len(seen) == len(np.unique(grid, axis=0)) == 60
 
 
 def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):

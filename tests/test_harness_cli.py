@@ -203,6 +203,33 @@ class TestSimulate:
                                     "--trials-csv", str(tmp_path / "trials.csv")]) == EXIT_OK
         assert plain.read_bytes() == with_csv.read_bytes()
 
+    @pytest.mark.parametrize("seed, alias", [(5, 2**64 + 5), (2**64 - 1, -1)])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, seed, alias):
+        # the sampler hashes 64 bits of the seed, so the alias used to write
+        # its seed's trials CSV while its report echoed another seed
+        paths = {name: (tmp_path / f"{name}.json", tmp_path / f"{name}.csv")
+                 for name in ("seed", "alias")}
+        for name, value in (("seed", seed), ("alias", alias)):
+            out, csv_path = paths[name]
+            code = run_cli(self.ARGS + ["--seed", str(value), "--output", str(out),
+                                        "--trials-csv", str(csv_path)])
+            assert code == (EXIT_OK if name == "seed" else EXIT_USAGE)
+        assert capsys.readouterr().err == f"error: seed must lie in [0, 2**64), got {alias}\n"
+        assert json.loads(paths["seed"][0].read_text())["config"]["seed"] == seed
+        assert not any(path.exists() for path in paths["alias"])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_edge_values_write_their_own_trials(self, tmp_path, seed):
+        out, csv_path = tmp_path / "sim.json", tmp_path / "trials.csv"
+        assert run_cli(self.ARGS + ["--seed", str(seed), "--output", str(out),
+                                    "--trials-csv", str(csv_path)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"]["seed"] == seed
+        expected = io.StringIO()
+        expected.write(harness_cli.TRIALS_CSV_HEADER)
+        harness_reference.write_trial_rows(expected, 0, trial_block(
+            generate("cycle", n=4), SurvivalProfile.uniform(4, 0.9), 1.8, seed, 0, 200))
+        assert csv_path.read_text() == expected.getvalue()
+
     @pytest.mark.parametrize("bad", [["--trials", "0", "--epsilon", "0.1"],
                                      ["--trials", "20", "--epsilon", "1.5"]])
     def test_usage_error_leaves_trials_csv_untouched(self, tmp_path, capsys, bad):
@@ -759,6 +786,20 @@ class TestUsageErrors:
                         "--profile", str(prof), "--epsilon", "0.1"])
         assert code == EXIT_USAGE
         assert "4 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--family", "random_regular", "--n", "12", "--d", "3"],
+        ["certify", "--family", "cycle", "--n", "4"],
+        ["bound", "--family", "cycle", "--n", "4", "--p", "0.5", "--epsilon", "0.1"],
+        ["threshold", "--n", "16", "--d", "15", "--lambda", "1", "--epsilon", "0.1"],
+        ["oracle", "--family", "cycle", "--n", "4", "--p", "0.5", "--kind", "a_delta"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_is_rejected_by_every_command(self, capsys, argv, seed):
+        assert run_cli(argv + ["--seed", seed]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must lie in [0, 2**64), got {seed}\n"
 
     def test_bad_thread_env(self, monkeypatch, capsys):
         monkeypatch.setenv("PERCOBOUND_THREADS", "many")

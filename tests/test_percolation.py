@@ -91,9 +91,19 @@ class TestSample:
         with pytest.raises(ValueError, match="non-negative"):
             sample(SurvivalProfile.uniform(2, 0.5), 0, -1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # the hash reads 64 bits, so each of these would repeat an accepted seed
+        prof = SurvivalProfile.uniform(4, 0.5)
+        message = rf"seed must lie in \[0, 2\*\*64\), got {seed}"
+        with pytest.raises(ValueError, match=message):
+            sample(prof, seed, 0)
+        with pytest.raises(ValueError, match=message):
+            trial_block(generate("cycle", n=4), prof, 1.0, seed, 0, 3)
+
     def test_vector_path_matches_scalar_reference(self):
         # the fast uint64 path and the pure-int path must agree bit for bit
-        for seed in (0, 1, 2**63 - 1, 2**64 - 1, -5):
+        for seed in (0, 1, 2**63 - 1, 2**64 - 1):
             for trial in (0, 1, 999, 10**7):
                 prof = SurvivalProfile.uniform(17, 0.5)
                 s = sample(prof, seed, trial)

@@ -145,10 +145,12 @@ def solve_below_1_3(devs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("levels", [None, solve_below_1_3], ids=["every-statistic", "levels"])
 def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functions(levels):
     # chunks of 12 trials hold 7, 6, 11, 9 and 2 distinct patterns: the third
-    # needs more room than the first, and the last chunk is short
+    # needs more room than the first, and the last chunk is short; with no
+    # memo entries every chunk solves all of its distinct patterns
     profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.8), 2.4, 0, 50
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
+        mp.setattr(percolation, "_MEMO_PATTERNS", 0)
         chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
     assert [len(block) for _, block in chunks] == [12, 12, 12, 12, 2]
     assert [views.shape[1] for views in handed] == [7, 6, 11, 9, 2]
