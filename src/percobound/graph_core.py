@@ -8,12 +8,11 @@ but reject duplicates.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,7 @@ DEGREE_TOL = 1e-9
 # lambda is considered degenerate (equal to d) within this tolerance; that
 # happens exactly for disconnected or bipartite regular graphs.
 _LAMBDA_EQ_D_TOL = 1e-8
-_MAX_PAIRING_ATTEMPTS = 10**6
+_MAX_PAIRING_ATTEMPTS = 100
 
 
 def is_real(value) -> bool:
@@ -58,36 +57,42 @@ def is_integer(value) -> bool:
         not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Integral))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedGraph:
     """Simple undirected graph on vertices 0..n-1 with positive edge weights.
 
-    Every weighted degree must be finite, not only every weight, so that
-    Laplacians and their norms stay finite.  Edges are normalized to (i, j, w) with i < j, sorted lexicographically.
-    The attributes src, dst and w hold the same edges as read-only arrays.
-
-    The edges are checked as whole columns (see _edge_arrays), and a
-    rejected list is reported by its first offending edge in input order,
-    in the words of _edge_message, or as a duplicate of an earlier edge.
+    n and the read-only arrays src, dst (intp) and w (float) are the whole
+    state: edge k joins src[k] < dst[k] with weight w[k], sorted by (src,
+    dst).  Every weighted degree must be finite, not only every weight, so
+    that Laplacians and their norms stay finite.  WeightedGraph(n, edges)
+    takes (i, j, w) edges in any order and orientation; the generators build
+    from arrays with _from_arrays.  Both check the edges by the one set of
+    rules, _edge_arrays, and then the degrees.  edges, the same edges as a
+    tuple of (int, int, float), is built on first read.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
 
-    def __post_init__(self):
-        if not is_integer(self.n):
-            raise ValueError("vertex count n must be an integer")
-        # stored as Python ints, so that graph_to_dict's JSON takes them
-        object.__setattr__(self, "n", int(self.n))
-        if self.n < 1:
-            raise ValueError("vertex count n must be at least 1")
-        # every n x n matrix is addressed through flat intp positions i * n + j
-        if self.n * self.n > np.iinfo(np.intp).max:
-            raise ValueError(f"vertex count n = {self.n} is too large: "
-                             f"n * n must fit in a {np.dtype(np.intp).itemsize * 8}-bit index")
-        edges = tuple(self.edges)
-        columns = _edge_arrays(edges, self.n)
-        object.__setattr__(self, "edges", tuple(zip(*(c.tolist() for c in columns))))
+    def __init__(self, n, edges=()):
+        n = _vertex_count(n)
+        edges = tuple(edges)
+        self._freeze(n, _edge_arrays(n, *_edge_columns(edges), edges))
+
+    @classmethod
+    def _from_arrays(cls, n: int, src, dst, w) -> WeightedGraph:
+        """The graph on n vertices with the edges (src[k], dst[k], w[k]),
+        taken as intp, intp and float arrays."""
+        g = cls.__new__(cls)
+        n = _vertex_count(n)
+        g._freeze(n, _edge_arrays(n, np.asarray(src, np.intp), np.asarray(dst, np.intp),
+                                  np.asarray(w, float)))
+        return g
+
+    def _freeze(self, n: int, columns) -> None:
+        object.__setattr__(self, "n", n)
         for name, arr in zip(("src", "dst", "w"), columns):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -97,9 +102,23 @@ class WeightedGraph:
             raise ValueError(f"weighted degree of vertex {overflowed[0]} overflows: "
                              f"its edge weights sum past the largest float")
 
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
+
+    def _key(self) -> tuple:
+        # equal weights have equal bits, since every weight is finite and > 0
+        return self.n, self.src.tobytes(), self.dst.tobytes(), self.w.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.src.size
 
     def degree_vector(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix)."""
@@ -113,6 +132,20 @@ class WeightedGraph:
         n = self.n
         return (self.src * n + self.dst, self.dst * n + self.src,
                 np.stack((self.src, self.dst), axis=1).ravel())
+
+
+def _vertex_count(n) -> int:
+    """n as a Python int (which graph_to_dict's JSON takes), if it is a vertex count."""
+    if not is_integer(n):
+        raise ValueError("vertex count n must be an integer")
+    n = int(n)
+    if n < 1:
+        raise ValueError("vertex count n must be at least 1")
+    # every n x n matrix is addressed through flat intp positions i * n + j
+    if n * n > np.iinfo(np.intp).max:
+        raise ValueError(f"vertex count n = {n} is too large: "
+                         f"n * n must fit in a {np.dtype(np.intp).itemsize * 8}-bit index")
+    return n
 
 
 def _edge_message(edge, n: int) -> str | None:
@@ -147,64 +180,67 @@ def _edge_message(edge, n: int) -> str | None:
     return None
 
 
-def _column_array(column, accepts, plain: set, dtype, count: int):
-    """column as an array of dtype, or None if an entry fails accepts or lies
-    beyond the range of dtype.
-
-    accepts (is_integer or is_real) looks at nothing but an entry's type, so
-    it is tested once per type, and not at all for the types in plain.
-    """
-    types = set(map(type, column))
-    if not (types <= plain or all(map(accepts, dict(zip(map(type, column), column)).values()))):
-        return None
+def _unpacked(edge) -> tuple:
+    """edge as (i, j, w), or (None, None, None) if it does not unpack to three."""
     try:
-        return np.fromiter(column, dtype, count)
-    except OverflowError:
-        return None
-
-
-def _edge_arrays(edges: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, w) of edges on n vertices, each edge turned to i < j and
-    the edges sorted by (i, j); or ValueError naming the first offending edge.
-
-    The edges are read as three columns, each checked by type and turned into
-    one array, then every per-edge rule and the duplicate check run on the
-    arrays.  The first edge, in input order, that breaks a rule of
-    _edge_message or repeats the pair of an earlier edge is reported, in
-    _edge_message's words or as a duplicate.  Edges whose columns cannot be
-    read as arrays (of unequal lengths, of a type no rule accepts, or beyond
-    the range of an index or a float) always hold an edge that breaks a rule;
-    the first one is found edge by edge, and the edges before it are checked
-    here first, since one of them may repeat an earlier pair.
-    """
-    count = len(edges)
-    try:
-        # strict: every edge must have as many entries as the first
-        columns = tuple(zip(*edges, strict=True)) if count else ((), (), ())
+        i, j, w = edge
     except (TypeError, ValueError):
-        columns = ()
-    arrays = (None,) if len(columns) != 3 else (
-        _column_array(columns[0], is_integer, {int}, np.intp, count),
-        _column_array(columns[1], is_integer, {int}, np.intp, count),
-        _column_array(columns[2], is_real, {float, int}, float, count),
-    )
-    if any(a is None for a in arrays):
-        first = next(k for k, edge in enumerate(edges) if _edge_message(edge, n) is not None)
-        _edge_arrays(edges[:first], n)
-        raise ValueError(_edge_message(edges[first], n))
-    i, j, w = arrays
+        return None, None, None
+    return i, j, w
+
+
+def _column_array(column: tuple, accepts, dtype, broken) -> np.ndarray:
+    """column as an array of dtype (np.intp or float), where an entry that
+    accepts (is_integer or is_real) refuses, or that lies beyond the range of
+    dtype, reads as broken.  (A numpy uint64 past the largest intp wraps to a
+    negative index, which is broken too.)"""
+    def read(entry):
+        try:
+            return dtype(entry) if accepts(entry) else broken
+        except OverflowError:
+            return broken
+    return np.fromiter(map(read, column), dtype, len(column))
+
+
+def _edge_columns(edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns (i, j, w) of the edge list edges as intp, intp and float
+    arrays.  An edge that does not unpack to (i, j, w), or has an entry that
+    is not a number of its column's kind or lies beyond the range of an
+    index or a float, reads as broken (an endpoint -1 or a NaN weight)."""
+    columns = tuple(zip(*map(_unpacked, edges))) if edges else ((), (), ())
+    return (_column_array(columns[0], is_integer, np.intp, -1),
+            _column_array(columns[1], is_integer, np.intp, -1),
+            _column_array(columns[2], is_real, float, math.nan))
+
+
+def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                 edges: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, w) of the edges (i[k], j[k], w[k]) on n vertices, each
+    turned to src < dst and the edges sorted by (src, dst); or ValueError.
+
+    The one set of edge rules, run on whole arrays.  The first edge k, in
+    input order, that breaks a rule of _edge_message or repeats the pair of
+    an earlier edge is reported, in _edge_message's words or as a duplicate,
+    and named as edges[k], the list the columns were read from, or without
+    one as (i[k], j[k], w[k]).
+    """
     src, dst = np.minimum(i, j), np.maximum(i, j)
     # written so that NaN weights fail too
     broken = (src < 0) | (dst >= n) | (src == dst) | ~(w > 0.0) | ~np.isfinite(w)
     # a stable sort keeps each pair's edges in input order, so the repeats of
-    # a pair are the entries after its first
-    order = np.lexsort((dst, src))
-    repeated = np.zeros(count, dtype=bool)
-    repeated[order[1:]] = (src[order[1:]] == src[order[:-1]]) & (dst[order[1:]] == dst[order[:-1]])
+    # a pair are the entries after its first.  A pair in range has its own key
+    # below n * n; a broken edge's key may equal another's, which flags only
+    # the later of the two, so never an edge before the first broken one.
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(src.size, dtype=bool)
+    key = key[order]
+    repeated[order[1:]] = key[1:] == key[:-1]
     offenders = np.flatnonzero(broken | repeated)
     if offenders.size:
         k = offenders[0]
-        raise ValueError(_edge_message(edges[k], n) or f"duplicate edge ({src[k]},{dst[k]})")
+        edge = edges[k] if edges is not None else (i[k], j[k], w[k])
+        raise ValueError(_edge_message(edge, n) or f"duplicate edge ({src[k]},{dst[k]})")
     return src[order], dst[order], w[order]
 
 
@@ -311,7 +347,7 @@ def _require_positive_int(name: str, value) -> int:
 
 def _unit_weight_graph(n: int, src: np.ndarray, dst: np.ndarray) -> WeightedGraph:
     """The graph on n vertices with the unit-weight edges (src[k], dst[k])."""
-    return WeightedGraph(n, tuple(zip(src.tolist(), dst.tolist(), itertools.repeat(1.0))))
+    return WeightedGraph._from_arrays(n, src, dst, np.ones(src.size))
 
 
 def _complete(n: int) -> WeightedGraph:
@@ -319,12 +355,9 @@ def _complete(n: int) -> WeightedGraph:
 
 
 def _cycle(n: int) -> WeightedGraph:
-    if n == 1:
-        return WeightedGraph(1)
-    if n == 2:
-        # the two cycle edges would coincide; keep the single edge
-        return WeightedGraph(2, ((0, 1, 1.0),))
-    v = np.arange(n)
+    # on fewer than three vertices the cycle's edges would be loops or
+    # coincide; keep the path's
+    v = np.arange(n if n > 2 else n - 1)
     return _unit_weight_graph(n, v, (v + 1) % n)
 
 
@@ -343,16 +376,7 @@ def _hypercube(k: int) -> WeightedGraph:
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q % 2 == 0:
-        return q == 2
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 2
-    return True
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 def _paley(q: int) -> WeightedGraph:
@@ -368,40 +392,58 @@ def _paley(q: int) -> WeightedGraph:
 
 
 def _random_regular(n: int, d: int, seed: int) -> WeightedGraph:
-    """d-regular graph from the pairing (configuration) model.
-
-    Stubs are shuffled and paired; any attempt producing a self-loop or a
-    repeated edge is rejected wholesale and retried with fresh randomness.
+    """d-regular graph by sequential pairing (Steger and Wormald, "Generating
+    random regular graphs quickly", CPC 1999), deterministic in seed.  Above
+    d = (n - 1) / 2 it is the complement of an (n - 1 - d)-regular graph,
+    which gets stuck less often.  A stuck run starts over, at most
+    _MAX_PAIRING_ATTEMPTS runs in all, and then RuntimeError is raised.
     """
     if d < 0 or d >= n:
         raise ValueError(f"random_regular needs 0 <= d < n, got n={n}, d={d}")
     if (n * d) % 2 != 0:
         raise ValueError(f"random_regular needs n*d even, got n={n}, d={d}")
-    if d == 0:
-        return WeightedGraph(n)
     rng = random.Random(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
+    sparse = min(d, n - 1 - d)
     for _ in range(_MAX_PAIRING_ATTEMPTS):
-        rng.shuffle(stubs)
-        pairs = set()
-        ok = True
-        for t in range(0, len(stubs), 2):
-            a, b = stubs[t], stubs[t + 1]
-            if a == b:
-                ok = False
+        joined = _sequential_pairing(n, sparse, rng)
+        if joined is not None:
+            codes = np.fromiter(joined, np.intp, len(joined))
+            if sparse < d:
+                i, j = np.triu_indices(n, 1)
+                codes = np.setdiff1d(i * n + j, codes, assume_unique=True)
+            return _unit_weight_graph(n, codes // n, codes % n)
+    raise RuntimeError(f"sequential pairing failed to produce a simple {d}-regular graph on "
+                       f"{n} vertices within {_MAX_PAIRING_ATTEMPTS} attempts")
+
+
+def _sequential_pairing(n: int, d: int, rng: random.Random) -> set | None:
+    """The edges i < j of a d-regular graph as codes i * n + j, or None if
+    the run gets stuck.  Every vertex holds d points; two unpaired points
+    are drawn uniformly and paired if their vertices differ and are not yet
+    adjacent, until no point or no pair that may be joined is left."""
+    points = [v for v in range(n) for _ in range(d)]
+    joined = set()
+    while points:
+        m, misses = len(points), 0
+        while True:
+            a, b = rng.randrange(m), rng.randrange(m - 1)
+            b += b >= a
+            u, v = points[a], points[b]
+            code = u * n + v if u < v else v * n + u
+            if u != v and code not in joined:
                 break
-            if a > b:
-                a, b = b, a
-            if (a, b) in pairs:
-                ok = False
-                break
-            pairs.add((a, b))
-        if ok:
-            return WeightedGraph(n, tuple((a, b, 1.0) for a, b in sorted(pairs)))
-    raise RuntimeError(
-        f"pairing model failed to produce a simple {d}-regular graph on "
-        f"{n} vertices within {_MAX_PAIRING_ATTEMPTS} attempts"
-    )
+            misses += 1
+            # after m misses in a row, make sure some pair is left to draw
+            if misses == m:
+                left = sorted(set(points))
+                if all(x * n + y in joined for k, x in enumerate(left) for y in left[k + 1:]):
+                    return None
+                misses = 0
+        joined.add(code)
+        for k in sorted((a, b), reverse=True):
+            points[k] = points[-1]
+            points.pop()
+    return joined
 
 
 def generate(family: str, *, n: int | None = None, k: int | None = None,
@@ -409,11 +451,12 @@ def generate(family: str, *, n: int | None = None, k: int | None = None,
     """Build a named unit-weight graph family.
 
     Supported: complete(n), cycle(n), path(n), hypercube(k), paley(q) for
-    prime q with q % 4 == 1, and random_regular(n, d, seed) via the pairing
-    model.  The integer parameters may be Python or numpy integers, not
+    prime q with q % 4 == 1, and random_regular(n, d, seed) by sequential
+    pairing.  The integer parameters may be Python or numpy integers, not
     bools.  Raises ValueError for unknown families or bad parameters.  Every
-    family but random_regular builds its edge list with numpy index
-    arithmetic, in one pass over the vertex pairs it keeps.
+    family hands its edges to the graph as index arrays, and no edge tuple
+    is built: all but random_regular find them with numpy index arithmetic,
+    in one pass over the vertex pairs they keep.
     """
     if family == "complete":
         return _complete(_require_positive_int("n", n))

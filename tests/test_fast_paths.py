@@ -1,6 +1,7 @@
-"""Vectorized edge checks, generators and assembly, the hoisted alpha search
-and its vectorized ranking, the chunked oracle, the chunked Monte Carlo
-kernel and the grouped CSV writers against their slow paths."""
+"""Vectorized edge checks, the array constructor, generators and assembly,
+the hoisted alpha search and its vectorized ranking, the chunked oracle, the
+chunked Monte Carlo kernel and the grouped CSV writers against their slow
+paths."""
 from __future__ import annotations
 
 import io
@@ -30,6 +31,7 @@ from percobound import (
     exact_distribution,
     expected_augmented_laplacian,
     generate,
+    graph_core,
     harness_cli,
     optimize_alpha,
     oracle,
@@ -148,6 +150,94 @@ def test_edge_checks_match_the_edge_loop(case):
         for name, column, dtype in zip(("src", "dst", "w"), columns, (np.intp, np.intp, float)):
             assert_identical(getattr(g, name), np.array(column, dtype=dtype))
             assert not getattr(g, name).flags.writeable
+
+
+bad_weights = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                                np.float64(math.nan), np.float32(-2.5), np.int64(0)])
+
+
+@st.composite
+def edge_columns(draw):
+    """(n, i, j, w): endpoint and weight columns of Python or numpy numbers
+    that fit an index or a float.  Pairs come in either orientation, repeated
+    or not, and a few entries are broken at random places: out-of-range or
+    negative endpoints, self-loops, and weights that are zero, negative, NaN
+    or inf."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12,
+                           unique=draw(st.booleans()))) if pairs else []
+    chosen = [pair[::-1] if draw(st.booleans()) else pair for pair in chosen]
+    i = [draw(endpoint_as(a)) for a, _ in chosen]
+    j = [draw(endpoint_as(b)) for _, b in chosen]
+    w = [draw(valid_weights) for _ in chosen]
+    bad_endpoints = st.sampled_from([-1, -3, n, n + 2, np.int64(-1), np.int32(n), 2**62, -2**62])
+    for _ in range(draw(st.integers(0, 2)) if chosen else 0):
+        at, broken = draw(st.integers(0, len(chosen) - 1)), draw(st.sampled_from("ijlw"))
+        if broken == "l":
+            j[at] = i[at]
+        else:
+            column = {"i": i, "j": j, "w": w}[broken]
+            column[at] = draw(bad_weights if broken == "w" else bad_endpoints)
+    return n, i, j, w
+
+
+def assert_same_graph(g: WeightedGraph, h: WeightedGraph) -> None:
+    """g and h are equal and hash equal, with bit-identical arrays."""
+    assert g == h and hash(g) == hash(h)
+    for name in ("src", "dst", "w"):
+        assert_identical(getattr(g, name), getattr(h, name))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_columns())
+@example((3, [0, 1], [1, 0], [1.0, 2.0]))
+@example((3, [0, 2, 1], [1, 1, 1], [1.0, math.nan, 1.0]))
+@example((4, [3, -1], [1, 0], [2.0, 1.0]))
+# -2**62 * 4 + 1 wraps to 1, the key of the pair (0, 1)
+@example((4, [1, -2**62], [0, 1], [1.0, 1.0]))
+@example((4, [-2**62, 0], [1, 1], [1.0, 1.0]))
+@example((1, [], [], []))
+def test_array_constructor_matches_the_edge_list_and_the_edge_loop(case):
+    # the same arrays bit for bit, or the same error for the same first offending edge
+    n, i, j, w = case
+    arrays = (np.array(i, dtype=np.intp), np.array(j, dtype=np.intp), np.array(w, dtype=float))
+    # numpy scalars, as the array constructor names an offending edge
+    edges = tuple(zip(*arrays))
+    fast, fast_error = outcome(lambda: WeightedGraph._from_arrays(n, *arrays))
+    listed, listed_error = outcome(lambda: WeightedGraph(n, edges))
+    expected, expected_error = outcome(lambda: ref.normalized_edges(n, edges))
+    assert fast_error == listed_error == expected_error
+    # the drawn Python and numpy numbers themselves
+    raw_edges = tuple(zip(i, j, w))
+    raw, raw_error = outcome(lambda: WeightedGraph(n, raw_edges))
+    assert raw_error == outcome(lambda: ref.normalized_edges(n, raw_edges))[1]
+    assert (raw_error is None) == (expected is not None)
+    if expected is not None:
+        assert fast.edges == expected
+        assert all(tuple(map(type, edge)) == (int, int, float) for edge in fast.edges)
+        assert_same_graph(fast, listed)
+        assert_same_graph(fast, raw)
+
+
+GENERATED = {
+    "complete": [{"n": 1}, {"n": 2}, {"n": 9}],
+    "cycle": [{"n": 1}, {"n": 2}, {"n": 3}, {"n": 10}],
+    "path": [{"n": 1}, {"n": 2}, {"n": 7}],
+    "hypercube": [{"k": 1}, {"k": 5}],
+    "paley": [{"q": 5}, {"q": 101}],
+    "random_regular": [{"n": 5, "d": 0, "seed": 0}, {"n": 12, "d": 3, "seed": 1},
+                       {"n": 11, "d": 8, "seed": 2}, {"n": 40, "d": 39, "seed": 3}],
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERATED))
+def test_generated_graphs_equal_their_edge_lists(family):
+    # every generator's arrays are what the edge-list constructor makes of its edges
+    assert sorted(GENERATED) == sorted(graph_core.GENERATOR_FAMILIES)
+    for params in GENERATED[family]:
+        g = generate(family, **params)
+        assert_same_graph(g, WeightedGraph(g.n, g.edges))
 
 
 @pytest.mark.parametrize("family, sizes", [

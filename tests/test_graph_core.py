@@ -1,8 +1,14 @@
 """Graph model, generators, certification, and JSON interchange tests."""
 from __future__ import annotations
 
+import ast
+import contextlib
+import dataclasses
 import json
 import math
+import random
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +17,22 @@ from hypothesis import strategies as st
 
 from percobound import (
     RegularityCertificate,
+    SurvivalProfile,
     WeightedGraph,
     build_adjacency,
     build_laplacian,
     certify_ndl,
     eig_sym,
     generate,
+    graph_core,
+    harness_cli,
+    optimize_alpha,
+    oracle,
     read_graph,
+    trial_block,
     write_graph,
 )
+from percobound.graph_core import graph_from_dict
 
 from percolation_reference import UnionFind
 
@@ -95,6 +108,53 @@ class TestWeightedGraph:
     def test_degree_vector(self):
         g = WeightedGraph(3, ((0, 1, 2.0), (1, 2, 0.5)))
         assert np.allclose(g.degree_vector(), [2.0, 2.5, 0.5])
+
+    def test_broken_edge_reported_before_an_overflowing_degree(self):
+        # vertex 1's degree overflows on the edges before the offender, which is named
+        heavy = ((0, 1, 1.7e308), (1, 2, 1.7e308))
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\) must be \(i, j, w\)$"):
+            WeightedGraph(3, heavy + ((0, 1),))
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0,1\)$"):
+            WeightedGraph(3, heavy + ((1, 0, 1.0),))
+
+    @pytest.mark.parametrize("g", [generate("cycle", n=5), WeightedGraph(3, ((2, 0, 0.5),))],
+                             ids=["generated", "listed"])
+    def test_state_is_read_only(self, g):
+        for name in ("n", "src", "edges"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, getattr(g, name))
+        for name in ("src", "dst", "w"):
+            column = getattr(g, name)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+
+    def test_equal_graphs_hash_equal(self):
+        g = generate("path", n=3)
+        same = WeightedGraph(3, ((2, 1, 1.0), (1, 0, 1)))
+        assert g == same and hash(g) == hash(same)
+        assert g != WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
+        assert g != WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0)))
+        assert g != g.edges
+
+
+def test_command_paths_leave_the_edge_tuple_unbuilt(monkeypatch, tmp_path):
+    # edges is built on first read; nothing on the way from generate to a
+    # report reads it, so no graph builds it
+    built = []
+    edges = WeightedGraph.__dict__["edges"]
+    monkeypatch.setattr(WeightedGraph, "edges", property(lambda g: built.append(g) or edges.func(g)))
+    paley = generate("paley", q=101)
+    certify_ndl(paley)
+    optimize_alpha(paley, SurvivalProfile.uniform(101, 0.9), 0.1)
+    cycle = generate("cycle", n=8)
+    profile = SurvivalProfile.uniform(8, 0.6)
+    trial_block(cycle, profile, 0.5, seed=0, start=0, count=40)
+    oracle.exact_distribution(cycle, profile, 0.5, "a_delta")
+    assert harness_cli.main(["bound", "--family", "paley", "--q", "13", "--p", "0.9",
+                             "--epsilon", "0.1", "--output", str(tmp_path / "bound.json")]) == 0
+    assert not built
+    assert "edges" not in vars(paley) and "edges" not in vars(cycle)
 
 
 class TestBuilders:
@@ -180,6 +240,38 @@ class TestGenerators:
     def test_random_regular_empty(self):
         g = generate("random_regular", n=6, d=0, seed=0)
         assert g.edge_count == 0
+
+    @pytest.mark.parametrize("n, d", [(200, 16), (60, 7), (60, 6), (9, 4), (9, 6), (30, 28)])
+    def test_random_regular_is_simple_regular_and_seeded(self, n, d):
+        # a pairing that rejects whole attempts needs about exp((d^2 - 1) / 4) of them
+        with time_limit(10.0):
+            g, again, other = (generate("random_regular", n=n, d=d, seed=s) for s in (3, 3, 4))
+        cert = certify_ndl(g)
+        assert cert.is_regular and cert.d == d
+        # WeightedGraph rejects loops and repeated pairs, so this is a count of distinct pairs
+        assert g.edge_count == n * d // 2
+        assert g == again and g != other
+
+    def test_sequential_pairing_runs_end_or_get_stuck(self):
+        stuck = 0
+        for seed in range(100):
+            with time_limit(10.0):
+                joined = graph_core._sequential_pairing(8, 3, random.Random(seed))
+            if joined is None:
+                stuck += 1
+                continue
+            pairs = [divmod(code, 8) for code in joined]
+            assert len(pairs) == 12 and all(i < j for i, j in pairs)
+            assert np.bincount(np.ravel(pairs), minlength=8).tolist() == [3] * 8
+        assert 0 < stuck < 100
+
+    def test_random_regular_gives_up_after_its_attempts(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(graph_core, "_sequential_pairing", lambda n, d, rng: runs.append(d))
+        attempts = graph_core._MAX_PAIRING_ATTEMPTS
+        with pytest.raises(RuntimeError, match=f"within {attempts} attempts$"):
+            generate("random_regular", n=10, d=3, seed=0)
+        assert runs == [3] * attempts
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown graph family"):
@@ -298,6 +390,17 @@ class TestJsonInterchange:
         with pytest.raises(ValueError, match="0 <= i < j"):
             read_graph(path)
 
+    def test_reader_names_the_first_reversed_edge_of_a_long_list(self):
+        edges = [[i, i + 1, 1.0] for i in range(2999)]
+        edges[2500] = [2501, 2500, 1.0]
+        edges[2700] = [2701, 2700, 0.5]
+        with pytest.raises(ValueError,
+                           match=r"^graph JSON edge \[2501, 2500, 1\.0\] must have 0 <= i < j$"):
+            graph_from_dict({"n": 3000, "edges": edges})
+        del edges[2500]
+        with pytest.raises(ValueError, match=r"^graph JSON edge \[2701, 2700, 0\.5\] must"):
+            graph_from_dict({"n": 3000, "edges": edges})
+
     def test_reader_rejects_malformed(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"edges": []}')
@@ -336,6 +439,60 @@ def test_laplacian_invariants_property(g):
     assert np.abs(L @ np.ones(g.n)).max() <= 1e-12
     if g.n >= 1:
         assert eig_sym(L)[0] >= -1e-9
+
+
+def _called_names(node: ast.AST) -> set:
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def test_edge_rules_are_defined_once_and_generators_build_no_edge_tuples():
+    # _edge_arrays alone holds the edge rules and both constructors call it;
+    # the functions generate reaches neither call WeightedGraph(n, edges)
+    # nor build a tuple per edge
+    package = Path(graph_core.__file__).parent
+    defined = [(path.name, node.name) for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name in ("_edge_arrays", "_edge_message")]
+    assert sorted(defined) == [("graph_core.py", "_edge_arrays"), ("graph_core.py", "_edge_message")]
+    tree = ast.parse(Path(graph_core.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    graph_class = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "WeightedGraph")
+    methods = {node.name: node for node in graph_class.body if isinstance(node, ast.FunctionDef)}
+    for name in ("__init__", "_from_arrays"):
+        assert {"_edge_arrays", "_freeze"} <= _called_names(methods[name]), name
+    reached, todo = set(), ["generate"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_called_names(functions[name]) & functions.keys())
+    assert {"_complete", "_cycle", "_path", "_hypercube", "_paley", "_random_regular",
+            "_sequential_pairing", "_unit_weight_graph"} <= reached
+    for name in sorted(reached):
+        assert not _called_names(functions[name]) & {"WeightedGraph", "tuple", "zip"}, name
+        per_item = [node.lineno for node in ast.walk(functions[name])
+                    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+                    and isinstance(node.elt, ast.Tuple)]
+        assert not per_item, (name, per_item)
+    assert "_from_arrays" in _called_names(functions["_unit_weight_graph"])
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestUnionFind:

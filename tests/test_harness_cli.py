@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -56,6 +57,20 @@ class TestGenerate:
         assert run_cli(["generate", "--family", "paley", "--q", "13",
                         "--output", str(out)]) == EXIT_OK
         assert read_graph(out) == generate("paley", q=13)
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (["--family", "paley", "--q", "13"],
+         "643b0bf34ff82ecdd1d6833c61b2b5c9a3f6167cd14a33c58bcb8cd35739c6c1"),
+        (["--family", "hypercube", "--k", "4"],
+         "4c240744264dc6f1b04b91c2a47ba30ea6dc141a20ffdce2c1e23d4eae471e16"),
+        (["--family", "cycle", "--n", "5"],
+         "15a07bf09c26135f6ecf4f1d01415b1179c4b05672c6733e4b9bcecec6aa9223"),
+    ], ids=["paley-13", "hypercube-4", "cycle-5"])
+    def test_writes_pinned_bytes(self, tmp_path, argv, sha256):
+        # the bytes written while graphs still stored one tuple per edge
+        out = tmp_path / "g.json"
+        assert run_cli(["generate", *argv, "--output", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_random_regular_respects_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
