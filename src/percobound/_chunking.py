@@ -39,8 +39,8 @@ CPUs to run them.
   10 alternating benchmark pairs, all 10 won).
 
 _distinct_rows groups equal rows of a key matrix: the Monte Carlo stream
-looks each distinct survival pattern of a chunk up in its run's memo once,
-and the CLI and the oracle format each distinct value of a chunk once.
+groups each chunk's survival patterns once, in its run's memo, and the
+oracle formats each distinct value of a chunk once.
 """
 from __future__ import annotations
 

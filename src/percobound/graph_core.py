@@ -116,6 +116,9 @@ class WeightedGraph:
     def __hash__(self):
         return hash(self._key())
 
+    def __reduce__(self):  # rebuilt and re-checked: read-only arrays, edges unbuilt
+        return type(self)._from_arrays, (self.n, self.src, self.dst, self.w)
+
     @property
     def edge_count(self) -> int:
         return self.src.size

@@ -10,25 +10,23 @@ usage and error text is the same bytes either way, at any terminal width:
 the top-level usage still lists every command.
 
 simulate evaluates its trials a chunk at a time through
-percolation._trial_chunks, the stream trial_block concatenates (sampling,
-assembly and stacked eigensolves for a whole chunk; see that module), and
-folds each chunk into running aggregates in trial order: counts,
-the exact sum of the deviation norms, their maximum, and the first few
-lower-bound violations, which a failed validation names on stderr.  The sum
-is one Python integer, the norms scaled by 2**1074 (every float is a whole
-multiple of 2**-1074); each distinct norm of a chunk is added once, times its
-count, so the mean rounds like math.fsum of every norm, divided by the trial
-count, and the integer stays about 2,100 bits wide for any trial count.  The
-per-trial CSV is written a chunk at a time as well, so memory does not grow
-with the trial count and the CSV has no row cap; the rows of a chunk whose
-five values have equal bits share one formatted suffix after the trial
-index.  Without the CSV, a_delta is only compared with its lower-bound
-level, min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK, and
-lambda_2 of the augmented Laplacian, reported only in that CSV, is not
-needed.  simulate then hands those levels to the kernel, which solves a
-survivor block only where the comparison can fail and skips the augmented
-eigensolve (see percolation.trial_block); the report is the same bytes
-either way.
+percolation._trial_chunks (sampling, assembly and stacked eigensolves for a
+whole chunk; see that module), which gives each chunk's distinct survival
+patterns and the pattern each trial drew.  simulate folds each pattern once,
+times the trials that drew it, into running aggregates in trial order:
+counts, the exact sum of the deviation norms, their maximum, and the first
+few lower-bound violations, which a failed validation names on stderr.  The
+sum is one Python integer, the norms scaled by 2**1074 (every float is a
+whole multiple of 2**-1074), so the mean rounds like math.fsum of every
+norm, divided by the trial count.  The per-trial CSV is written a chunk at a
+time as well, each pattern's values formatted once, so memory does not grow
+with the trial count and the CSV has no row cap.  Without the CSV, a_delta
+is only compared with its lower-bound level, min(lambda2_expected -
+deviation norm, alpha) - LOWER_BOUND_SLACK, and lambda_2 of the augmented
+Laplacian, reported only in that CSV, is not needed.  simulate then hands
+those levels to the kernel, which solves a survivor block only where the
+comparison can fail and skips the augmented eigensolve (see
+percolation.trial_block); the report is the same bytes either way.
 
 simulate and oracle take their worker count from _chunking.resolve_threads.
 """
@@ -44,7 +42,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from ._chunking import _distinct_rows, resolve_threads
+from ._chunking import resolve_threads
 from .graph_core import (
     GENERATOR_FAMILIES,
     WeightedGraph,
@@ -118,15 +116,11 @@ class ExperimentSummary:
 _ULP_SCALE = 1 << 1074
 
 
-def _scaled_sum(values: np.ndarray) -> int:
-    """Exact sum of finite float64 values, times 2**1074, as one Python int.
-
-    Values with equal bits are grouped and each group is added once, as its
-    count times the value's scaled numerator.
-    """
-    first, inverse = _distinct_rows(values.view(np.uint64)[:, None])
+def _scaled_sum(values: np.ndarray, counts: np.ndarray) -> int:
+    """Exact sum of finite float64 values, value k taken counts[k] times,
+    times 2**1074, as one Python int."""
     total = 0
-    for x, count in zip(values[first].tolist(), np.bincount(inverse).tolist()):
+    for x, count in zip(values.tolist(), counts.tolist()):
         num, den = x.as_integer_ratio()
         total += count * num * (_ULP_SCALE // den)
     return total
@@ -142,25 +136,15 @@ def _mean(scaled_sum: int, trials: int) -> float:
         return scaled_sum / (_ULP_SCALE * trials)
 
 
-def _write_trial_rows(fh, start: int, block) -> None:
-    """Write one CSV row per trial of block, trial start first.
-
-    Rows whose five values have equal bits share one formatted suffix; the
-    grouping is by bits because -0.0 and 0.0 compare equal but print apart.
-    """
-    keys = np.column_stack([block.survivor_count.astype(np.uint64),
-                            block.is_connected.astype(np.uint64),
-                            block.a_delta.view(np.uint64),
-                            block.deviation_norm.view(np.uint64),
-                            block.lambda2_augmented.view(np.uint64)])
-    first, inverse = _distinct_rows(keys)
+def _write_trial_rows(fh, start: int, block, inverse: np.ndarray) -> None:
+    """Write one CSV row per trial, trial start first: trial start + t drew
+    entry inverse[t] of block, whose values are formatted once per entry."""
     # repr(math.inf) is "inf", the CSV's spelling of a_delta below two survivors
     suffixes = [f"{m},{int(c)},{a!r},{d!r},{l2!r}\n" for m, c, a, d, l2 in zip(
-        block.survivor_count[first].tolist(), block.is_connected[first].tolist(),
-        block.a_delta[first].tolist(), block.deviation_norm[first].tolist(),
-        block.lambda2_augmented[first].tolist())]
+        block.survivor_count.tolist(), block.is_connected.tolist(), block.a_delta.tolist(),
+        block.deviation_norm.tolist(), block.lambda2_augmented.tolist())]
     fh.write("".join([f"{t},{suffixes[k]}"
-                      for t, k in zip(range(start, start + len(block)), inverse.tolist())]))
+                      for t, k in zip(range(start, start + len(inverse)), inverse.tolist())]))
 
 
 def _bound_for(g: WeightedGraph, profile: SurvivalProfile, alpha_spec, epsilon: float,
@@ -178,20 +162,20 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     """Run the Monte Carlo experiment and check the closed-form claims.
 
     alpha_spec is a float or "auto" (grid-optimized).  Trials run in chunks
-    from percolation._trial_chunks, on `threads` worker processes, and are
-    folded into the aggregates in trial order, the deviation norms into
-    one exact integer sum, so every aggregate is reproducible byte for byte
-    and memory does not grow with `trials`.  If trials_csv is a path, that
-    file receives a header and one row per trial, in trial order.  It is
-    opened only once the bound is computed and _trial_chunks has checked the
-    inputs, so a usage error leaves an existing file as it was; it is
-    written a chunk at a time, so a run that fails partway leaves the rows
-    of the chunks done before the failure.  Without trials_csv, a_delta
-    is only compared with each trial's level, min(lambda2_expected -
-    deviation norm, alpha) - LOWER_BOUND_SLACK (the slack read at each call),
-    and the kernel gets the same levels, so it skips the survivor
-    eigensolves whose comparison cannot fail, and the eigensolve of
-    lambda2_augmented, which only that file reports.  The summary and
+    from percolation._trial_chunks, on `threads` worker processes, and each
+    chunk's distinct patterns are folded into the aggregates, each times the
+    trials that drew it, the deviation norms into one exact integer sum, so
+    every aggregate is reproducible byte for byte and memory does not grow
+    with `trials`.  If trials_csv is a path, that file receives a header and
+    one row per trial, in trial order.  It is opened only once the bound is
+    computed and _trial_chunks has checked the inputs, so a usage error
+    leaves an existing file as it was; it is written a chunk at a time, so a
+    run that fails partway leaves the rows of the chunks done before the
+    failure.  Without trials_csv, a_delta is only compared with each trial's
+    level, min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK
+    (the slack read at each call), and the kernel gets the same levels, so
+    it skips the survivor eigensolves whose comparison cannot fail, and the
+    eigensolve of lambda2_augmented, which only that file reports.  The summary and
     violations are the same either way.
 
     Returns (ExperimentSummary, violations): violations lists
@@ -223,19 +207,21 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     with csv_file as fh, contextlib.closing(chunks):
         if fh is not None:
             fh.write(TRIALS_CSV_HEADER)
-        for start, block in chunks:
+        for start, (block, inverse) in chunks:
+            counts = np.bincount(inverse, minlength=len(block))  # trials per pattern
             devs = block.deviation_norm
-            connected += int(np.count_nonzero(block.is_connected))
-            tail_hits += int(np.count_nonzero(devs > report.total))
+            connected += int(counts[block.is_connected].sum())
+            tail_hits += int(counts[devs > report.total].sum())
             max_dev = max(max_dev, float(devs.max()))
-            scaled_sum += _scaled_sum(devs)
+            scaled_sum += _scaled_sum(devs, counts)
             lower, level = lower_bounds(devs)
-            broken = np.flatnonzero(block.a_delta < level)
+            broken = np.flatnonzero((block.a_delta < level)[inverse])
             violation_count += broken.size
-            for k in broken[:VIOLATIONS_SHOWN - len(violations)].tolist():
-                violations.append((start + k, float(block.a_delta[k]), float(lower[k])))
+            for t in broken[:VIOLATIONS_SHOWN - len(violations)].tolist():
+                k = inverse[t]
+                violations.append((start + t, float(block.a_delta[k]), float(lower[k])))
             if fh is not None:
-                _write_trial_rows(fh, start, block)
+                _write_trial_rows(fh, start, block, inverse)
 
     fraction = connected / trials
     se = math.sqrt(fraction * (1.0 - fraction) / trials)

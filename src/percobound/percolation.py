@@ -14,17 +14,19 @@ of processes, with identical results on every platform.
 Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
 stream feeds: _trial_chunks checks the inputs, then walks the trials through
 the chunk driver of the _chunking module, which also says how chunks are
-spread over worker processes.  trial_block concatenates that stream, and
-simulate folds it a chunk at a time.  For a chunk of trials the stream draws
-the (trials x n) grid of survival flags with one vectorized hash, and the
-run's pattern memo (_PatternMemo, one per run and process) groups the grid's
-rows into distinct survival patterns and looks each up by its packed flags.
-Only the patterns the run has not drawn before go to the kernel, in one call.
+spread over worker processes.  For a chunk of trials the stream draws the
+(trials x n) grid of survival flags with one vectorized hash, and the run's
+pattern memo (_PatternMemo, one per run and process) groups the grid's rows
+into distinct survival patterns, the one grouping of a chunk, and looks each
+up by its packed flags.  Only the patterns the run has not drawn before go
+to the kernel, in one call.  The stream yields the chunk's distinct patterns'
+results and the pattern each trial drew; trial_block alone copies them to
+trials, and simulate folds them per pattern.
 Every per-trial statistic depends on the trial's flags alone, entry k of a
 stack's spectral_norm or lambda2 equals the value for matrix k alone (see
 the spectral module), and levels depend on the deviation norm alone, so each
-distinct pattern is evaluated once per run and its results are copied to
-every trial that draws it: the same bits as evaluating every trial.  On the
+distinct pattern is evaluated once per run, and every trial that draws it
+has its results: the same bits as evaluating every trial.  On the
 6-cycle at p = 0.8, 5,000 trials (seed 0) hold 60 distinct patterns, which
 the 6 chunks would solve 299 times without the memo.  The memo keeps the
 first _MEMO_PATTERNS patterns a process draws and no more, so its memory
@@ -176,7 +178,7 @@ class SurvivalProfile:
 
 @dataclass(frozen=True)
 class TrialBlock:
-    """Per-trial results of consecutive trials, one array entry each.
+    """Results of consecutive trials or of distinct patterns, one entry each.
 
     a_delta is +inf for trials with fewer than two survivors, and NaN where
     trial_block was given levels and the trial's level lies below every
@@ -367,9 +369,9 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
 
 
 class _PatternMemo:
-    """One run's memo in one process: a chunk's survival flags in, their
-    TrialBlock out, each distinct pattern solved only the first time the
-    run draws it.
+    """One run's memo in one process: a chunk's survival flags in, the
+    TrialBlock of its distinct patterns and the entry each row drew out,
+    each distinct pattern solved only the first time the run draws it.
 
     solve maps a (c, n) grid of distinct patterns to their TrialBlock.  The
     memo keeps the results of the first _MEMO_PATTERNS distinct patterns,
@@ -382,7 +384,7 @@ class _PatternMemo:
         # per TrialBlock field, _MEMO_PATTERNS entries or None; set by the first solve
         self.columns = None
 
-    def __call__(self, delta: np.ndarray) -> TrialBlock:
+    def __call__(self, delta: np.ndarray) -> tuple[TrialBlock, np.ndarray]:
         keys = np.packbits(delta, axis=1)
         first, inverse = _distinct_rows(keys)
         patterns = [keys[k].tobytes() for k in first.tolist()]
@@ -405,14 +407,14 @@ class _PatternMemo:
                 block.append(None)
                 continue
             column[stored:stored + len(kept)] = new[:len(kept)]
-            # each distinct pattern's entry, then each trial's, in a new array
+            # each distinct pattern's entry, in a new array
             table = np.empty(rows.size, new.dtype)
             table[seen] = column[rows[seen]]
             table[unseen] = new
-            block.append(table[inverse])
+            block.append(table)
         # a list, not a generator: unpacking a generator resizes a tuple, and
         # CPython's free lists then held 80 more traced bytes after each chunk
-        return TrialBlock(*block)
+        return TrialBlock(*block), inverse
 
 
 def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
@@ -474,9 +476,11 @@ def algebraic_connectivity_survivors(g: WeightedGraph, delta) -> float | np.ndar
 
 def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
                   start: int, count: int, levels=None, workers: int = 1):
-    """Check the inputs, then return a generator of (first, TrialBlock) for
-    the chunks of trials start, ..., start + count - 1, in trial order, run
-    on `workers` processes.
+    """Check the inputs, then return a generator of (first, (block,
+    inverse)) for the chunks of trials start, ..., start + count - 1, in
+    trial order, run on `workers` processes: block has one entry per
+    distinct survival pattern of the chunk, and trial first + t drew entry
+    inverse[t].
 
     The checks, the expected augmented Laplacian and _a_delta_floor(g) run
     here, once per run and before anything is forked, so a bad input raises
@@ -499,7 +503,7 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     memo = _PatternMemo(lambda patterns: _evaluate_chunk(g, alpha, expected, patterns, levels,
                                                          floor, workspace))
 
-    def evaluate(first: int, last: int) -> TrialBlock:
+    def evaluate(first: int, last: int) -> tuple[TrialBlock, np.ndarray]:
         return memo(_unit_uniforms(seed, first, last - first, g.n) < profile.p)
 
     return _chunks(evaluate, start, start + count, g.n, workers)
@@ -524,7 +528,7 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     eigensolve of the augmented Laplacians is skipped and lambda2_augmented
     is None.  Every other entry of every array keeps its bits.
     """
-    blocks = [block for _, block in _trial_chunks(g, profile, alpha, seed, start, count, levels)]
-    columns = ([getattr(b, f.name) for b in blocks] for f in fields(TrialBlock))
-    return TrialBlock(*(None if parts[0] is None else np.concatenate(parts)
-                        for parts in columns))
+    chunks = [chunk for _, chunk in _trial_chunks(g, profile, alpha, seed, start, count, levels)]
+    return TrialBlock(*(None if getattr(chunks[0][0], f.name) is None else
+                        np.concatenate([getattr(b, f.name)[inverse] for b, inverse in chunks])
+                        for f in fields(TrialBlock)))

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import pickle
 import random
 import signal
 from pathlib import Path
@@ -136,6 +137,22 @@ class TestWeightedGraph:
         assert g != WeightedGraph(3, ((0, 1, 1.0), (1, 2, 2.0)))
         assert g != WeightedGraph(4, ((0, 1, 1.0), (1, 2, 1.0)))
         assert g != g.edges
+
+    def test_a_pickled_graph_is_rebuilt_and_checked(self):
+        # the default reduce would copy __dict__ and unpickle writable arrays
+        g = generate("paley", q=13)
+        g.edges  # built on the original, not carried over
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert not any(getattr(copy, name).flags.writeable for name in ("src", "dst", "w"))
+        assert "edges" not in vars(copy) and copy.edges == g.edges
+        # arrays that break a rule raise on unpickling, as in the constructor
+        bad = WeightedGraph.__new__(WeightedGraph)
+        for name, value in (("n", 3), ("src", np.array([0, 0])), ("dst", np.array([1, 1])),
+                            ("w", np.array([1.0, 2.0]))):
+            object.__setattr__(bad, name, value)
+        with pytest.raises(ValueError, match="duplicate"):
+            pickle.loads(pickle.dumps(bad))
 
 
 def test_command_paths_leave_the_edge_tuple_unbuilt(monkeypatch, tmp_path):

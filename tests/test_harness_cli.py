@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,12 +10,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import percobound
@@ -23,6 +25,7 @@ from percobound import (
     _chunking,
     harness_cli,
     exact_distribution,
+    percolation,
     generate,
     graph_to_dict,
     read_graph,
@@ -385,29 +388,100 @@ class TestSimulate:
         assert abs(summary.connected_fraction - exact) <= 3.0 * se
 
 
-@given(st.lists(st.lists(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300), max_size=30),
+def scaled_sum(chunk) -> int:
+    """_scaled_sum of a chunk of (value, count) pairs."""
+    values, counts = zip(*chunk) if chunk else ((), ())
+    return harness_cli._scaled_sum(np.array(values, dtype=float), np.array(counts, dtype=int))
+
+
+@given(st.lists(st.lists(st.tuples(st.floats(0.0, 1e300) | st.floats(0.0, 1e-300),
+                                   st.integers(1, 5)), max_size=30),
                 max_size=6))
 # values that repeat within a chunk, and zeros
-@example([[2.5, 1e-300, 2.5, 2.5], [0.0, 0.0], [], [5e-324] * 30])
-@example([[0.0], [0.0, 0.0, 0.0]])
-@example([[1e300] * 30, [1.0] * 30, [1e300, 1.0, 1e-300] * 10])
+@example([[(2.5, 1), (1e-300, 1), (2.5, 2)], [(0.0, 2)], [], [(5e-324, 30)]])
+@example([[(0.0, 1)], [(0.0, 1), (0.0, 2)]])
+@example([[(1e300, 30)], [(1.0, 30)], [(1e300, 10), (1.0, 10), (1e-300, 10)]])
+# a count as large as a run's trials
+@example([[(5e-324, 10**6)], [(1.0, 1)]])
+@settings(deadline=None)
 def test_partials_fold_equals_one_fsum(chunks):
-    # the deviation sum is folded chunk by chunk, yet must round like one
-    # math.fsum over every trial, as Shewchuk's partial sums do
-    values = [v for chunk in chunks for v in chunk]
-    scaled = sum(harness_cli._scaled_sum(np.array(chunk, dtype=float)) for chunk in chunks)
+    # the deviation sum is folded chunk by chunk, each value times the
+    # trials that drew it, yet must round like one math.fsum over every
+    # trial, as Shewchuk's partial sums do
+    values = [v for chunk in chunks for v, count in chunk for _ in range(count)]
+    scaled = sum(scaled_sum(chunk) for chunk in chunks)
     assert scaled / harness_cli._ULP_SCALE == math.fsum(values)
     if values:
         assert harness_cli._mean(scaled, len(values)) == math.fsum(values) / len(values)
     partials = []
     for chunk in chunks:
-        harness_reference.add_to_partials(partials, chunk)
+        harness_reference.add_to_partials(partials, [v for v, count in chunk
+                                                     for _ in range(count)])
     assert math.fsum(partials) == math.fsum(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("cycle", {"n": 6}), ("path", {"n": 5}), ("complete", {"n": 4}),
+                        ("hypercube", {"k": 3})]),
+       st.sampled_from([0.5, 0.8, 0.97]), st.sampled_from([0.5, 2.4]), st.integers(1, 150),
+       st.integers(0, 2**64 - 1), st.sampled_from([4096, 2, 0]), st.integers(1, 12),
+       st.booleans(), st.booleans(), st.booleans())
+# three chunks of the 6-cycle's default length, whose patterns repeat across them
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 4096, None, False, True, True)
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 2, None, True, False, False)
+@example(("cycle", {"n": 6}), 0.97, 2.4, 150, 7, 0, 4, True, True, True)
+def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed, cap, chunk,
+                                                   vacuous_slack, median_total, with_csv):
+    # run_experiment folds each distinct pattern of a chunk once, times the
+    # trials that drew it; a per-trial fold of trial_block must agree, with
+    # the pattern memo capped at 4,096, 2 or 0 entries, chunks of `chunk`
+    # trials, an infinite slack that makes violations span chunks, and a
+    # bound total at the median norm, so that the tail counts some trials
+    g = generate(graph[0], **graph[1])
+    profile = SurvivalProfile.uniform(g.n, p)
+    block = trial_block(g, profile, alpha, seed, 0, trials)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        if median_total:
+            total, bound = float(np.median(block.deviation_norm)), harness_cli.deviation_bound
+            mp.setattr(harness_cli, "deviation_bound",
+                       lambda *args: dataclasses.replace(bound(*args), total=total))
+        mp.setattr(percolation, "_MEMO_PATTERNS", cap)
+        if chunk is not None:
+            mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk * g.n * g.n)
+        if vacuous_slack:
+            mp.setattr(harness_cli, "LOWER_BOUND_SLACK", -math.inf)
+        slack = harness_cli.LOWER_BOUND_SLACK
+        csv_path = os.path.join(tmp, "trials.csv") if with_csv else None
+        summary, violations = run_experiment(g, profile, alpha, 0.25, trials, seed,
+                                             trials_csv=csv_path)
+        if with_csv:
+            with open(csv_path, encoding="utf-8") as fh:
+                csv = fh.read()
+    report = summary.bound_report
+    connected, tail, max_dev, mean, count, expected = harness_reference.fold_trials(
+        block, report.lambda2_expected, report.total, alpha, slack, harness_cli.VIOLATIONS_SHOWN)
+    assert summary.n_trials == trials
+    assert summary.connected_fraction == connected / trials
+    assert summary.empirical_tail_at_bound == tail / trials
+    assert summary.max_deviation_norm == max_dev
+    assert summary.mean_deviation_norm == mean
+    assert summary.lower_bound_violations == count
+    assert violations == expected
+    if vacuous_slack:
+        assert count == np.count_nonzero(block.survivor_count >= 2)
+    if with_csv:
+        reference = io.StringIO()
+        reference.write(harness_cli.TRIALS_CSV_HEADER)
+        harness_reference.write_trial_rows(reference, 0, block)
+        assert csv == reference.getvalue()
 
 
 def test_mean_of_a_sum_beyond_the_float_range(c4):
     # math.fsum of these norms overflows, their mean does not
-    assert harness_cli._mean(harness_cli._scaled_sum(np.full(4, 1.5e308)), 4) == 1.5e308
+    for count in (4, 10**6):
+        with pytest.raises(OverflowError):
+            math.fsum([1.5e308] * count)
+        assert harness_cli._mean(scaled_sum([(1.5e308, count)]), count) == 1.5e308
     summary, _ = run_experiment(c4, SurvivalProfile.uniform(4, 0.5), 1e308, 0.1,
                                 trials=200, seed=0)
     assert 0.0 < summary.mean_deviation_norm <= summary.max_deviation_norm < math.inf

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -72,32 +73,35 @@ def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, 
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 3 * CYCLE.n * CYCLE.n)
     monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
     profile = SurvivalProfile.uniform(6, p)
-    blocks = [block for _, block in percolation._trial_chunks(CYCLE, profile, 2.4, 0, 0, 21,
+    chunks = [chunk for _, chunk in percolation._trial_chunks(CYCLE, profile, 2.4, 0, 0, 21,
                                                               workers=workers)]
     lines = calls.read_text(encoding="utf-8").split()
     pids, counts = lines[::2], lines[1::2]
     assert counts == ["1"] * workers and len(set(pids)) == workers
-    assert [len(block) for block in blocks] == [3] * 7
-    for block in blocks:
+    # each chunk of 3 trials holds the one pattern once
+    assert [(len(block), inverse.tolist()) for block, inverse in chunks] == [(1, [0] * 3)] * 7
+    for block, _ in chunks:
         assert (block.survivor_count == 6 * p).all()
 
 
 def test_changing_a_returned_block_changes_no_later_chunk():
     # p near 1 on the 6-cycle: later chunks copy most of their results from
-    # the memo, so a memo sharing memory with a returned array would pass on
-    # the overwritten values
+    # the memo, so a memo sharing memory with a returned block or inverse
+    # would pass on the overwritten values
     profile = SurvivalProfile.uniform(6, 0.97)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 6 * CYCLE.n * CYCLE.n)
-        clean = [block for _, block in percolation._trial_chunks(CYCLE, profile, 2.4, 3, 0, 60)]
+        clean = [[*vars(block).values(), inverse] for _, (block, inverse)
+                 in percolation._trial_chunks(CYCLE, profile, 2.4, 3, 0, 60)]
         overwritten = []
-        for _, block in percolation._trial_chunks(CYCLE, profile, 2.4, 3, 0, 60):
-            overwritten.append([a.copy() for a in vars(block).values()])
-            for a in vars(block).values():
+        for _, (block, inverse) in percolation._trial_chunks(CYCLE, profile, 2.4, 3, 0, 60):
+            arrays = [*vars(block).values(), inverse]
+            overwritten.append([a.copy() for a in arrays])
+            for a in arrays:
                 a[...] = 0
     assert len(clean) == len(overwritten) == 10
-    for block, copies in zip(clean, overwritten):
-        for a, b in zip(vars(block).values(), copies):
+    for arrays, copies in zip(clean, overwritten):
+        for a, b in zip(arrays, copies, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -115,3 +119,27 @@ def test_reports_and_trials_csv_identical_for_one_and_two_workers(tmp_path, monk
                      "--output", str(out), "--trials-csv", str(csv_path)]) == EXIT_OK
         outputs.add((out.read_bytes(), csv_path.read_bytes()))
     assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("with_csv", [False, True], ids=["report", "trials-csv"])
+def test_a_simulate_chunk_is_grouped_once(monkeypatch, tmp_path, with_csv):
+    # simulate-cycle6's inputs: 5,000 trials in 6 chunks; only the pattern
+    # memo groups a chunk's rows, whether or not the trials CSV is written
+    calls = []
+    distinct_rows = _chunking._distinct_rows
+
+    def counting(keys):
+        calls.append(len(keys))
+        return distinct_rows(keys)
+
+    # every module that holds the function, so a later import of it is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("percobound.") and vars(module).get("_distinct_rows") is distinct_rows:
+            monkeypatch.setattr(module, "_distinct_rows", counting)
+    argv = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8", "--alpha", "2.4",
+            "--epsilon", "0.25", "--trials", "5000", "--output", str(tmp_path / "sim.json")]
+    if with_csv:
+        argv += ["--trials-csv", str(tmp_path / "trials.csv")]
+    assert main(argv) == EXIT_OK
+    length = _chunking._chunk_length(6)
+    assert calls == [length] * 5 + [5000 - 5 * length]

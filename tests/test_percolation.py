@@ -410,6 +410,24 @@ def test_chunks_and_workers_have_one_private_module():
     assert not percolation_imports & PROCESS_MODULES, percolation_imports & PROCESS_MODULES
 
 
+def test_rows_are_grouped_only_by_the_pattern_memo_and_the_oracle_csv():
+    # a simulate chunk is grouped once, by the pattern memo, and harness_cli
+    # folds and writes the memo's entries without grouping anything itself
+    callers, from_chunking = [], []
+    for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            callers += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Call) and _mentions(node.func, {"_distinct_rows"})]
+        if path.name == "harness_cli.py":
+            from_chunking = [alias.name for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.module == "_chunking"
+                             for alias in node.names]
+            assert not _mentions(tree, {"_distinct_rows", "lexsort", "unique"})
+    assert sorted(callers) == [("oracle.py", "_float_reprs"), ("percolation.py", "_PatternMemo")]
+    assert from_chunking == ["resolve_threads"]
+
+
 @st.composite
 def graph_grid_alpha(draw):
     """A graph, a grid of 1-8 survival patterns (some with 0 or 1 survivors)

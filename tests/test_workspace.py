@@ -49,8 +49,8 @@ def assert_bits(fast: np.ndarray, slow: np.ndarray) -> None:
 
 
 def run_chunks(g, profile, alpha, seed, start, count, levels=None, workers=1):
-    """The (first, TrialBlock) pairs of one run, and every workspace view
-    (laplacians, deviations) its chunks were handed, in order."""
+    """The (first, block, inverse) chunks of one run, and every workspace
+    view (laplacians, deviations) its chunks were handed, in order."""
     handed = []
     make = percolation._workspace
 
@@ -64,18 +64,20 @@ def run_chunks(g, profile, alpha, seed, start, count, levels=None, workers=1):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(percolation, "_workspace", recording_workspace)
-        chunks = list(percolation._trial_chunks(g, profile, alpha, seed, start, count,
-                                                levels, workers))
+        chunks = [(first, *chunk) for first, chunk in percolation._trial_chunks(
+            g, profile, alpha, seed, start, count, levels, workers)]
     return chunks, handed
 
 
 def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, levels=None):
     survivor_count, connected, a_delta, deviation_norm, lambda2_augmented = slow_path(
         g, profile, alpha, seed, start, count)
-    blocks = [block for _, block in chunks]
-    assert [first for first, _ in chunks] == list(
-        np.cumsum([start] + [len(b) for b in blocks])[:-1])
-    column = lambda name: np.concatenate([getattr(b, name) for b in blocks])  # noqa: E731
+    blocks = [block for _, block, _ in chunks]
+    assert [first for first, _, _ in chunks] == list(
+        np.cumsum([start] + [len(inverse) for _, _, inverse in chunks])[:-1])
+    # each pattern's entry, copied to every trial that drew it
+    column = lambda name: np.concatenate(  # noqa: E731
+        [getattr(block, name)[inverse] for _, block, inverse in chunks])
     assert_bits(column("survivor_count"), survivor_count)
     assert_bits(column("is_connected"), connected)
     assert_bits(column("deviation_norm"), deviation_norm)
@@ -92,8 +94,8 @@ def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, leve
 
 
 def assert_nothing_aliases_a_workspace(chunks, handed):
-    for _, block in chunks:
-        arrays = [a for a in vars(block).values() if a is not None]
+    for _, block, inverse in chunks:
+        arrays = [a for a in vars(block).values() if a is not None] + [inverse]
         for views in handed:
             for view in views:
                 assert not any(np.shares_memory(a, view) for a in arrays)
@@ -116,7 +118,7 @@ def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(levels):
     profile, alpha, seed, start, count = HYPERCUBE_RUN
     assert _chunking._chunk_length(HYPERCUBE.n) == 1
     chunks, handed = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, levels)
-    assert [len(block) for _, block in chunks] == [1] * count
+    assert [(len(block), len(inverse)) for _, block, inverse in chunks] == [(1, 1)] * count
     assert_matches_slow_path(chunks, HYPERCUBE, profile, alpha, seed, start, count, levels)
     assert_nothing_aliases_a_workspace(chunks, handed)
     assert_last_chunk_bit_symmetric(handed)
@@ -131,8 +133,9 @@ def test_hypercube_two_workers_give_one_workers_bits():
     two, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 2)
     assert_matches_slow_path(two, HYPERCUBE, profile, alpha, seed, start, count,
                              solve_below_4_5)
-    for (first_1, block_1), (first_2, block_2) in zip(one, two, strict=True):
-        assert first_1 == first_2
+    for (first_1, block_1, inverse_1), (first_2, block_2, inverse_2) in zip(one, two,
+                                                                            strict=True):
+        assert first_1 == first_2 and inverse_1.tobytes() == inverse_2.tobytes()
         for a, b in zip(vars(block_1).values(), vars(block_2).values()):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
@@ -152,7 +155,8 @@ def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functio
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
         mp.setattr(percolation, "_MEMO_PATTERNS", 0)
         chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
-    assert [len(block) for _, block in chunks] == [12, 12, 12, 12, 2]
+    assert [len(inverse) for _, _, inverse in chunks] == [12, 12, 12, 12, 2]
+    assert [len(block) for _, block, _ in chunks] == [7, 6, 11, 9, 2]
     assert [views.shape[1] for views in handed] == [7, 6, 11, 9, 2]
     assert_matches_slow_path(chunks, CYCLE, profile, alpha, seed, 0, count, levels)
     assert_nothing_aliases_a_workspace(chunks, handed)
