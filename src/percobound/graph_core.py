@@ -68,7 +68,9 @@ class WeightedGraph:
     takes (i, j, w) edges in any order and orientation; the generators build
     from arrays with _from_arrays.  Both check the edges by the one set of
     rules, _edge_arrays, and then the degrees.  edges, the same edges as a
-    tuple of (int, int, float), is built on first read.
+    tuple of (int, int, float), is built on first read.  _scatter, where
+    edge_laplacian writes each edge, is built with the arrays: its keys
+    src * n + dst are the ones _edge_arrays sorted by.
     """
 
     n: int
@@ -92,10 +94,16 @@ class WeightedGraph:
         return g
 
     def _freeze(self, n: int, columns) -> None:
+        src, dst, w, upper = columns
         object.__setattr__(self, "n", n)
-        for name, arr in zip(("src", "dst", "w"), columns):
+        for name, arr in (("src", src), ("dst", dst), ("w", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # where edge_laplacian writes edge k: its flat positions i * n + j
+        # and j * n + i in an n x n matrix, and the endpoints of every edge
+        # interleaved, [i0, j0, i1, j1, ...], which _vertex_sums bins
+        object.__setattr__(self, "_scatter", (upper, dst * n + src,
+                                              np.stack((src, dst), axis=1).ravel()))
         # finite weights can still sum past the largest float
         overflowed = np.flatnonzero(np.isinf(self.degree_vector()))
         if overflowed.size:
@@ -126,15 +134,6 @@ class WeightedGraph:
     def degree_vector(self) -> np.ndarray:
         """Weighted degrees (row sums of the adjacency matrix)."""
         return _vertex_sums(self, self.w)
-
-    @functools.cached_property
-    def _scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where edge_laplacian writes edge k: its flat positions i * n + j
-        and j * n + i in an n x n matrix, and the endpoints of every edge
-        interleaved, [i0, j0, i1, j1, ...], which _vertex_sums bins."""
-        n = self.n
-        return (self.src * n + self.dst, self.dst * n + self.src,
-                np.stack((self.src, self.dst), axis=1).ravel())
 
 
 def _vertex_count(n) -> int:
@@ -217,9 +216,10 @@ def _edge_columns(edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
-                 edges: tuple | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, dst, w) of the edges (i[k], j[k], w[k]) on n vertices, each
-    turned to src < dst and the edges sorted by (src, dst); or ValueError.
+                 edges: tuple | None = None) -> tuple[np.ndarray, ...]:
+    """(src, dst, w, key) of the edges (i[k], j[k], w[k]) on n vertices,
+    each turned to src < dst and the edges sorted by (src, dst), where
+    key = src * n + dst in that order; or ValueError.
 
     The one set of edge rules, run on whole arrays.  The first edge k, in
     input order, that breaks a rule of _edge_message or repeats the pair of
@@ -244,7 +244,7 @@ def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
         k = offenders[0]
         edge = edges[k] if edges is not None else (i[k], j[k], w[k])
         raise ValueError(_edge_message(edge, n) or f"duplicate edge ({src[k]},{dst[k]})")
-    return src[order], dst[order], w[order]
+    return src[order], dst[order], w[order], key
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 """Command-line harness: generate, certify, bound, simulate, threshold, oracle.
 
 Exit codes: 0 success, 1 a mathematical claim the run was supposed to verify
-failed, 2 usage or domain error, or a file that cannot be read or written.
+failed, 2 usage or domain error, a file that cannot be read or written, or an
+input too large to allocate.
+
+The reports of certify, bound, simulate and threshold, and oracle's JSON,
+share one envelope, built by _report: the version, the resolved inputs, then
+the command's results.  Every result goes to the one stream _sink picks:
+stdout, or the --output file.
 
 The parser is built per command: when the command line starts with a
 command, main builds that command's subparser only (build_parser), which
@@ -26,7 +32,7 @@ deviation norm, alpha) - LOWER_BOUND_SLACK, and lambda_2 of the augmented
 Laplacian, reported only in that CSV, is not needed.  simulate then hands
 those levels to the kernel, which solves a survivor block only where the
 comparison can fail and skips the augmented eigensolve (see
-percolation.trial_block); the report is the same bytes either way.
+percolation._trial_chunks); the report is the same bytes either way.
 
 simulate and oracle take their worker count from _chunking.resolve_threads.
 """
@@ -253,6 +259,14 @@ def _flatten(payload, prefix="", rows=None):
     return rows
 
 
+def _sink(output):
+    """A context manager giving the stream a result goes to: stdout, or the
+    file output, which it opens for writing and closes."""
+    if output is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(output, "w", encoding="utf-8")
+
+
 def _emit(payload: dict, fmt: str, output) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -260,11 +274,14 @@ def _emit(payload: dict, fmt: str, output) -> None:
         lines = ["key,value"]
         lines += [f"{key},{value}" for key, value in _flatten(payload)]
         text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _sink(output) as fh:
+        fh.write(text)
+
+
+def _report(args, config: dict, body: dict) -> None:
+    """Emit a command's report: the version, the resolved inputs, then body."""
+    _emit({"version": __version__, "config": config, **body}, args.format or "json",
+          args.output)
 
 
 def _load_graph(args) -> tuple[WeightedGraph, dict]:
@@ -318,65 +335,38 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _experiment(args, trials: int):
+    """(graph, profile, alpha spec, ExperimentConfig) of a bound or simulate
+    run of `trials` trials."""
+    g, source = _load_graph(args)
+    profile, profile_desc = _load_profile(args, g.n)
+    alpha_spec = _parse_alpha(args.alpha)
+    config = ExperimentConfig(source, profile_desc, alpha_spec, args.epsilon, trials,
+                              args.seed, args.alpha_grid)
+    return g, profile, alpha_spec, config
+
+
 def cmd_certify(args) -> int:
     g, source = _load_graph(args)
-    cert = certify_ndl(g)
-    payload = {
-        "version": __version__,
-        "config": {"graph_source": source},
-        **cert.to_dict(),
-    }
-    _emit(payload, args.format or "json", args.output)
+    _report(args, {"graph_source": source}, certify_ndl(g).to_dict())
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
-    g, source = _load_graph(args)
-    profile, profile_desc = _load_profile(args, g.n)
-    alpha_spec = _parse_alpha(args.alpha)
+    g, profile, alpha_spec, config = _experiment(args, 0)
     _, report = _bound_for(g, profile, alpha_spec, args.epsilon, args.alpha_grid)
-    config = ExperimentConfig(
-        graph_source=source,
-        profile=profile_desc,
-        alpha=alpha_spec,
-        epsilon=args.epsilon,
-        trials=0,
-        seed=args.seed,
-        alpha_grid_size=args.alpha_grid,
-    )
-    payload = {
-        "version": __version__,
-        "config": config.to_dict(),
-        **report.to_dict(),
-    }
-    _emit(payload, args.format or "json", args.output)
+    _report(args, config.to_dict(), report.to_dict())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    g, source = _load_graph(args)
-    profile, profile_desc = _load_profile(args, g.n)
-    alpha_spec = _parse_alpha(args.alpha)
-    threads = resolve_threads()
-    config = ExperimentConfig(
-        graph_source=source,
-        profile=profile_desc,
-        alpha=alpha_spec,
-        epsilon=args.epsilon,
-        trials=args.trials,
-        seed=args.seed,
-        alpha_grid_size=args.alpha_grid,
-    )
+    g, profile, alpha_spec, config = _experiment(args, args.trials)
     summary, violations = run_experiment(
         g, profile, alpha_spec, args.epsilon, args.trials, args.seed,
-        threads=threads, alpha_grid_size=args.alpha_grid, trials_csv=args.trials_csv,
+        threads=resolve_threads(), alpha_grid_size=args.alpha_grid,
+        trials_csv=args.trials_csv,
     )
-    payload = {
-        "version": __version__,
-        "config": config.to_dict(),
-        **summary.to_dict(),
-    }
-    _emit(payload, args.format or "json", args.output)
+    _report(args, config.to_dict(), summary.to_dict())
     if summary.lower_bound_violations > 0 or not summary.tail_within_tolerance:
         shown = "".join(
             f"; trial {t}: a_delta {a!r} < lower bound {lower!r}" for t, a, lower in violations
@@ -392,18 +382,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_threshold(args) -> int:
     report = survival_threshold(args.n, args.d, args.lam, args.epsilon, args.mode)
-    payload = {
-        "version": __version__,
-        "config": {
-            "n": args.n,
-            "d": args.d,
-            "lambda": args.lam,
-            "epsilon": args.epsilon,
-            "mode": args.mode,
-        },
-        **report.to_dict(),
-    }
-    _emit(payload, args.format or "json", args.output)
+    config = {"n": args.n, "d": args.d, "lambda": args.lam, "epsilon": args.epsilon,
+              "mode": args.mode}
+    _report(args, config, report.to_dict())
     return EXIT_OK
 
 
@@ -413,31 +394,18 @@ def cmd_oracle(args) -> int:
     alpha = args.alpha + 0.0  # as in _parse_alpha: -0.0 becomes 0.0
     # one worker per usable CPU unless PERCOBOUND_THREADS says otherwise
     dist = exact_distribution(g, profile, alpha, args.kind, workers=resolve_threads(0))
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        if args.output is None:
-            dist.write_csv(sys.stdout)
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                dist.write_csv(fh)
+    if args.format in (None, "csv"):
+        with _sink(args.output) as fh:
+            dist.write_csv(fh)
     else:
         entries = [
             [b, q, "inf" if math.isinf(s) else s]
             for bits, probabilities, statistics in dist.row_blocks()
             for b, q, s in zip(bits, probabilities, statistics)
         ]
-        payload = {
-            "version": __version__,
-            "config": {
-                "graph_source": source,
-                "profile": profile_desc,
-                "alpha": alpha,
-                "statistic_kind": args.kind,
-            },
-            "n": dist.n,
-            "entries": entries,
-        }
-        _emit(payload, "json", args.output)
+        config = {"graph_source": source, "profile": profile_desc, "alpha": alpha,
+                  "statistic_kind": args.kind}
+        _report(args, config, {"n": dist.n, "entries": entries})
 
     probabilities, statistics = dist.probabilities, dist.statistics
     if args.kind == "connectivity_indicator":
@@ -586,7 +554,8 @@ def main(argv=None) -> int:
     try:
         _check_seed(args.seed)
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    # an input too large to hold in memory is a usage error, not a failed claim
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -62,17 +62,19 @@ deviations in the second with np.subtract(..., out=); the survivor blocks are
 read from the first.  Nothing returned aliases the workspace: every array of
 a TrialBlock is a new one.
 
-Without levels, each distinct pattern of a run, up to the memo's cap, thus
-costs up to three eigensolves in each process, and every statistic is
-recorded.  A caller that only compares
-a_delta with a level, as simulate's per-trial lower-bound check does, passes
-those levels (a function of the deviation norms) instead.  A survivor block
-is then solved only where its level reaches _a_delta_floor(g), which is below
-every a_delta the eigensolver can return, so below it the comparison cannot
-fail and a_delta is left NaN; lambda2_augmented, which no such comparison
-reads, is not computed.  On the 8-cube at p = 0.9 and alpha = 7.2 every
-trial's lower bound is below -0.7, and no survivor block is solved.  Only
-the per-trial CSV reports lambda2_augmented, so simulate passes levels
+Each distinct pattern of a run, up to the memo's cap, thus costs up to
+three eigensolves in each process, and trial_block records every statistic.
+The stream has one mode switch, levels, which only simulate turns: a caller
+that only compares a_delta with a level, as simulate's per-trial lower-bound
+check does, passes those levels (a function of the deviation norms).  A
+survivor block is then solved only where its level reaches
+_a_delta_floor(g), which is below every a_delta the eigensolver can return,
+so below it the comparison cannot fail and a_delta is left NaN;
+lambda2_augmented, which no such comparison reads, is not computed and is
+NaN throughout.  NaN is the one marker of a value the level mode skipped:
+no TrialBlock field is ever None.  On the 8-cube at p = 0.9 and alpha = 7.2
+every trial's lower bound is below -0.7, and no survivor block is solved.
+Only the per-trial CSV reports lambda2_augmented, so simulate passes levels
 whenever it writes no such file.
 lambda2_augmented keeps its own eigensolve: the block split above gives it
 from the survivor-block spectrum plus the ghost alphas in exact arithmetic,
@@ -116,14 +118,6 @@ _U64 = np.uint64
 # chunk's two workspace stacks of _CHUNK_ENTRIES float64 entries each.
 _MEMO_PATTERNS = _CHUNK_ENTRIES // 8
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 step on a 64-bit integer (pure Python reference)."""
-    x = (x + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _mix_array(z: np.ndarray) -> np.ndarray:
     # splitmix64 on a uint64 array; unsigned arithmetic wraps mod 2**64
     z = z + _U64(_GOLDEN)
@@ -136,14 +130,18 @@ def _unit_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
     """(count, n) grid of uniforms in [0, 1): row k for trial start + k."""
     # trial indices wrap mod 2**64, as (start + k) & _MASK64 would
     trials = _U64(start & _MASK64) + np.arange(count, dtype=np.uint64)
-    h = _mix_array(_U64(_splitmix64(seed & _MASK64)) ^ trials)
+    h = _mix_array(_mix_array(np.full(1, seed & _MASK64, np.uint64)) ^ trials)
     z = _mix_array(h[:, None] ^ np.arange(n, dtype=np.uint64))
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalProfile:
-    """Per-vertex survival probabilities, each in [0, 1]."""
+    """Per-vertex survival probabilities, each in [0, 1].
+
+    Two profiles are equal, and hash equal, when their probabilities are,
+    -0.0 and 0.0 alike.
+    """
 
     p: np.ndarray
 
@@ -175,22 +173,32 @@ class SurvivalProfile:
     def __len__(self) -> int:
         return int(self.p.shape[0])
 
+    def _key(self) -> bytes:
+        # + 0.0 turns -0.0 into 0.0; no probability is NaN
+        return (self.p + 0.0).tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class TrialBlock:
     """Results of consecutive trials or of distinct patterns, one entry each.
 
-    a_delta is +inf for trials with fewer than two survivors, and NaN where
-    trial_block was given levels and the trial's level lies below every
-    value a_delta could take.  lambda2_augmented is None when trial_block
-    was given levels.
+    a_delta is +inf for trials with fewer than two survivors.  NaN marks
+    what the level mode of _trial_chunks skipped (see the module docstring):
+    a_delta where the level lies below every value a_delta could take, and
+    every lambda2_augmented.  trial_block records every statistic.
     """
 
     survivor_count: np.ndarray
     is_connected: np.ndarray
     a_delta: np.ndarray
     deviation_norm: np.ndarray
-    lambda2_augmented: np.ndarray | None
+    lambda2_augmented: np.ndarray
 
     def __len__(self) -> int:
         return int(self.survivor_count.shape[0])
@@ -359,13 +367,15 @@ def _deviation_norms(g: WeightedGraph, alpha: float, expected: np.ndarray,
 def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
                     patterns: np.ndarray, levels, floor: float, workspace) -> TrialBlock:
     # one entry per row of patterns, its matrices solved in a fixed order
-    # (see the module docstring); floor is _a_delta_floor(g)
+    # (see the module docstring); floor is _a_delta_floor(g).  With levels,
+    # NaN marks each value skipped: a_delta below the floor, and every
+    # lambda2_augmented
     laplacians, deviation_norm = _deviation_norms(g, alpha, expected, patterns, workspace)
     solve = None if levels is None else levels(deviation_norm) >= floor
     a_delta = _survivor_lambda2(laplacians, patterns, solve)
     survivor_count, is_connected = survivor_connectivity(g, patterns)
     return TrialBlock(survivor_count, is_connected, a_delta, deviation_norm,
-                      lambda2(laplacians) if levels is None else None)
+                      lambda2(laplacians) if levels is None else np.full(len(patterns), math.nan))
 
 
 class _PatternMemo:
@@ -381,7 +391,7 @@ class _PatternMemo:
     def __init__(self, solve):
         self.solve = solve
         self.rows = {}  # a pattern's packed flags -> its row of self.columns
-        # per TrialBlock field, _MEMO_PATTERNS entries or None; set by the first solve
+        # per TrialBlock field, _MEMO_PATTERNS entries; set by the first solve
         self.columns = None
 
     def __call__(self, delta: np.ndarray) -> tuple[TrialBlock, np.ndarray]:
@@ -394,18 +404,14 @@ class _PatternMemo:
         if unseen.size:
             fresh = list(vars(self.solve(delta[first[unseen]])).values())
         else:
-            fresh = [None if column is None else column[:0] for column in self.columns]
+            fresh = [column[:0] for column in self.columns]
         if self.columns is None:
-            self.columns = [None if new is None else np.empty(_MEMO_PATTERNS, new.dtype)
-                            for new in fresh]
+            self.columns = [np.empty(_MEMO_PATTERNS, new.dtype) for new in fresh]
         stored = len(self.rows)
         kept = unseen[:_MEMO_PATTERNS - stored].tolist()
         self.rows.update((patterns[k], stored + j) for j, k in enumerate(kept))
         block = []
         for column, new in zip(self.columns, fresh):
-            if new is None:
-                block.append(None)
-                continue
             column[stored:stored + len(kept)] = new[:len(kept)]
             # each distinct pattern's entry, in a new array
             table = np.empty(rows.size, new.dtype)
@@ -482,6 +488,14 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     distinct survival pattern of the chunk, and trial first + t drew entry
     inverse[t].
 
+    levels, for callers that only test a_delta < level, maps an array of
+    deviation norms to the level of each entry, element by element.  A
+    survivor block is then solved only where its level is at least
+    _a_delta_floor(g); below that no computed a_delta is less than the
+    level, and a_delta is NaN there (NaN < level is false as well).  The
+    eigensolve of the augmented Laplacians is skipped, and lambda2_augmented
+    is NaN.  Every other entry of every array keeps its bits.
+
     The checks, the expected augmented Laplacian and _a_delta_floor(g) run
     here, once per run and before anything is forked, so a bad input raises
     before the generator is started.
@@ -510,7 +524,7 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
 
 
 def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: int,
-                start: int, count: int, levels=None) -> TrialBlock:
+                start: int, count: int) -> TrialBlock:
     """Sample and evaluate trials start, start + 1, ..., start + count - 1.
 
     Entry k of each array is, bit for bit, entry 0 of trial_block(g,
@@ -518,17 +532,9 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     functions give the flags sample(profile, seed, start + k).  The trials
     are evaluated a chunk at a time, with up to three eigensolves per
     distinct survival pattern of a run, up to the cap (see the module
-    docstring).  Trials that draw the same pattern share its results.
-
-    levels, for callers that only test a_delta < level, maps an array of
-    deviation norms to the level of each entry, element by element.  A
-    survivor block is then solved only where its level is at least
-    _a_delta_floor(g); below that no computed a_delta is less than the
-    level, and a_delta is NaN there (NaN < level is false as well).  The
-    eigensolve of the augmented Laplacians is skipped and lambda2_augmented
-    is None.  Every other entry of every array keeps its bits.
+    docstring).  Trials that draw the same pattern share its results.  Every
+    statistic is computed; none is skipped.
     """
-    chunks = [chunk for _, chunk in _trial_chunks(g, profile, alpha, seed, start, count, levels)]
-    return TrialBlock(*(None if getattr(chunks[0][0], f.name) is None else
-                        np.concatenate([getattr(b, f.name)[inverse] for b, inverse in chunks])
+    chunks = [chunk for _, chunk in _trial_chunks(g, profile, alpha, seed, start, count)]
+    return TrialBlock(*(np.concatenate([getattr(b, f.name)[inverse] for b, inverse in chunks])
                         for f in fields(TrialBlock)))

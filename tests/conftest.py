@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from percobound import SurvivalProfile, WeightedGraph, generate
+from percobound import SurvivalProfile, WeightedGraph, generate, percolation
+from percobound.percolation import TrialBlock
 
 
 def petersen_graph() -> WeightedGraph:
@@ -44,6 +47,16 @@ def c4() -> WeightedGraph:
 @pytest.fixture
 def p3() -> WeightedGraph:
     return generate("path", n=3)
+
+
+def level_trial_block(g, profile, alpha, seed, start, count, levels) -> TrialBlock:
+    """The trials of percolation._trial_chunks run with levels, each chunk's
+    pattern entries copied to the trials that drew them, as trial_block
+    copies them."""
+    chunks = [chunk for _, chunk in percolation._trial_chunks(g, profile, alpha, seed, start,
+                                                              count, levels)]
+    return TrialBlock(*(np.concatenate([getattr(b, f.name)[inverse] for b, inverse in chunks])
+                        for f in fields(TrialBlock)))
 
 
 probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))

@@ -45,8 +45,8 @@ from percobound.graph_core import edge_laplacian
 from percobound.oracle import STATISTIC_KINDS, ExactDistribution
 from percobound.percolation import TrialBlock
 
-from conftest import (graph_profile, petersen_graph, petersen_induced_8, probabilities,
-                      weighted_graphs)
+from conftest import (graph_profile, level_trial_block, petersen_graph, petersen_induced_8,
+                      probabilities, weighted_graphs)
 
 
 def assert_identical(fast: np.ndarray, slow: np.ndarray) -> None:
@@ -481,7 +481,7 @@ def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
     if with_lambda2_augmented:
         fast_arrays.append(block.lambda2_augmented)
     else:
-        assert block.lambda2_augmented is None
+        assert np.isnan(block.lambda2_augmented).all()
     for fast, slow in zip(fast_arrays, statistics[:len(fast_arrays)]):
         assert_identical(fast, np.array(slow))
 
@@ -503,8 +503,8 @@ def assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
 def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count,
                                                  with_lambda2_augmented):
     g, profile = case
-    block = trial_block(g, profile, alpha, seed, start, count,
-                        levels=None if with_lambda2_augmented else solve_every_block)
+    block = (trial_block(g, profile, alpha, seed, start, count) if with_lambda2_augmented
+             else level_trial_block(g, profile, alpha, seed, start, count, solve_every_block))
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count,
                                    with_lambda2_augmented)
     row = percolation_reference.run_trial(g, profile, alpha, seed, start)
@@ -576,7 +576,8 @@ def test_memoized_runs_match_per_trial_reference(case, alpha, seed, start, count
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
         mp.setattr(percolation, "_MEMO_PATTERNS", cap)
-        block = trial_block(g, profile, alpha, seed, start, count, levels)
+        block = (trial_block(g, profile, alpha, seed, start, count) if levels is None
+                 else level_trial_block(g, profile, alpha, seed, start, count, levels))
         csv_path = os.path.join(tmp, "trials.csv")
         harness_cli.run_experiment(g, profile, alpha, 0.25, count, seed, trials_csv=csv_path)
         with open(csv_path, encoding="utf-8") as fh:
@@ -591,7 +592,7 @@ def test_memoized_runs_match_per_trial_reference(case, alpha, seed, start, count
                            (block.is_connected, is_connected),
                            (block.deviation_norm, deviation_norm)):
             assert_identical(fast, slow)
-        assert block.lambda2_augmented is None
+        assert np.isnan(block.lambda2_augmented).all()
         # a survivor block is solved exactly where its level reaches the floor
         skipped = (levels(deviation_norm) < percolation._a_delta_floor(g)) & (survivor_count >= 2)
         expected = np.where(skipped, math.nan, a_delta)
@@ -675,7 +676,7 @@ def test_trial_block_skips_the_augmented_eigensolve(monkeypatch):
     [solved] = chunks
     assert same_matrices(solved[-1], distinct)
     chunks.clear()
-    trial_block(g, profile, alpha, 3, 0, 20, levels=solve_every_block)
+    level_trial_block(g, profile, alpha, 3, 0, 20, solve_every_block)
     [without] = chunks
     assert len(without) == len(solved) - 1
     assert not any(same_matrices(M, distinct) for M in without)
@@ -703,10 +704,10 @@ def test_levels_skip_only_a_delta_that_cannot_fall_below_them(case, alpha, seed,
         mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
         full = trial_block(g, profile, alpha, seed, 0, count)
         shift = float(np.quantile(full.deviation_norm, quantile)) + offset
-        gated = trial_block(g, profile, alpha, seed, 0, count, levels=lambda devs: shift - devs)
+        gated = level_trial_block(g, profile, alpha, seed, 0, count, lambda devs: shift - devs)
     for name in ("survivor_count", "is_connected", "deviation_norm"):
         assert_identical(getattr(gated, name), getattr(full, name))
-    assert gated.lambda2_augmented is None
+    assert np.isnan(gated.lambda2_augmented).all()
     level = shift - full.deviation_norm
     skipped = (level < percolation._a_delta_floor(g)) & (full.survivor_count >= 2)
     assert np.array_equal(np.isnan(gated.a_delta), skipped)
@@ -789,7 +790,7 @@ def test_a_delta_floor_is_computed_once_per_run(monkeypatch):
     # levels on either side of the floor
     shift = float(np.median(full.deviation_norm))
     monkeypatch.setattr(percolation, "_a_delta_floor", recording)
-    gated = trial_block(g, profile, 2.4, 0, 0, 25, levels=lambda devs: shift - devs)
+    gated = level_trial_block(g, profile, 2.4, 0, 0, 25, lambda devs: shift - devs)
     assert floors == [a_delta_floor(g)]
     solved = ~np.isnan(gated.a_delta)
     assert 0 < np.count_nonzero(solved) < 25

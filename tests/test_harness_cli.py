@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -503,6 +504,107 @@ def test_bound_report_identical_for_one_and_two_blas_threads(tmp_path):
                         "--epsilon", "0.1", "--output", str(out)], env=env, check=True)
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+# a fixed non-uniform profile for paley-29; no benchmark workload runs one
+PINNED_PROFILE = [round(0.6 + 0.013 * k, 3) for k in range(29)]
+_PALEY29 = ["--family", "paley", "--q", "29"]
+_THRESHOLD = ["threshold", "--n", "64", "--d", "63", "--lambda", "1", "--epsilon", "0.1"]
+_SIMULATE = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8", "--alpha", "2.4",
+             "--epsilon", "0.1", "--trials", "2000"]
+_ORACLE = ["oracle", "--family", "cycle", "--n", "10", "--p", "0.7", "--alpha", "1.5"]
+# every command's report, each written to a path relative to the working
+# directory, so the echoed profile path is the same bytes in any directory
+PINNED_COMMANDS = [
+    ["certify", *_PALEY29, "--output", "certify.json"],
+    [*_THRESHOLD, "--output", "threshold-closed_form.json"],
+    [*_THRESHOLD, "--mode", "bisection", "--output", "threshold-bisection.json"],
+    ["bound", "--family", "hypercube", "--k", "4", "--p", "0.9", "--alpha", "1.5",
+     "--epsilon", "0.1", "--output", "bound-p-fixed.json"],
+    ["bound", "--family", "hypercube", "--k", "4", "--p", "0.9", "--alpha", "1.5",
+     "--epsilon", "0.1", "--format", "csv", "--output", "bound-p-fixed.csv"],
+    ["bound", *_PALEY29, "--p", "0.95", "--alpha", "auto", "--epsilon", "0.1",
+     "--output", "bound-p-auto.json"],
+    ["bound", *_PALEY29, "--profile", "profile.json", "--alpha", "2", "--epsilon", "0.1",
+     "--output", "bound-profile-fixed.json"],
+    ["bound", *_PALEY29, "--profile", "profile.json", "--alpha", "auto", "--epsilon", "0.1",
+     "--output", "bound-profile-auto.json"],
+    [*_SIMULATE, "--trials-csv", "trials.csv", "--output", "simulate.json"],
+    # without the CSV the kernel runs in its level mode: the same report bytes
+    [*_SIMULATE, "--output", "simulate-levels.json"],
+    [*_ORACLE, "--kind", "deviation_norm", "--output", "oracle.csv"],
+    [*_ORACLE, "--kind", "a_delta", "--format", "json", "--output", "oracle.json"],
+]
+# runs each command line of the JSON list on stdin through main and prints
+# the exit codes
+_RUN_COMMANDS = ("import json, sys\n"
+                 "from percobound.harness_cli import main\n"
+                 "print(json.dumps([main(argv) for argv in json.load(sys.stdin)]))\n")
+# the SHA-256 of every file the commands write, as written while each
+# command still built its own report envelope and picked its own stream
+PINNED_DIGESTS = {
+    "bound-p-auto.json":
+        "e08451e4fcd3343df40ac5c604e5612ca94de90764b30f89bc444b9b415734c4",
+    "bound-p-fixed.csv":
+        "820de44dffab3a6681d3e7e297f7ce3d614e12a14337e35d25cba81ef70f471b",
+    "bound-p-fixed.json":
+        "c38d17dcb0ed3d448d058fce93035c92cbee0fe9f76b7206feb99733513920b0",
+    "bound-profile-auto.json":
+        "552f503bbdb63639fc3a4ce7096417d2c92d6fdfb0356d643b0a111ed9565307",
+    "bound-profile-fixed.json":
+        "192a24d27441f21893e4c3aa7023f5e35e518393f3370617e53595eb7b8ac77b",
+    "certify.json":
+        "38da614c8e710dae28fb00e1c36046827c1ebe1cd5d515c267ca58fc21d68481",
+    "oracle.csv":
+        "bdf3d0446f2fc78f383e2b77897836d54506c3214886d52deacca20996870a87",
+    "oracle.json":
+        "1092711497d56815ba2cd17c71cd43ee50779e1521af7b0d4f6738e413c5f328",
+    "simulate-levels.json":
+        "bb3c53b1f168a28b681e0137a2bba77ccfaf3c801de521a0a2d36b015a6ae1c3",
+    "simulate.json":
+        "bb3c53b1f168a28b681e0137a2bba77ccfaf3c801de521a0a2d36b015a6ae1c3",
+    "threshold-bisection.json":
+        "e9a439dee901c6accbef781a364caf023d1207b4f7a3184d4aea36e9f58ce6f1",
+    "threshold-closed_form.json":
+        "69cd89abd9066562a80acc280c1cc20f7f29682e9e53f1621753ce06f25acff1",
+    "trials.csv":
+        "72af534b94ea80e9b2ffb897e7cb4ba0d8e462c00ffd98cb69d654be9979c23f",
+}
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_every_report_keeps_its_pinned_bytes(tmp_path, blas_threads):
+    # a new process per BLAS thread count, which only takes effect at import
+    (tmp_path / "profile.json").write_text(json.dumps(PINNED_PROFILE), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(percobound.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS], input=json.dumps(PINNED_COMMANDS),
+                          capture_output=True, text=True, cwd=tmp_path, env=env, check=True)
+    assert json.loads(done.stdout) == [EXIT_OK] * len(PINNED_COMMANDS)
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir()) if path.name != "profile.json"}
+    assert written == PINNED_DIGESTS
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="an address-space limit makes allocations fail on Linux")
+def test_allocation_failure_is_a_usage_error():
+    # the child limits its own address space, so the bound's dense
+    # (20000, 20000) matrix cannot be allocated; the test process keeps its limits
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    src = os.path.dirname(os.path.dirname(percobound.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "percobound.harness_cli", "bound",
+                           "--family", "cycle", "--n", "20000", "--p", "0.9", "--alpha", "1",
+                           "--epsilon", "0.1"], capture_output=True, text=True, env=env,
+                          preexec_fn=limit_address_space)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate ")
 
 
 class TestThreshold:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import ast
+import functools
+import inspect
 import math
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from percobound import (
     WeightedGraph,
     _chunking,
     algebraic_connectivity_survivors,
+    harness_cli,
     augmented_laplacian,
     build_laplacian,
     eig_sym,
@@ -29,7 +32,7 @@ from percobound import (
 )
 from percolation_reference import scalar_delta
 
-from conftest import graph_profile, petersen_graph, weighted_graphs
+from conftest import graph_profile, level_trial_block, petersen_graph, weighted_graphs
 
 
 class TestSurvivalProfile:
@@ -71,6 +74,23 @@ class TestSurvivalProfile:
         prof = SurvivalProfile([0.5, 0.5])
         with pytest.raises(ValueError):
             prof.p[0] = 0.9
+
+    @pytest.mark.parametrize("values", [[0.5], [0.5, 0.2, 0.0, 1.0, 0.75]], ids=["1", "5"])
+    def test_equal_probabilities_are_equal_and_hash_equal(self, values):
+        a, b = SurvivalProfile(values), SurvivalProfile(np.array(values))
+        assert a == b and hash(a) == hash(b)
+        # -0.0 is read as 0.0
+        signed = SurvivalProfile([-0.0 if v == 0.0 else v for v in values[:-1]] + [-0.0])
+        zeroed = SurvivalProfile(values[:-1] + [0.0])
+        assert signed == zeroed and hash(signed) == hash(zeroed)
+
+    @pytest.mark.parametrize("values", [[0.5], [0.5, 0.2, 0.0, 1.0, 0.75]], ids=["1", "5"])
+    def test_different_probabilities_are_not_equal(self, values):
+        a = SurvivalProfile(values)
+        assert a != SurvivalProfile(values[:-1] + [math.nextafter(values[-1], 1.0)])
+        assert a != SurvivalProfile(values + [0.5])
+        assert a != SurvivalProfile.uniform(len(values), 0.1)
+        assert a != values
 
 
 class TestSample:
@@ -299,8 +319,8 @@ CONNECTED_TOL = 1e-8
 def test_a_delta_positive_exactly_when_survivors_connected(case, seed, count):
     g, profile = case
     # +inf levels solve every survivor block and skip only the augmented solve
-    block = trial_block(g, profile, 1.0, seed, 0, count,
-                        levels=lambda devs: np.full_like(devs, math.inf))
+    block = level_trial_block(g, profile, 1.0, seed, 0, count,
+                              lambda devs: np.full_like(devs, math.inf))
     assert np.array_equal(block.a_delta == math.inf, block.survivor_count <= 1)
     assert np.array_equal(block.a_delta > CONNECTED_TOL, block.is_connected)
 
@@ -426,6 +446,19 @@ def test_rows_are_grouped_only_by_the_pattern_memo_and_the_oracle_csv():
             assert not _mentions(tree, {"_distinct_rows", "lexsort", "unique"})
     assert sorted(callers) == [("oracle.py", "_float_reprs"), ("percolation.py", "_PatternMemo")]
     assert from_chunking == ["resolve_threads"]
+
+
+def test_each_job_has_one_copy():
+    # trial_block has no mode switch (only _trial_chunks takes levels), the
+    # seed is hashed by the one splitmix64, the CLI builds its report
+    # envelope in one place, and a graph's scatter positions are built with
+    # its arrays, from the keys _edge_arrays sorted by
+    assert list(inspect.signature(trial_block).parameters) == [
+        "g", "profile", "alpha", "seed", "start", "count"]
+    assert not hasattr(percolation, "_splitmix64")
+    source = Path(harness_cli.__file__).read_text(encoding="utf-8")
+    assert source.count('"version": __version__') == 1
+    assert not isinstance(vars(WeightedGraph).get("_scatter"), functools.cached_property)
 
 
 @st.composite

@@ -85,7 +85,7 @@ def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, leve
         assert_bits(column("a_delta"), a_delta)
         assert_bits(column("lambda2_augmented"), lambda2_augmented)
         return
-    assert all(b.lambda2_augmented is None for b in blocks)
+    assert all(np.isnan(b.lambda2_augmented).all() for b in blocks)
     # a_delta is solved exactly where the level reaches the floor, NaN elsewhere
     solved = levels(deviation_norm) >= percolation._a_delta_floor(g)
     assert_bits(column("a_delta")[solved], a_delta[solved])
@@ -95,7 +95,7 @@ def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, leve
 
 def assert_nothing_aliases_a_workspace(chunks, handed):
     for _, block, inverse in chunks:
-        arrays = [a for a in vars(block).values() if a is not None] + [inverse]
+        arrays = [*vars(block).values(), inverse]
         for views in handed:
             for view in views:
                 assert not any(np.shares_memory(a, view) for a in arrays)
@@ -137,7 +137,7 @@ def test_hypercube_two_workers_give_one_workers_bits():
                                                                             strict=True):
         assert first_1 == first_2 and inverse_1.tobytes() == inverse_2.tobytes()
         for a, b in zip(vars(block_1).values(), vars(block_2).values()):
-            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
 def solve_below_1_3(devs: np.ndarray) -> np.ndarray:
