@@ -1,11 +1,14 @@
 """How work is cut into chunks, and which process runs each chunk.
 
 Every loop over many survival patterns, the Monte Carlo trials
-(percolation._trial_chunks) and both oracle enumerations, walks its range
-through _chunks, the one chunk driver.  A chunk is a range of at most
-_chunk_length(n) items: as many n x n matrices as _CHUNK_ENTRIES entries
-hold, and at least one.  So a loop's memory is O(chunk * n^2), whatever the
-length of its range.
+(percolation._trial_chunks), the stacks their new patterns are solved in, and
+both oracle enumerations, walks its range through _chunks, the one chunk
+driver.  Its caller says how many entries one item holds, and a chunk holds
+as many items as _CHUNK_ENTRIES entries hold, and at least one.  A matrix of
+order n is n * n entries: 910 matrices at n = 6, 145 at n = 15, one from
+n = 182 on, in the oracle's chunks and in the Monte Carlo stacks.  A trial is
+its n survival flags: 5,461 trials at n = 6, 128 at n = 256.  So a loop's
+memory is O(_CHUNK_ENTRIES), whatever the length of its range.
 
 _chunks runs its chunks through _map_in_order on `workers` processes and
 yields the results in order.  Chunk i runs on worker i % workers.  Worker 0
@@ -32,7 +35,9 @@ CPUs to run them.
 - simulate defaults to 1 worker.  Its order-256 eigensolves already keep two
   OpenBLAS threads busy.  On a 2-core machine two forked workers, each with
   OpenBLAS threads of its own, took simulate-hypercube8 from 1.38-1.43 s to
-  2.27-3.89 s (3 runs each), and gave simulate-cycle6 no gain.
+  2.27-3.89 s (3 runs each), and gave simulate-cycle6 no gain.  A short run
+  has few chunks to share among more workers: 200 trials of the 8-cube are
+  2 chunks, of 128 and 72 trials, and 5,000 of the 6-cycle are 1.
 - oracle defaults to 0, one worker per usable CPU.  Its matrices have order
   at most 20, which OpenBLAS solves on one thread.  With 2 workers on a
   2-core machine, oracle-cycle15's op_ref fell from 5.83 to 3.88 (medians of
@@ -51,9 +56,8 @@ import sys
 
 import numpy as np
 
-# Matrix entries in one chunk's stack of n x n matrices: 910 trials at n = 6,
-# 145 masks at n = 15, one matrix from n = 182 on.  Larger chunks raise peak
-# memory without running faster.
+# Entries one chunk holds: n * n per matrix, n per trial's survival flags.
+# Larger chunks raise peak memory without running faster.
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -81,16 +85,17 @@ def resolve_threads(unset: int = 1) -> int:
     return min(value, cpus) if value else cpus
 
 
-def _chunk_length(n: int) -> int:
-    """Items per chunk: as many n x n matrices as fit, at least one."""
-    return max(1, _CHUNK_ENTRIES // (n * n))
+def _chunk_length(entries: int) -> int:
+    """Items per chunk: as many items of `entries` entries as fit, at least one."""
+    return max(1, _CHUNK_ENTRIES // entries)
 
 
-def _chunks(fn, start: int, stop: int, order: int, workers: int = 1):
+def _chunks(fn, start: int, stop: int, entries: int, workers: int = 1):
     """Yield (first, fn(first, last)) for consecutive ranges [first, last)
-    covering [start, stop), each at most _chunk_length(order) items long, run
-    on `workers` processes.  Closing this generator kills and reaps every child."""
-    step = _chunk_length(order)
+    covering [start, stop), each at most _chunk_length(entries) items long,
+    run on `workers` processes.  Closing this generator kills and reaps every
+    child."""
+    step = _chunk_length(entries)
     firsts = range(start, stop, step)
     results = _map_in_order(lambda first: fn(first, min(first + step, stop)), firsts, workers)
     with contextlib.closing(results):

@@ -9,9 +9,9 @@ a time, with no per-mask Python: one shift-and-mask decodes a chunk's
 survival flags.  exact_distribution hands that grid to the percolation
 module's per-pattern functions, as the Monte Carlo kernel does;
 exact_bernoulli_series_tail forms the chunk's partial sums with one einsum
-and solves them as one stack.  The chunks come from the _chunking module, so
-beyond the 2^n-long arrays the memory is O(chunk * m^2) for matrices of
-order m.
+and solves them as one stack.  The chunks come from the _chunking module,
+each as many masks as _CHUNK_ENTRIES entries of matrices hold, so beyond the
+2^n-long arrays the memory is O(_CHUNK_ENTRIES).
 
 ExactDistribution.write_csv prints each value as its repr, a block of
 _ROW_BLOCK entries at a time, and formats each distinct probability and
@@ -176,7 +176,7 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
             return _deviation_norms(g, alpha, expected, delta, workspace)[1]
         return algebraic_connectivity_survivors(g, delta)
 
-    with contextlib.closing(_chunks(chunk_statistics, 0, count, n, workers)) as chunks:
+    with contextlib.closing(_chunks(chunk_statistics, 0, count, n * n, workers)) as chunks:
         for first, values in chunks:
             statistics[first:first + len(values)] = values
 
@@ -223,5 +223,5 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
         norms = spectral_norm(0.5 * (S + S.mT))
         return probabilities[masks[norms >= t]].tolist()
 
-    return math.fsum([q for _, hits in _chunks(chunk_hits, 0, count, X.shape[1])
+    return math.fsum([q for _, hits in _chunks(chunk_hits, 0, count, X.shape[1] ** 2)
                       for q in hits])

@@ -14,12 +14,15 @@ of processes, with identical results on every platform.
 Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
 stream feeds: _trial_chunks checks the inputs, then walks the trials through
 the chunk driver of the _chunking module, which also says how chunks are
-spread over worker processes.  For a chunk of trials the stream draws the
-(trials x n) grid of survival flags with one vectorized hash, and the run's
-pattern memo (_PatternMemo, one per run and process) groups the grid's rows
-into distinct survival patterns, the one grouping of a chunk, and looks each
-up by its packed flags.  Only the patterns the run has not drawn before go
-to the kernel, in one call.  The stream yields the chunk's distinct patterns'
+spread over worker processes.  A chunk holds as many trials as
+_CHUNK_ENTRIES survival flags hold: 5,461 at n = 6, 128 at n = 256.  For a
+chunk of trials the stream draws the (trials x n) grid of survival flags
+with one vectorized hash, and the run's pattern memo (_PatternMemo, one per
+run and process) groups the grid's rows into distinct survival patterns, the
+one grouping of a chunk, and looks each up by its packed flags.  Only the
+patterns the run has not drawn before go to the kernel, in order, one call
+per stack of as many n x n matrices as _CHUNK_ENTRIES entries hold: 910 at
+n = 6, one from n = 182 on.  The stream yields the chunk's distinct patterns'
 results and the pattern each trial drew; trial_block alone copies them to
 trials, and simulate folds them per pattern.
 Every per-trial statistic depends on the trial's flags alone, entry k of a
@@ -27,11 +30,12 @@ stack's spectral_norm or lambda2 equals the value for matrix k alone (see
 the spectral module), and levels depend on the deviation norm alone, so each
 distinct pattern is evaluated once per run, and every trial that draws it
 has its results: the same bits as evaluating every trial.  On the
-6-cycle at p = 0.8, 5,000 trials (seed 0) hold 60 distinct patterns, which
-the 6 chunks would solve 299 times without the memo.  The memo keeps the
-first _MEMO_PATTERNS patterns a process draws and no more, so its memory
-does not grow with the trial count either; a pattern drawn after that is
-solved in each chunk that draws it.  A forked worker fills its own memo.
+6-cycle at p = 0.8 (seed 0), 5,000 trials are one chunk of 60 distinct
+patterns, and 50,000 trials hold 64, which their 10 chunks would solve 605
+times without the memo.  The memo keeps the first _MEMO_PATTERNS patterns
+a process draws and no more, so its memory does not grow with the trial
+count either; a pattern drawn after that is solved in each chunk that draws
+it.  A forked worker fills its own memo.
 The four per-pattern functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) take one (n,)
 pattern of flags or a (c, n) grid and give each row of a grid, bit for bit,
@@ -51,16 +55,16 @@ union-find over the patterns' live edges, with whole-array hooking and path
 compression.
 
 Each process keeps one workspace per run (_workspace): a stack of augmented
-Laplacians and a stack of deviations, each with room for one chunk's
-distinct patterns, so O(chunk * n^2) memory whatever the trial count.  The
-first chunk a process runs allocates it, and every later chunk of the run
-reuses it, growing it only for a chunk with more distinct patterns than any
-before.  _deviation_norms, shared with the oracle's deviation_norm chunks,
-assembles the augmented Laplacians into the first stack (edge_laplacian
-fills it with 0.0, then writes what a new array would get) and forms the
-deviations in the second with np.subtract(..., out=); the survivor blocks are
-read from the first.  Nothing returned aliases the workspace: every array of
-a TrialBlock is a new one.
+Laplacians and a stack of deviations, each with room for one stack of new
+patterns.  With the chunk's grid of flags that is O(_CHUNK_ENTRIES) memory,
+whatever the trial count.  The first stack a process solves allocates it,
+and every later stack of the run reuses it, growing it only for a stack
+longer than any before.  _deviation_norms, shared with the oracle's
+deviation_norm chunks, assembles the augmented Laplacians into the first
+stack (edge_laplacian fills it with 0.0, then writes what a new array would
+get) and forms the deviations in the second with np.subtract(..., out=); the
+survivor blocks are read from the first.  Nothing returned aliases the
+workspace: every array of a TrialBlock is a new one.
 
 Each distinct pattern of a run, up to the memo's cap, thus costs up to
 three eigensolves in each process, and trial_block records every statistic.
@@ -114,25 +118,35 @@ _U64 = np.uint64
 
 # Distinct survival patterns a run's memo keeps in each process
 # (_PatternMemo).  An entry takes about 150 bytes at n = 256 (packed flags,
-# a dict slot and five results), so 4,096 take about as much memory as a
-# chunk's two workspace stacks of _CHUNK_ENTRIES float64 entries each.
+# a dict slot and five results), so 4,096 take about as much memory as the
+# two workspace stacks of _CHUNK_ENTRIES float64 entries each.
 _MEMO_PATTERNS = _CHUNK_ENTRIES // 8
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    # splitmix64 on a uint64 array; unsigned arithmetic wraps mod 2**64
-    z = z + _U64(_GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-    return z ^ (z >> _U64(31))
+    # splitmix64 on a uint64 array, in place, so a grid and one shifted copy
+    # of it are all it holds; unsigned arithmetic wraps mod 2**64
+    z += _U64(_GOLDEN)
+    z ^= z >> _U64(30)
+    z *= _U64(_MIX1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MIX2)
+    z ^= z >> _U64(31)
+    return z
 
 
 def _unit_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
-    """(count, n) grid of uniforms in [0, 1): row k for trial start + k."""
-    # trial indices wrap mod 2**64, as (start + k) & _MASK64 would
-    trials = _U64(start & _MASK64) + np.arange(count, dtype=np.uint64)
-    h = _mix_array(_mix_array(np.full(1, seed & _MASK64, np.uint64)) ^ trials)
+    """(count, n) grid of uniforms in [0, 1): row k for trial start + k.
+
+    The trials start, ..., start + count - 1 lie in [0, 2**64), as
+    _check_trial_index and _trial_chunks ensure.
+    """
+    trials = _U64(start) + np.arange(count, dtype=np.uint64)
+    h = _mix_array(_mix_array(np.full(1, seed, np.uint64)) ^ trials)
     z = _mix_array(h[:, None] ^ np.arange(n, dtype=np.uint64))
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-53
+    z >>= _U64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +240,9 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _check_trial_index(trial_index: int) -> None:
-    if trial_index < 0:
-        raise ValueError("trial_index must be non-negative")
+    # the hash takes 64 bits, so trial 2**64 would repeat trial 0
+    if not 0 <= trial_index <= _MASK64:
+        raise ValueError(f"trial_index must be non-negative and below 2**64, got {trial_index}")
 
 
 def _check_seed(seed: int) -> None:
@@ -321,9 +336,9 @@ def _workspace(n: int):
 
     The stacks are allocated by the first call and again only for a c
     larger than any before, so a process allocates them once where its
-    first chunk needs the most room: from 182 vertices on, where every chunk
-    has one pattern, and in the oracle, whose first chunk is its longest.
-    The memory is O(chunk * n^2), and its pages fault in once.  Every call
+    first stack needs the most room: from 182 vertices on, where every stack
+    holds one matrix, and in the oracle, whose first chunk is its longest.
+    The memory is O(_CHUNK_ENTRIES), and its pages fault in once.  Every call
     returns views of it, so nothing a chunk returns may alias them.  Made
     before a fork and first called after it, each process allocates its own.
     """
@@ -486,7 +501,7 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     inverse)) for the chunks of trials start, ..., start + count - 1, in
     trial order, run on `workers` processes: block has one entry per
     distinct survival pattern of the chunk, and trial first + t drew entry
-    inverse[t].
+    inverse[t].  Every trial index lies in [0, 2**64).
 
     levels, for callers that only test a_delta < level, maps an array of
     deviation norms to the level of each entry, element by element.  A
@@ -505,6 +520,9 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     _check_trial_index(start)
     if count < 1:
         raise ValueError("count must be at least 1")
+    if start + count > _MASK64 + 1:
+        raise ValueError(f"trial indices must lie below 2**64, got {start}, ..., "
+                         f"{start + count - 1}")
     _check_lengths(g, len(profile), "profile")
     if g.n < 2:
         raise ValueError("trials need a graph on at least 2 vertices: lambda_2 of "
@@ -514,12 +532,22 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     # each process allocates the workspace and fills the memo in the chunks
     # it runs, so after the fork
     workspace = _workspace(g.n)
-    memo = _PatternMemo(lambda patterns: _evaluate_chunk(g, alpha, expected, patterns, levels,
-                                                         floor, workspace))
+
+    def solve(patterns: np.ndarray) -> TrialBlock:
+        # a chunk's new patterns, one workspace stack of n x n matrices at a time
+        blocks = [block for _, block in _chunks(
+            lambda first, last: _evaluate_chunk(g, alpha, expected, patterns[first:last],
+                                                levels, floor, workspace),
+            0, len(patterns), g.n * g.n)]
+        return TrialBlock(*[np.concatenate([getattr(b, f.name) for b in blocks])
+                            for f in fields(TrialBlock)])
+
+    memo = _PatternMemo(solve)
 
     def evaluate(first: int, last: int) -> tuple[TrialBlock, np.ndarray]:
         return memo(_unit_uniforms(seed, first, last - first, g.n) < profile.p)
 
+    # a chunk of trials is sized by its (c, n) grid of survival flags
     return _chunks(evaluate, start, start + count, g.n, workers)
 
 

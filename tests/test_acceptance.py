@@ -291,7 +291,7 @@ def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch, forks):
 
     def check():
         argv_base = ["simulate", "--family", "cycle", "--n", "6", "--p", "0.8",
-                     "--alpha", "2.4", "--epsilon", "0.25", "--trials", "2000",
+                     "--alpha", "2.4", "--epsilon", "0.25", "--trials", "12000",
                      "--seed", "1234"]
         blobs, workers = [], []
         for threads in ("1", "4", "8"):
@@ -301,11 +301,11 @@ def test_acceptance_9_thread_count_invariance(tmp_path, monkeypatch, forks):
             assert main(argv_base + ["--output", str(out)]) == 0
             blobs.append(out.read_bytes())
             workers.append(1 + len(forks))
-        # 910 trials per chunk on the 6-cycle: 3 chunks, so at most 3 workers
+        # 5,461 trials per chunk on the 6-cycle: 3 chunks, so at most 3 workers
         assert workers == [1, 3, 3]
         assert blobs[0] == blobs[1] == blobs[2]
         payload = json.loads(blobs[0])
-        assert payload["n_trials"] == 2000
+        assert payload["n_trials"] == 12000
         assert payload["lower_bound_violations"] == 0
 
     _report(9, "thread-count invariance", check)

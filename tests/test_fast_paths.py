@@ -425,7 +425,7 @@ MULTI_CHUNK = WeightedGraph(11, tuple(
 
 
 def test_multi_chunk_example_spans_chunks():
-    chunk = _chunking._chunk_length(MULTI_CHUNK.n)
+    chunk = _chunking._chunk_length(MULTI_CHUNK.n ** 2)
     count = 1 << MULTI_CHUNK.n
     assert count > 2 * chunk and count % chunk != 0
 
@@ -445,8 +445,8 @@ def test_oracle_matches_mask_by_mask_reference(case, alpha):
         assert_identical(fast, oracle_reference.statistics(g, profile, alpha, kind))
 
 
-# 20 vertices make chunks of 81 trials, so 175 trials from trial 40 (not a
-# chunk multiple) make two whole chunks and a partial last one
+# 20 vertices make stacks of 81 matrices, so the 175 distinct patterns of
+# trials 40 to 214 (seed 17) fill two whole stacks and a partial last one
 CHUNKED = WeightedGraph(20, tuple(
     (i, j, 0.25 + (5 * i + 11 * j) % 7) for i in range(20) for j in range(i + 1, 20)
     if (3 * i + j) % 4 == 0
@@ -454,8 +454,10 @@ CHUNKED = WeightedGraph(20, tuple(
 
 
 def test_chunked_example_spans_chunks():
-    chunk = _chunking._chunk_length(CHUNKED.n)
-    assert chunk == 81 and 40 % chunk != 0 and 175 // chunk == 2 and 175 % chunk != 0
+    stack = _chunking._chunk_length(CHUNKED.n ** 2)
+    assert stack == 81 and 175 // stack == 2 and 175 % stack != 0
+    grid = percolation._unit_uniforms(17, 40, 175, CHUNKED.n) < np.linspace(0.3, 0.95, 20)
+    assert len(np.unique(grid, axis=0)) == 175
 
 
 def solve_every_block(devs: np.ndarray) -> np.ndarray:
@@ -524,7 +526,7 @@ def test_trial_block_matches_per_trial_reference(case, alpha, seed, start, count
          2.0, 11, 3, 300, 64)
 # ten vertices pack into two bytes per row
 @example((petersen_graph(), SurvivalProfile([0.9] * 8 + [0.5, 0.5])), 1.0, 5, 7, 200, 64)
-# a chunk of one trial, as on graphs of 182 vertices or more
+# a chunk of one trial
 @example((generate("path", n=4), SurvivalProfile.uniform(4, 0.5)), 0.5, 1, 0, 30, 1)
 def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, count,
                                                      chunk_length):
@@ -532,7 +534,7 @@ def test_distinct_patterns_match_per_trial_reference(case, alpha, seed, start, c
     # a small chunk length makes start fall inside a chunk and count span several
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n)
         assert _chunking._chunk_length(g.n) == chunk_length
         block = trial_block(g, profile, alpha, seed, start, count)
     assert_block_matches_reference(block, g, profile, alpha, seed, start, count)
@@ -574,7 +576,7 @@ def test_memoized_runs_match_per_trial_reference(case, alpha, seed, start, count
     g, profile = case
     levels = None if shift is None else (lambda devs: shift - devs)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n)
         mp.setattr(percolation, "_MEMO_PATTERNS", cap)
         block = (trial_block(g, profile, alpha, seed, start, count) if levels is None
                  else level_trial_block(g, profile, alpha, seed, start, count, levels))
@@ -636,9 +638,10 @@ def same_matrices(stack: np.ndarray, matrices: list) -> bool:
 
 
 def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
-    # the simulate-cycle6 benchmark inputs: 5,000 trials in 6 chunks of up to
-    # 910; a pattern is solved in the first chunk that draws it, and a chunk
-    # that draws no new pattern solves nothing
+    # the simulate-cycle6 benchmark inputs: 5,000 trials in one chunk, whose
+    # 60 distinct patterns are one stack of up to 910; a pattern is solved in
+    # the first chunk that draws it, and a chunk that draws no new pattern
+    # solves nothing
     g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
     alpha, seed, trials = 2.4, 0, 5000
     expected = expected_augmented_laplacian(g, profile, alpha)
@@ -652,7 +655,7 @@ def test_trial_block_solves_each_distinct_pattern_once(monkeypatch):
                if delta.tobytes() not in seen]
         seen.update(delta.tobytes() for delta in new)
         new_per_chunk.append(new)
-    assert len(new_per_chunk) == 6
+    assert len(new_per_chunk) == 1
     for patterns, solved in zip([new for new in new_per_chunk if new], chunks, strict=True):
         augmented = [percolation.augmented_laplacian(g, delta, alpha) for delta in patterns]
         # solve order: deviations, then survivor blocks, then the augmented stack
@@ -701,7 +704,7 @@ def test_levels_skip_only_a_delta_that_cannot_fall_below_them(case, alpha, seed,
     # a shift at a quantile of the norms puts some levels on either side of 0
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n)
         full = trial_block(g, profile, alpha, seed, 0, count)
         shift = float(np.quantile(full.deviation_norm, quantile)) + offset
         gated = level_trial_block(g, profile, alpha, seed, 0, count, lambda devs: shift - devs)
@@ -740,7 +743,7 @@ def test_level_gated_run_matches_the_run_that_solves_every_a_delta(case, alpha, 
     # the trials CSV prints every a_delta, so with it every survivor block is solved
     g, profile = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n * g.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n)
         mp.setattr(harness_cli, "LOWER_BOUND_SLACK", slack)
         gated, gated_violations = harness_cli.run_experiment(g, profile, alpha, 0.25, trials,
                                                              seed)
@@ -764,7 +767,7 @@ def test_level_gated_run_solves_no_survivor_block_where_every_bound_is_vacuous(m
               & (block.survivor_count[first] >= 2))
     chunks = record_solves(monkeypatch)
     # the simulate-hypercube8 inputs: every trial's lower bound is below -1,
-    # so only the deviation stack of each chunk (one trial) is solved
+    # so each stack, one trial's matrix, solves its deviation alone
     g, profile = generate("hypercube", k=8), SurvivalProfile.uniform(256, 0.9)
     harness_cli.run_experiment(g, profile, alpha, 0.1, 10, seed=0)
     assert [[M.shape for M in solved] for solved in chunks] == [[(1, 256, 256)]] * 10
@@ -776,7 +779,7 @@ def test_level_gated_run_solves_no_survivor_block_where_every_bound_is_vacuous(m
 
 
 def test_a_delta_floor_is_computed_once_per_run(monkeypatch):
-    # three chunks of trials, each solved against the floor of the one call
+    # three chunks of 10 trials, each solved against the floor of the one call
     g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
     floors = []
     a_delta_floor = percolation._a_delta_floor
@@ -785,7 +788,7 @@ def test_a_delta_floor_is_computed_once_per_run(monkeypatch):
         floors.append(a_delta_floor(graph))
         return floors[-1]
 
-    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 10 * g.n * g.n)
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 10 * g.n)
     full = trial_block(g, profile, 2.4, 0, 0, 25)
     # levels on either side of the floor
     shift = float(np.median(full.deviation_norm))
@@ -839,7 +842,7 @@ SERIES_MULTI_CHUNK = np.stack([
 
 
 def test_series_multi_chunk_example_spans_chunks():
-    chunk = _chunking._chunk_length(SERIES_MULTI_CHUNK.shape[1])
+    chunk = _chunking._chunk_length(SERIES_MULTI_CHUNK.shape[1] ** 2)
     count = 1 << SERIES_MULTI_CHUNK.shape[0]
     assert count > 2 * chunk and count % chunk != 0
 
@@ -907,15 +910,19 @@ def repeated_rows(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(repeated_rows(), st.integers(0, 2**64))
+@given(repeated_rows(), st.integers(0, 2**64), st.sampled_from([harness_cli._CSV_ROW_BLOCK, 1, 3]))
 # rows equal but for the sign of a zero
-@example([(3, True, 0.0, 0.0, -0.0), (3, True, 0.0, -0.0, -0.0), (3, True, -0.0, 0.0, 0.0)], 0)
+@example([(3, True, 0.0, 0.0, -0.0), (3, True, 0.0, -0.0, -0.0), (3, True, -0.0, 0.0, 0.0)], 0,
+         harness_cli._CSV_ROW_BLOCK)
 # a_delta +inf below two survivors, subnormal norms, beyond 64-bit trial indices
 @example([(1, True, math.inf, 5e-324, 1e-310), (1, True, math.inf, 5e-324, 1e-310),
-          (6, False, 0.0, 2.2250738585072009e-308, 0.5)], 2**64 - 1)
-def test_trial_rows_match_per_row_reference(rows, start):
+          (6, False, 0.0, 2.2250738585072009e-308, 0.5)], 2**64 - 1, 2)
+def test_trial_rows_match_per_row_reference(rows, start, row_block):
+    # row_block rows are written at a time; blocks of 1 and 3 split short runs
     fast, slow = io.StringIO(), io.StringIO()
-    harness_cli._write_trial_rows(fast, start, *pattern_block(rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness_cli, "_CSV_ROW_BLOCK", row_block)
+        harness_cli._write_trial_rows(fast, start, *pattern_block(rows))
     harness_reference.write_trial_rows(slow, start, trial_rows_block(rows))
     assert fast.getvalue() == slow.getvalue()
 

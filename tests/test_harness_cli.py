@@ -188,15 +188,16 @@ class TestSimulate:
         assert payload["bound_report"]["total"] == pytest.approx(8.7630291177550832, abs=1e-9)
 
     def test_byte_identical_across_runs_and_thread_counts(self, tmp_path, monkeypatch, forks):
-        # as on 4 CPUs or more, so PERCOBOUND_THREADS=4 is not capped; 2,048
-        # trials per chunk on the 4-cycle, so 6,500 trials make 4 chunks
+        # as on 4 CPUs or more, so PERCOBOUND_THREADS=4 is not capped; 8,192
+        # trials per chunk on the 4-cycle, so 30,000 trials make 4 chunks
         monkeypatch.setattr(_chunking, "usable_cpus", lambda: 4)
+        assert -(-30_000 // _chunk_length(4)) == 4
         outputs, workers = [], []
         for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
             out = tmp_path / f"{name}.json"
             monkeypatch.setenv("PERCOBOUND_THREADS", threads)
             forks.clear()
-            assert run_cli(self.ARGS + ["--trials", "6500", "--output", str(out)]) == EXIT_OK
+            assert run_cli(self.ARGS + ["--trials", "30000", "--output", str(out)]) == EXIT_OK
             outputs.append(out.read_bytes())
             workers.append(1 + len(forks))
         assert workers == [1, 1, 4]
@@ -260,11 +261,29 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: ")
         assert csv_path.read_text() == "kept\n"
 
+    def test_trials_past_the_last_trial_index_are_a_usage_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # trial 2**64 would repeat trial 0; a run that started would not end,
+        # so drawing any flags fails the test at once
+        def no_flags(*args):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(percolation, "_unit_uniforms", no_flags)
+        csv_path = tmp_path / "trials.csv"
+        csv_path.write_text("kept\n")
+        argv = ["simulate", "--family", "cycle", "--n", "4", "--p", "0.9", "--alpha", "1.8",
+                "--epsilon", "0.1", "--trials", str(2**64 + 1), "--trials-csv", str(csv_path)]
+        assert run_cli(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: trial indices must lie below 2**64, got 0, ..., {2**64}\n")
+        assert csv_path.read_text() == "kept\n"
+
     def test_reports_and_csv_identical_for_one_two_three_threads(self, tmp_path, monkeypatch,
                                                                   forks):
         # 327 trials per chunk on the 10-cycle: 2,000 trials make 7 chunks;
         # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
         monkeypatch.setattr(_chunking, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 327 * 10)
         outputs = set()
         for threads in ("1", "2", "3"):
             out, csv_path = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
@@ -348,7 +367,9 @@ class TestSimulate:
         return peaks
 
     def test_memory_does_not_grow_with_trials(self, tmp_path):
-        small, large = self._traced_peaks(tmp_path / "trials.csv", 1, (2_000, 20_000))
+        # 5,461 trials per chunk on the 6-cycle: 2 whole chunks and a part,
+        # then 10 and a part
+        small, large = self._traced_peaks(tmp_path / "trials.csv", 1, (12_000, 60_000))
         assert large <= 1.25 * small
 
     def test_memory_does_not_grow_with_trials_on_two_threads(self, tmp_path):
@@ -357,22 +378,27 @@ class TestSimulate:
         # see.  The child runs at most a pipe buffer ahead, and each chunk it
         # sends is read only when its turn in the trial order comes, so the
         # peak here holds about one chunk of each kind, the same at 100,000
-        # trials (110 chunks) as at 20,000 (22 chunks); a reader that took in
+        # trials (19 chunks) as at 20,000 (4 chunks); a reader that took in
         # every chunk the child sent, before its turn, would hold about five
         # times as much at 100,000 trials
         small, large = self._traced_peaks(tmp_path / "trials.csv", 2, (20_000, 100_000))
         assert large <= 1.25 * small
 
-    def test_hypercube_report_identical_for_one_and_two_workers(self, tmp_path, monkeypatch):
-        # one trial per chunk at order 256, so the child runs every other trial
+    def test_hypercube_report_identical_for_one_and_two_workers(self, tmp_path, monkeypatch,
+                                                                 forks):
+        # chunks of one trial's 256 flags, so the child runs every other trial
         # with OpenBLAS threads of its own; the CSV needs all three eigensolves
+        monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 256)
         outputs = set()
         for workers in ("1", "2"):
             out, csv_path = tmp_path / f"{workers}.json", tmp_path / f"{workers}.csv"
             monkeypatch.setenv("PERCOBOUND_THREADS", workers)
+            forks.clear()
             assert run_cli(["simulate", "--family", "hypercube", "--k", "8", "--p", "0.9",
                             "--alpha", "7.2", "--epsilon", "0.1", "--trials", "6",
                             "--output", str(out), "--trials-csv", str(csv_path)]) == EXIT_OK
+            assert 1 + len(forks) == int(workers)
             outputs.add((out.read_bytes(), csv_path.read_bytes()))
         assert len(outputs) == 1
 
@@ -427,9 +453,9 @@ def test_partials_fold_equals_one_fsum(chunks):
        st.sampled_from([0.5, 0.8, 0.97]), st.sampled_from([0.5, 2.4]), st.integers(1, 150),
        st.integers(0, 2**64 - 1), st.sampled_from([4096, 2, 0]), st.integers(1, 12),
        st.booleans(), st.booleans(), st.booleans())
-# three chunks of the 6-cycle's default length, whose patterns repeat across them
-@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 4096, None, False, True, True)
-@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 2, None, True, False, False)
+# three chunks of 910 trials, whose patterns repeat across them
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 4096, 910, False, True, True)
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 2, 910, True, False, False)
 @example(("cycle", {"n": 6}), 0.97, 2.4, 150, 7, 0, 4, True, True, True)
 def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed, cap, chunk,
                                                    vacuous_slack, median_total, with_csv):
@@ -448,7 +474,7 @@ def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed
                        lambda *args: dataclasses.replace(bound(*args), total=total))
         mp.setattr(percolation, "_MEMO_PATTERNS", cap)
         if chunk is not None:
-            mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk * g.n * g.n)
+            mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk * g.n)
         if vacuous_slack:
             mp.setattr(harness_cli, "LOWER_BOUND_SLACK", -math.inf)
         slack = harness_cli.LOWER_BOUND_SLACK
@@ -683,7 +709,7 @@ class TestOracle:
     @pytest.mark.parametrize("n, chunks", [(12, 19), (4, 1)])
     def test_outputs_identical_for_any_worker_count(self, tmp_path, monkeypatch, capsys, forks,
                                                      kind, n, chunks):
-        assert -(-(1 << n) // _chunk_length(n)) == chunks
+        assert -(-(1 << n) // _chunk_length(n * n)) == chunks
         # as on 3 CPUs or more, so PERCOBOUND_THREADS=3 is not capped
         monkeypatch.setattr(_chunking, "usable_cpus", lambda: 3)
         argv = ["oracle", "--family", "cycle", "--n", str(n), "--p", "0.7",

@@ -26,7 +26,8 @@ def skip_every_block(devs: np.ndarray) -> np.ndarray:
 def test_memo_memory_is_bounded_where_every_pattern_is_new(monkeypatch):
     # the 8-cube at p = 0.9 draws a new pattern in every trial, so a memo
     # without a cap would hold one entry per trial, about 115 traced bytes
-    # each: 11 KiB more for the 96 trials the longer run adds
+    # each: 11 KiB more for the 96 trials the longer run adds.  Chunks of 16
+    # trials: both runs span at least two whole chunks
     profile, cap = SurvivalProfile.uniform(256, 0.9), 16
     largest = [0]  # the most entries any memo held after a chunk
 
@@ -38,6 +39,7 @@ def test_memo_memory_is_bounded_where_every_pattern_is_new(monkeypatch):
 
     monkeypatch.setattr(percolation, "_PatternMemo", Recording)
     monkeypatch.setattr(percolation, "_MEMO_PATTERNS", cap)
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 16 * HYPERCUBE.n)
 
     def peak(trials: int) -> int:
         tracemalloc.reset_peak()
@@ -59,8 +61,9 @@ def test_memo_memory_is_bounded_where_every_pattern_is_new(monkeypatch):
 @pytest.mark.parametrize("p", [0.0, 1.0])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, p, workers):
-    # 7 chunks of 3 trials; each process solves the one pattern in its first
-    # chunk, and a forked child records its calls in the file as well
+    # 7 chunks of 3 trials (3 * n flags each); each process solves the one
+    # pattern in its first chunk, and a forked child records its calls in the
+    # file as well
     calls = tmp_path / "calls"
     evaluate_chunk = percolation._evaluate_chunk
 
@@ -70,7 +73,7 @@ def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, 
         return evaluate_chunk(g, alpha, expected, patterns, *rest)
 
     monkeypatch.setattr(percolation, "_evaluate_chunk", recording)
-    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 3 * CYCLE.n * CYCLE.n)
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 3 * CYCLE.n)
     monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
     profile = SurvivalProfile.uniform(6, p)
     chunks = [chunk for _, chunk in percolation._trial_chunks(CYCLE, profile, 2.4, 0, 0, 21,
@@ -85,12 +88,12 @@ def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, 
 
 
 def test_changing_a_returned_block_changes_no_later_chunk():
-    # p near 1 on the 6-cycle: later chunks copy most of their results from
-    # the memo, so a memo sharing memory with a returned block or inverse
-    # would pass on the overwritten values
+    # p near 1 on the 6-cycle, in chunks of 6 trials: later chunks copy most
+    # of their results from the memo, so a memo sharing memory with a
+    # returned block or inverse would pass on the overwritten values
     profile = SurvivalProfile.uniform(6, 0.97)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_chunking, "_CHUNK_ENTRIES", 6 * CYCLE.n * CYCLE.n)
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", 6 * CYCLE.n)
         clean = [[*vars(block).values(), inverse] for _, (block, inverse)
                  in percolation._trial_chunks(CYCLE, profile, 2.4, 3, 0, 60)]
         overwritten = []
@@ -105,25 +108,29 @@ def test_changing_a_returned_block_changes_no_later_chunk():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_reports_and_trials_csv_identical_for_one_and_two_workers(tmp_path, monkeypatch):
+def test_reports_and_trials_csv_identical_for_one_and_two_workers(tmp_path, monkeypatch,
+                                                                     forks):
     # 327 trials per chunk on the 10-cycle at p = 0.999: 2,000 trials make 7
     # chunks, each holding the pattern where every vertex survives, so both
     # processes copy results from their own memo
     monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 327 * 10)
     outputs = set()
     for workers in ("1", "2"):
         out, csv_path = tmp_path / f"{workers}.json", tmp_path / f"{workers}.csv"
         monkeypatch.setenv("PERCOBOUND_THREADS", workers)
+        forks.clear()
         assert main(["simulate", "--family", "cycle", "--n", "10", "--p", "0.999",
                      "--alpha", "2.0", "--epsilon", "0.25", "--trials", "2000", "--seed", "5",
                      "--output", str(out), "--trials-csv", str(csv_path)]) == EXIT_OK
+        assert 1 + len(forks) == int(workers)
         outputs.add((out.read_bytes(), csv_path.read_bytes()))
     assert len(outputs) == 1
 
 
 @pytest.mark.parametrize("with_csv", [False, True], ids=["report", "trials-csv"])
 def test_a_simulate_chunk_is_grouped_once(monkeypatch, tmp_path, with_csv):
-    # simulate-cycle6's inputs: 5,000 trials in 6 chunks; only the pattern
+    # simulate-cycle6's inputs: 5,000 trials in one chunk; only the pattern
     # memo groups a chunk's rows, whether or not the trials CSV is written
     calls = []
     distinct_rows = _chunking._distinct_rows
@@ -141,5 +148,5 @@ def test_a_simulate_chunk_is_grouped_once(monkeypatch, tmp_path, with_csv):
     if with_csv:
         argv += ["--trials-csv", str(tmp_path / "trials.csv")]
     assert main(argv) == EXIT_OK
-    length = _chunking._chunk_length(6)
-    assert calls == [length] * 5 + [5000 - 5 * length]
+    assert _chunking._chunk_length(6) > 5000
+    assert calls == [5000]

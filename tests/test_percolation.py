@@ -111,6 +111,16 @@ class TestSample:
         with pytest.raises(ValueError, match="non-negative"):
             sample(SurvivalProfile.uniform(2, 0.5), 0, -1)
 
+    @pytest.mark.parametrize("trial_index", [2**64, 2**64 + 5])
+    def test_trial_index_outside_64_bits_rejected(self, trial_index):
+        # the hash reads 64 bits of the index, so trial 2**64 would repeat trial 0
+        with pytest.raises(ValueError, match=rf"below 2\*\*64, got {trial_index}$"):
+            sample(SurvivalProfile.uniform(6, 0.8), 0, trial_index)
+
+    def test_last_trial_index_has_its_own_flags(self):
+        prof = SurvivalProfile.uniform(6, 0.8)
+        assert np.array_equal(sample(prof, 0, 2**64 - 1), scalar_delta(0, 2**64 - 1, prof.p))
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, -(2**64)])
     def test_seed_outside_64_bits_rejected(self, seed):
         # the hash reads 64 bits, so each of these would repeat an accepted seed

@@ -24,8 +24,8 @@ from percobound.harness_cli import run_experiment
 from percobound.spectral import lambda2, spectral_norm
 
 HYPERCUBE = generate("hypercube", k=8)
-# (profile, alpha, seed, start, count): four one-trial chunks whose deviation
-# norms are 4.377, 4.516, 4.502 and 4.308
+# (profile, alpha, seed, start, count): four trials whose deviation norms are
+# 4.377, 4.516, 4.502 and 4.308
 HYPERCUBE_RUN = (SurvivalProfile.uniform(256, 0.9), 7.2, 5, 11, 4)
 CYCLE = generate("cycle", n=6)
 
@@ -114,9 +114,11 @@ def solve_below_4_5(devs: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("levels", [None, solve_below_4_5], ids=["every-statistic", "levels"])
-def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(levels):
+def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(monkeypatch, levels):
+    # chunks of one trial's n flags; a stack holds one matrix from 182 vertices on
     profile, alpha, seed, start, count = HYPERCUBE_RUN
-    assert _chunking._chunk_length(HYPERCUBE.n) == 1
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", HYPERCUBE.n)
+    assert _chunking._chunk_length(HYPERCUBE.n) == _chunking._chunk_length(HYPERCUBE.n ** 2) == 1
     chunks, handed = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, levels)
     assert [(len(block), len(inverse)) for _, block, inverse in chunks] == [(1, 1)] * count
     assert_matches_slow_path(chunks, HYPERCUBE, profile, alpha, seed, start, count, levels)
@@ -127,10 +129,15 @@ def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(levels):
     assert all(np.shares_memory(views, handed[0]) for views in handed)
 
 
-def test_hypercube_two_workers_give_one_workers_bits():
+def test_hypercube_two_workers_give_one_workers_bits(monkeypatch, forks):
+    # one-trial chunks, so the forked child runs every other trial
     profile, alpha, seed, start, count = HYPERCUBE_RUN
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", HYPERCUBE.n)
+    monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
     one, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 1)
+    assert not forks
     two, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 2)
+    assert len(forks) == 1
     assert_matches_slow_path(two, HYPERCUBE, profile, alpha, seed, start, count,
                              solve_below_4_5)
     for (first_1, block_1, inverse_1), (first_2, block_2, inverse_2) in zip(one, two,
@@ -141,23 +148,24 @@ def test_hypercube_two_workers_give_one_workers_bits():
 
 
 def solve_below_1_3(devs: np.ndarray) -> np.ndarray:
-    """Levels that solve the survivor blocks of 36 of the 6-cycle's 50 trials."""
+    """Levels that solve the survivor blocks of 83 of the 6-cycle's 150 trials."""
     return np.where(devs < 1.3, math.inf, -math.inf)
 
 
 @pytest.mark.parametrize("levels", [None, solve_below_1_3], ids=["every-statistic", "levels"])
 def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functions(levels):
-    # chunks of 12 trials hold 7, 6, 11, 9 and 2 distinct patterns: the third
-    # needs more room than the first, and the last chunk is short; with no
-    # memo entries every chunk solves all of its distinct patterns
-    profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.8), 2.4, 0, 50
+    # chunks of 72 trials hold 11, 13 and 3 distinct patterns, solved in
+    # stacks of at most 12 matrices: the second chunk needs more room than the
+    # first and two stacks, and the last chunk is short; with no memo entries
+    # every chunk solves all of its distinct patterns
+    profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.9), 2.4, 0, 150
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
         mp.setattr(percolation, "_MEMO_PATTERNS", 0)
         chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
-    assert [len(inverse) for _, _, inverse in chunks] == [12, 12, 12, 12, 2]
-    assert [len(block) for _, block, _ in chunks] == [7, 6, 11, 9, 2]
-    assert [views.shape[1] for views in handed] == [7, 6, 11, 9, 2]
+    assert [len(inverse) for _, _, inverse in chunks] == [72, 72, 6]
+    assert [len(block) for _, block, _ in chunks] == [11, 13, 3]
+    assert [views.shape[1] for views in handed] == [11, 12, 1, 3]
     assert_matches_slow_path(chunks, CYCLE, profile, alpha, seed, 0, count, levels)
     assert_nothing_aliases_a_workspace(chunks, handed)
     assert_last_chunk_bit_symmetric(handed)
