@@ -1,14 +1,15 @@
 """How work is cut into chunks, and which process runs each chunk.
 
 Every loop over many survival patterns, the Monte Carlo trials
-(percolation._trial_chunks), the stacks their new patterns are solved in, and
-both oracle enumerations, walks its range through _chunks, the one chunk
-driver.  Its caller says how many entries one item holds, and a chunk holds
-as many items as _CHUNK_ENTRIES entries hold, and at least one.  A matrix of
-order n is n * n entries: 910 matrices at n = 6, 145 at n = 15, one from
-n = 182 on, in the oracle's chunks and in the Monte Carlo stacks.  A trial is
-its n survival flags: 5,461 trials at n = 6, 128 at n = 256.  So a loop's
-memory is O(_CHUNK_ENTRIES), whatever the length of its range.
+(percolation._trial_chunks), the stacks their distinct patterns are solved
+in, and both oracle enumerations, walks its range through _chunks, the one
+chunk driver.  Its caller says how many entries one item holds, and a chunk
+holds as many items as _CHUNK_ENTRIES entries hold, and at least one.  This
+is the one place the sizes are stated.  A matrix of order n is n * n
+entries: 910 matrices at n = 6, 145 at n = 15, one from n = 182 on, in the
+oracle's chunks and in the Monte Carlo stacks.  A trial is its n survival
+flags: 5,461 trials at n = 6, 128 at n = 256.  So a loop's memory is
+O(_CHUNK_ENTRIES), whatever the length of its range.
 
 _chunks runs its chunks through _map_in_order on `workers` processes and
 yields the results in order.  Chunk i runs on worker i % workers.  Worker 0
@@ -44,8 +45,9 @@ CPUs to run them.
   10 alternating benchmark pairs, all 10 won).
 
 _distinct_rows groups equal rows of a key matrix: the Monte Carlo stream
-groups each chunk's survival patterns once, in its run's memo, and the
-oracle formats each distinct value of a chunk once.
+groups each chunk's survival patterns once and solves each distinct one
+once, keeping nothing for later chunks, and the oracle formats each
+distinct value of a chunk once.
 """
 from __future__ import annotations
 

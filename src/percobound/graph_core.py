@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,8 +57,26 @@ def is_integer(value) -> bool:
         not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Integral))
 
 
+class _EqualByKey:
+    """Equality by self._key(): objects of one class are equal when their
+    keys are, and hash equal.  The key is the dataclass fields, each array as
+    its dtype, shape and bits, so == never compares arrays element by element
+    and a NaN equals a NaN of the same bits.  A class whose arrays are
+    writable sets __hash__ to None."""
+
+    def _key(self) -> tuple:
+        return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in [getattr(self, f.name) for f in fields(self)])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 @dataclass(frozen=True, init=False, eq=False)
-class WeightedGraph:
+class WeightedGraph(_EqualByKey):
     """Simple undirected graph on vertices 0..n-1 with positive edge weights.
 
     n and the read-only arrays src, dst (intp) and w (float) are the whole
@@ -70,7 +88,9 @@ class WeightedGraph:
     rules, _edge_arrays, and then the degrees.  edges, the same edges as a
     tuple of (int, int, float), is built on first read.  _scatter, where
     edge_laplacian writes each edge, is built with the arrays: its keys
-    src * n + dst are the ones _edge_arrays sorted by.
+    src * n + dst are the ones _edge_arrays sorted by.  Two graphs are
+    equal, and hash equal, when n and the arrays are (_EqualByKey); every
+    weight is finite and > 0, so equal weights have equal bits.
     """
 
     n: int
@@ -113,16 +133,6 @@ class WeightedGraph:
     @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
-
-    def _key(self) -> tuple:
-        # equal weights have equal bits, since every weight is finite and > 0
-        return self.n, self.src.tobytes(), self.dst.tobytes(), self.w.tobytes()
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __reduce__(self):  # rebuilt and re-checked: read-only arrays, edges unbuilt
         return type(self)._from_arrays, (self.n, self.src, self.dst, self.w)

@@ -24,11 +24,11 @@ counts, the exact sum of the deviation norms, their maximum, and the first
 few lower-bound violations, which a failed validation names on stderr.  The
 sum is one Python integer, the norms scaled by 2**1074 (every float is a
 whole multiple of 2**-1074), so the mean rounds like math.fsum of every
-norm, divided by the trial count.  A chunk holds as many trials as
-_chunking._CHUNK_ENTRIES survival flags hold (5,461 at n = 6, 128 at
-n = 256), and the per-trial CSV is written as each chunk finishes, each
-pattern's values formatted once and _CSV_ROW_BLOCK rows per write, so
-memory does not grow with the trial count and the CSV has no row cap.
+norm, divided by the trial count.  A chunk holds as many trials as the
+_chunking module's docstring says, and the per-trial CSV is written as each
+chunk finishes, each pattern's values formatted once and _CSV_ROW_BLOCK rows
+per write, so memory does not grow with the trial count and the CSV has no
+row cap.
 Without the CSV, a_delta is only compared with its lower-bound level,
 min(lambda2_expected - deviation norm, alpha) - LOWER_BOUND_SLACK, and
 lambda_2 of the augmented Laplacian, reported only in that CSV, is not
@@ -45,6 +45,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -66,6 +67,7 @@ from .theory import (
     ALPHA_GRID_SIZE,
     THRESHOLD_MODES,
     BoundReport,
+    _check_grid_size,
     deviation_bound,
     optimize_alpha,
     survival_threshold,
@@ -84,8 +86,8 @@ VIOLATIONS_SHOWN = 5
 TRIALS_CSV_HEADER = (
     "trial_index,survivor_count,is_connected,a_delta,deviation_norm,lambda2_augmented\n"
 )
-# trials-CSV rows joined into one write: a chunk of 5,461 trials held as one
-# text took about 0.9 MiB more peak memory on the 6-cycle
+# trials-CSV rows joined into one write: a whole 6-cycle chunk held as one
+# text took about 0.9 MiB more peak memory
 _CSV_ROW_BLOCK = 1024
 
 
@@ -346,6 +348,8 @@ def cmd_generate(args) -> int:
 def _experiment(args, trials: int):
     """(graph, profile, alpha spec, ExperimentConfig) of a bound or simulate
     run of `trials` trials."""
+    # checked whatever --alpha is, since the report echoes the grid size
+    _check_grid_size("--alpha-grid", args.alpha_grid)
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
     alpha_spec = _parse_alpha(args.alpha)
@@ -368,6 +372,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the report would overwrite the trials CSV
+    if (args.output is not None and args.trials_csv is not None
+            and os.path.realpath(args.output) == os.path.realpath(args.trials_csv)):
+        raise ValueError(f"--output and --trials-csv name the same file: {args.output}")
     g, profile, alpha_spec, config = _experiment(args, args.trials)
     summary, violations = run_experiment(
         g, profile, alpha_spec, args.epsilon, args.trials, args.seed,

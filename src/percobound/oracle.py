@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._chunking import _chunks, _distinct_rows
-from .graph_core import WeightedGraph
+from .graph_core import WeightedGraph, _EqualByKey
 from .percolation import (
     SurvivalProfile,
     _check_alpha,
@@ -72,15 +72,19 @@ def _float_reprs(values: np.ndarray) -> list:
     return reprs[inverse].tolist()
 
 
-@dataclass(frozen=True)
-class ExactDistribution:
+@dataclass(frozen=True, eq=False)
+class ExactDistribution(_EqualByKey):
     """Exact joint table of (pattern, probability, statistic).
 
     Entry t is the survival pattern whose flags are the bits of t, little-
     endian: bit i is delta_i.  The entries cover all 2^n masks in ascending
     order, so probabilities sum to 1.  statistics may contain +inf (a_delta
-    with fewer than two survivors).
+    with fewer than two survivors).  Two tables are equal when n, the kind
+    and each array's dtype, shape and bits are (_EqualByKey); a table has no
+    hash, since its arrays are writable.
     """
+
+    __hash__ = None
 
     n: int
     statistic_kind: str

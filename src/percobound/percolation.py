@@ -13,29 +13,23 @@ of processes, with identical results on every platform.
 
 Monte Carlo trials run through one chunk kernel, _evaluate_chunk, which one
 stream feeds: _trial_chunks checks the inputs, then walks the trials through
-the chunk driver of the _chunking module, which also says how chunks are
-spread over worker processes.  A chunk holds as many trials as
-_CHUNK_ENTRIES survival flags hold: 5,461 at n = 6, 128 at n = 256.  For a
-chunk of trials the stream draws the (trials x n) grid of survival flags
-with one vectorized hash, and the run's pattern memo (_PatternMemo, one per
-run and process) groups the grid's rows into distinct survival patterns, the
-one grouping of a chunk, and looks each up by its packed flags.  Only the
-patterns the run has not drawn before go to the kernel, in order, one call
-per stack of as many n x n matrices as _CHUNK_ENTRIES entries hold: 910 at
-n = 6, one from n = 182 on.  The stream yields the chunk's distinct patterns'
-results and the pattern each trial drew; trial_block alone copies them to
-trials, and simulate folds them per pattern.
+the chunk driver of the _chunking module, whose docstring gives the chunk
+sizes and says how chunks are spread over worker processes.  For a chunk of
+trials the stream draws the (trials x n) grid of survival flags with one
+vectorized hash, groups the grid's rows into distinct survival patterns by
+their packed flags (_distinct_rows), the one grouping of a chunk, and sends
+the distinct patterns to the kernel in order, one call per stack of n x n
+matrices.  The stream yields the chunk's distinct patterns' results and the
+pattern each trial drew; trial_block alone copies them to trials, and
+simulate folds them per pattern.
 Every per-trial statistic depends on the trial's flags alone, entry k of a
 stack's spectral_norm or lambda2 equals the value for matrix k alone (see
 the spectral module), and levels depend on the deviation norm alone, so each
-distinct pattern is evaluated once per run, and every trial that draws it
-has its results: the same bits as evaluating every trial.  On the
-6-cycle at p = 0.8 (seed 0), 5,000 trials are one chunk of 60 distinct
-patterns, and 50,000 trials hold 64, which their 10 chunks would solve 605
-times without the memo.  The memo keeps the first _MEMO_PATTERNS patterns
-a process draws and no more, so its memory does not grow with the trial
-count either; a pattern drawn after that is solved in each chunk that draws
-it.  A forked worker fills its own memo.
+distinct pattern is evaluated once per chunk, and every trial of the chunk
+that draws it has its results: the same bits as evaluating every trial.  On
+the 6-cycle at p = 0.8 (seed 0), 5,000 trials are one chunk of 60 distinct
+patterns; 50,000 trials are 10 chunks, which solve 605 patterns, 64 of them
+distinct.  Nothing is kept from one chunk to the next.
 The four per-pattern functions (percolated_laplacian, augmented_laplacian,
 survivor_connectivity, algebraic_connectivity_survivors) take one (n,)
 pattern of flags or a (c, n) grid and give each row of a grid, bit for bit,
@@ -55,7 +49,7 @@ union-find over the patterns' live edges, with whole-array hooking and path
 compression.
 
 Each process keeps one workspace per run (_workspace): a stack of augmented
-Laplacians and a stack of deviations, each with room for one stack of new
+Laplacians and a stack of deviations, each with room for one stack of
 patterns.  With the chunk's grid of flags that is O(_CHUNK_ENTRIES) memory,
 whatever the trial count.  The first stack a process solves allocates it,
 and every later stack of the run reuses it, growing it only for a stack
@@ -66,8 +60,8 @@ get) and forms the deviations in the second with np.subtract(..., out=); the
 survivor blocks are read from the first.  Nothing returned aliases the
 workspace: every array of a TrialBlock is a new one.
 
-Each distinct pattern of a run, up to the memo's cap, thus costs up to
-three eigensolves in each process, and trial_block records every statistic.
+Each distinct pattern of a chunk thus costs up to three eigensolves, and
+trial_block records every statistic.
 The stream has one mode switch, levels, which only simulate turns: a caller
 that only compares a_delta with a level, as simulate's per-trial lower-bound
 check does, passes those levels (a function of the deviation norms).  A
@@ -94,8 +88,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._chunking import _CHUNK_ENTRIES, _chunks, _distinct_rows
-from .graph_core import WeightedGraph, diagonal_view, edge_laplacian, is_real
+from ._chunking import _chunks, _distinct_rows
+from .graph_core import WeightedGraph, _EqualByKey, diagonal_view, edge_laplacian, is_real
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -116,11 +110,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U64 = np.uint64
 
-# Distinct survival patterns a run's memo keeps in each process
-# (_PatternMemo).  An entry takes about 150 bytes at n = 256 (packed flags,
-# a dict slot and five results), so 4,096 take about as much memory as the
-# two workspace stacks of _CHUNK_ENTRIES float64 entries each.
-_MEMO_PATTERNS = _CHUNK_ENTRIES // 8
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
     # splitmix64 on a uint64 array, in place, so a grid and one shifted copy
@@ -150,7 +139,7 @@ def _unit_uniforms(seed: int, start: int, count: int, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SurvivalProfile:
+class SurvivalProfile(_EqualByKey):
     """Per-vertex survival probabilities, each in [0, 1].
 
     Two profiles are equal, and hash equal, when their probabilities are,
@@ -191,22 +180,20 @@ class SurvivalProfile:
         # + 0.0 turns -0.0 into 0.0; no probability is NaN
         return (self.p + 0.0).tobytes()
 
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
-    def __hash__(self):
-        return hash(self._key())
-
-
-@dataclass(frozen=True)
-class TrialBlock:
+@dataclass(frozen=True, eq=False)
+class TrialBlock(_EqualByKey):
     """Results of consecutive trials or of distinct patterns, one entry each.
 
     a_delta is +inf for trials with fewer than two survivors.  NaN marks
     what the level mode of _trial_chunks skipped (see the module docstring):
     a_delta where the level lies below every value a_delta could take, and
-    every lambda2_augmented.  trial_block records every statistic.
+    every lambda2_augmented.  trial_block records every statistic.  Two
+    blocks are equal when each array has the same dtype, shape and bits
+    (_EqualByKey); a block has no hash, since its arrays are writable.
     """
+
+    __hash__ = None
 
     survivor_count: np.ndarray
     is_connected: np.ndarray
@@ -336,8 +323,9 @@ def _workspace(n: int):
 
     The stacks are allocated by the first call and again only for a c
     larger than any before, so a process allocates them once where its
-    first stack needs the most room: from 182 vertices on, where every stack
-    holds one matrix, and in the oracle, whose first chunk is its longest.
+    first stack needs the most room: on graphs large enough that every stack
+    holds one matrix (see _chunking), and in the oracle, whose first chunk is
+    its longest.
     The memory is O(_CHUNK_ENTRIES), and its pages fault in once.  Every call
     returns views of it, so nothing a chunk returns may alias them.  Made
     before a fork and first called after it, each process allocates its own.
@@ -391,51 +379,6 @@ def _evaluate_chunk(g: WeightedGraph, alpha: float, expected: np.ndarray,
     survivor_count, is_connected = survivor_connectivity(g, patterns)
     return TrialBlock(survivor_count, is_connected, a_delta, deviation_norm,
                       lambda2(laplacians) if levels is None else np.full(len(patterns), math.nan))
-
-
-class _PatternMemo:
-    """One run's memo in one process: a chunk's survival flags in, the
-    TrialBlock of its distinct patterns and the entry each row drew out,
-    each distinct pattern solved only the first time the run draws it.
-
-    solve maps a (c, n) grid of distinct patterns to their TrialBlock.  The
-    memo keeps the results of the first _MEMO_PATTERNS distinct patterns,
-    keyed by their packed flags, and takes no more entries after that.
-    """
-
-    def __init__(self, solve):
-        self.solve = solve
-        self.rows = {}  # a pattern's packed flags -> its row of self.columns
-        # per TrialBlock field, _MEMO_PATTERNS entries; set by the first solve
-        self.columns = None
-
-    def __call__(self, delta: np.ndarray) -> tuple[TrialBlock, np.ndarray]:
-        keys = np.packbits(delta, axis=1)
-        first, inverse = _distinct_rows(keys)
-        patterns = [keys[k].tobytes() for k in first.tolist()]
-        rows = np.array([self.rows.get(key, -1) for key in patterns])
-        seen = rows >= 0
-        unseen = np.flatnonzero(~seen)
-        if unseen.size:
-            fresh = list(vars(self.solve(delta[first[unseen]])).values())
-        else:
-            fresh = [column[:0] for column in self.columns]
-        if self.columns is None:
-            self.columns = [np.empty(_MEMO_PATTERNS, new.dtype) for new in fresh]
-        stored = len(self.rows)
-        kept = unseen[:_MEMO_PATTERNS - stored].tolist()
-        self.rows.update((patterns[k], stored + j) for j, k in enumerate(kept))
-        block = []
-        for column, new in zip(self.columns, fresh):
-            column[stored:stored + len(kept)] = new[:len(kept)]
-            # each distinct pattern's entry, in a new array
-            table = np.empty(rows.size, new.dtype)
-            table[seen] = column[rows[seen]]
-            table[unseen] = new
-            block.append(table)
-        # a list, not a generator: unpacking a generator resizes a tuple, and
-        # CPython's free lists then held 80 more traced bytes after each chunk
-        return TrialBlock(*block), inverse
 
 
 def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
@@ -529,12 +472,11 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
                          "the augmented Laplacian is undefined below that")
     expected = expected_augmented_laplacian(g, profile, alpha)
     floor = _a_delta_floor(g)
-    # each process allocates the workspace and fills the memo in the chunks
-    # it runs, so after the fork
+    # each process allocates the workspace in the chunks it runs, so after the fork
     workspace = _workspace(g.n)
 
     def solve(patterns: np.ndarray) -> TrialBlock:
-        # a chunk's new patterns, one workspace stack of n x n matrices at a time
+        # a chunk's distinct patterns, one workspace stack of n x n matrices at a time
         blocks = [block for _, block in _chunks(
             lambda first, last: _evaluate_chunk(g, alpha, expected, patterns[first:last],
                                                 levels, floor, workspace),
@@ -542,10 +484,10 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
         return TrialBlock(*[np.concatenate([getattr(b, f.name) for b in blocks])
                             for f in fields(TrialBlock)])
 
-    memo = _PatternMemo(solve)
-
     def evaluate(first: int, last: int) -> tuple[TrialBlock, np.ndarray]:
-        return memo(_unit_uniforms(seed, first, last - first, g.n) < profile.p)
+        delta = _unit_uniforms(seed, first, last - first, g.n) < profile.p
+        first_rows, inverse = _distinct_rows(np.packbits(delta, axis=1))
+        return solve(delta[first_rows]), inverse
 
     # a chunk of trials is sized by its (c, n) grid of survival flags
     return _chunks(evaluate, start, start + count, g.n, workers)
@@ -559,8 +501,8 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     profile, alpha, seed, start + k, 1), and is what the per-pattern
     functions give the flags sample(profile, seed, start + k).  The trials
     are evaluated a chunk at a time, with up to three eigensolves per
-    distinct survival pattern of a run, up to the cap (see the module
-    docstring).  Trials that draw the same pattern share its results.  Every
+    distinct survival pattern of a chunk (see the module docstring).  Trials
+    of a chunk that draw the same pattern share its results.  Every
     statistic is computed; none is skipped.
     """
     chunks = [chunk for _, chunk in _trial_chunks(g, profile, alpha, seed, start, count)]

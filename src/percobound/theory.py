@@ -133,6 +133,13 @@ def _validate_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
+def _check_grid_size(name: str, size) -> None:
+    """Reject an alpha grid size that is not an integer of at least 2; a bool
+    is not an integer here."""
+    if not is_integer(size) or size < 2:
+        raise ValueError(f"{name} must be an integer of at least 2, got {size!r}")
+
+
 def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float):
     """Validate the inputs deviation_bound and optimize_alpha share, then
     compute everything in the bound that does not depend on alpha.
@@ -315,8 +322,7 @@ def optimize_alpha(g: WeightedGraph, profile: SurvivalProfile, epsilon: float,
     The result is the one a scan of every candidate gives, from as few as two
     eigensolves when p is uniform.
     """
-    if alpha_grid_size < 2:
-        raise ValueError("alpha_grid_size must be at least 2")
+    _check_grid_size("alpha_grid_size", alpha_grid_size)
     expected_row, bound_at, upper_at = _alpha_free_part(g, profile, epsilon)
     hi = 2.0 * float(expected_row.max())
     reports: dict[float, BoundReport] = {}

@@ -1,69 +1,26 @@
-"""The Monte Carlo kernel's per-run pattern memo: each distinct survival
-pattern is solved once per run and process, its memory stays bounded, and
-nothing it returns can change what it returns later."""
+"""The distinct survival patterns of a Monte Carlo chunk: each chunk groups
+its patterns once and solves each distinct one once, keeps nothing for later
+chunks, and nothing it returns can change what a later chunk returns."""
 from __future__ import annotations
 
-import math
 import os
 import sys
-import tracemalloc
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from percobound import SurvivalProfile, _chunking, generate, percolation
 from percobound.harness_cli import EXIT_OK, main
 
-HYPERCUBE = generate("hypercube", k=8)
 CYCLE = generate("cycle", n=6)
-
-
-def skip_every_block(devs: np.ndarray) -> np.ndarray:
-    """Levels below every a_delta: only the deviation stack is solved."""
-    return np.full_like(devs, -math.inf)
-
-
-def test_memo_memory_is_bounded_where_every_pattern_is_new(monkeypatch):
-    # the 8-cube at p = 0.9 draws a new pattern in every trial, so a memo
-    # without a cap would hold one entry per trial, about 115 traced bytes
-    # each: 11 KiB more for the 96 trials the longer run adds.  Chunks of 16
-    # trials: both runs span at least two whole chunks
-    profile, cap = SurvivalProfile.uniform(256, 0.9), 16
-    largest = [0]  # the most entries any memo held after a chunk
-
-    class Recording(percolation._PatternMemo):
-        def __call__(self, delta):
-            block = super().__call__(delta)
-            largest[0] = max(largest[0], len(self.rows))
-            return block
-
-    monkeypatch.setattr(percolation, "_PatternMemo", Recording)
-    monkeypatch.setattr(percolation, "_MEMO_PATTERNS", cap)
-    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 16 * HYPERCUBE.n)
-
-    def peak(trials: int) -> int:
-        tracemalloc.reset_peak()
-        for _ in percolation._trial_chunks(HYPERCUBE, profile, 7.2, 0, 0, trials,
-                                           skip_every_block):
-            pass
-        return tracemalloc.get_traced_memory()[1]
-
-    tracemalloc.start()
-    try:
-        peak(128)  # one-time set-up
-        short, long = peak(32), peak(128)
-    finally:
-        tracemalloc.stop()
-    assert largest == [cap]
-    assert long - short < 4096
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, p, workers):
-    # 7 chunks of 3 trials (3 * n flags each); each process solves the one
-    # pattern in its first chunk, and a forked child records its calls in the
-    # file as well
+def test_a_run_of_one_pattern_solves_it_once_per_chunk(monkeypatch, tmp_path, p, workers):
+    # 7 chunks of 3 trials (3 * n flags each); each chunk solves the one
+    # pattern once, chunk i on worker i % workers, and a forked child records
+    # its calls in the file as well
     calls = tmp_path / "calls"
     evaluate_chunk = percolation._evaluate_chunk
 
@@ -80,7 +37,8 @@ def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, 
                                                               workers=workers)]
     lines = calls.read_text(encoding="utf-8").split()
     pids, counts = lines[::2], lines[1::2]
-    assert counts == ["1"] * workers and len(set(pids)) == workers
+    assert counts == ["1"] * 7
+    assert sorted(Counter(pids).values()) == ([7] if workers == 1 else [3, 4])
     # each chunk of 3 trials holds the one pattern once
     assert [(len(block), inverse.tolist()) for block, inverse in chunks] == [(1, [0] * 3)] * 7
     for block, _ in chunks:
@@ -88,9 +46,9 @@ def test_a_run_of_one_pattern_solves_it_once_per_process(monkeypatch, tmp_path, 
 
 
 def test_changing_a_returned_block_changes_no_later_chunk():
-    # p near 1 on the 6-cycle, in chunks of 6 trials: later chunks copy most
-    # of their results from the memo, so a memo sharing memory with a
-    # returned block or inverse would pass on the overwritten values
+    # p near 1 on the 6-cycle, in chunks of 6 trials: the chunks draw the
+    # same few patterns, so a chunk whose results shared memory with an
+    # earlier chunk's block or inverse would pass on the overwritten values
     profile = SurvivalProfile.uniform(6, 0.97)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 6 * CYCLE.n)
@@ -111,8 +69,8 @@ def test_changing_a_returned_block_changes_no_later_chunk():
 def test_reports_and_trials_csv_identical_for_one_and_two_workers(tmp_path, monkeypatch,
                                                                      forks):
     # 327 trials per chunk on the 10-cycle at p = 0.999: 2,000 trials make 7
-    # chunks, each holding the pattern where every vertex survives, so both
-    # processes copy results from their own memo
+    # chunks, each holding the pattern where every vertex survives, which
+    # both processes solve in each chunk they run
     monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 327 * 10)
     outputs = set()
@@ -130,8 +88,8 @@ def test_reports_and_trials_csv_identical_for_one_and_two_workers(tmp_path, monk
 
 @pytest.mark.parametrize("with_csv", [False, True], ids=["report", "trials-csv"])
 def test_a_simulate_chunk_is_grouped_once(monkeypatch, tmp_path, with_csv):
-    # simulate-cycle6's inputs: 5,000 trials in one chunk; only the pattern
-    # memo groups a chunk's rows, whether or not the trials CSV is written
+    # simulate-cycle6's inputs: 5,000 trials in one chunk; only the trial
+    # stream groups a chunk's rows, whether or not the trials CSV is written
     calls = []
     distinct_rows = _chunking._distinct_rows
 

@@ -1,6 +1,6 @@
 """How the Monte Carlo stream is cut: chunks of trials sized by their grid of
-survival flags, the new patterns of a chunk solved in stacks sized by their
-matrices.  No cut changes a bit, and the sampling of a chunk stays lean."""
+survival flags, the distinct patterns of a chunk solved in stacks sized by
+their matrices.  No cut changes a bit, and the sampling of a chunk stays lean."""
 from __future__ import annotations
 
 import functools
@@ -17,11 +17,10 @@ from conftest import level_trial_block
 
 CYCLE = generate("cycle", n=6)
 HYPERCUBE4 = generate("hypercube", k=4)
-# (graph, profile, alpha, seed, start, count, memo cap): the cap is below
-# each run's distinct patterns, so it is reached inside a chunk
+# (graph, profile, alpha, seed, start, count)
 RUNS = {
-    "cycle6": (CYCLE, SurvivalProfile.uniform(6, 0.8), 2.4, 3, 1000, 400, 7),
-    "hypercube4": (HYPERCUBE4, SurvivalProfile.uniform(16, 0.9), 4.0, 11, 77, 300, 41),
+    "cycle6": (CYCLE, SurvivalProfile.uniform(6, 0.8), 2.4, 3, 1000, 400),
+    "hypercube4": (HYPERCUBE4, SurvivalProfile.uniform(16, 0.9), 4.0, 11, 77, 300),
 }
 CHUNK_ENTRIES = [36, 1024, 2**15, 2**18]
 
@@ -30,7 +29,7 @@ CHUNK_ENTRIES = [36, 1024, 2**15, 2**18]
 def reference(name: str) -> tuple:
     """Per-trial (survivor count, connected, a_delta, deviation norm,
     lambda2_augmented) arrays of RUNS[name], from the per-trial reference."""
-    g, profile, alpha, seed, start, count, _ = RUNS[name]
+    g, profile, alpha, seed, start, count = RUNS[name]
     rows = [percolation_reference.run_trial(g, profile, alpha, seed, t)[1:]
             for t in range(start, start + count)]
     return tuple(np.array(column) for column in zip(*rows))
@@ -91,32 +90,14 @@ def record_stacks(monkeypatch) -> list:
     return stacks
 
 
-def record_cap_crossings(monkeypatch) -> list:
-    """For each chunk, whether the memo reached its cap partway through the
-    chunk's new patterns."""
-    crossed = []
-
-    class Recording(percolation._PatternMemo):
-        def __call__(self, delta):
-            keys = {row.tobytes() for row in np.packbits(delta, axis=1)}
-            stored, new = len(self.rows), len(keys - self.rows.keys())
-            crossed.append(stored < percolation._MEMO_PATTERNS < stored + new)
-            return super().__call__(delta)
-
-    monkeypatch.setattr(percolation, "_PatternMemo", Recording)
-    return crossed
-
-
 @pytest.mark.parametrize("entries", CHUNK_ENTRIES)
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_no_chunk_size_changes_a_bit(monkeypatch, name, entries):
-    g, profile, alpha, seed, start, count, cap = RUNS[name]
+    g, profile, alpha, seed, start, count = RUNS[name]
     survivor_count, connected, a_delta, deviation_norm, lambda2_augmented = reference(name)
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", entries)
-    monkeypatch.setattr(percolation, "_MEMO_PATTERNS", cap)
-    stacks, crossed = record_stacks(monkeypatch), record_cap_crossings(monkeypatch)
+    stacks = record_stacks(monkeypatch)
     block = trial_block(g, profile, alpha, seed, start, count)
-    assert crossed.count(True) == 1
     for fast, slow in ((block.survivor_count, survivor_count), (block.is_connected, connected),
                        (block.a_delta, a_delta), (block.deviation_norm, deviation_norm),
                        (block.lambda2_augmented, lambda2_augmented)):
@@ -138,7 +119,7 @@ def test_no_chunk_size_changes_a_bit(monkeypatch, name, entries):
 
 def test_a_hypercube4_chunk_is_solved_in_several_stacks(monkeypatch):
     # 1,024 entries: chunks of 64 trials, stacks of 4 matrices of order 16
-    g, profile, alpha, seed, start, count, _ = RUNS["hypercube4"]
+    g, profile, alpha, seed, start, count = RUNS["hypercube4"]
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 1024)
     stacks = record_stacks(monkeypatch)
     chunks = list(percolation._trial_chunks(g, profile, alpha, seed, start, count))
@@ -161,7 +142,6 @@ def test_simulate_keeps_its_bytes_for_any_chunk_size(monkeypatch, tmp_path, name
     for entries in [_chunking._CHUNK_ENTRIES, *CHUNK_ENTRIES]:
         with monkeypatch.context() as mp:
             mp.setattr(_chunking, "_CHUNK_ENTRIES", entries)
-            mp.setattr(percolation, "_MEMO_PATTERNS", RUNS[name][-1])
             plain, report, csv_path = (tmp_path / f"{entries}.{suffix}"
                                        for suffix in ("plain.json", "json", "csv"))
             assert main(["simulate", *SIMULATE[name], "--output", str(plain)]) == EXIT_OK
@@ -181,8 +161,8 @@ def test_simulate_cycle6_is_one_chunk_and_one_kernel_call(monkeypatch):
 
 
 def test_order_256_stacks_hold_one_matrix(monkeypatch):
-    # 200 trials of the 8-cube are 2 chunks, of 128 and 72 trials; each new
-    # pattern is a stack of its own, and the workspace holds one matrix
+    # 200 trials of the 8-cube are 2 chunks, of 128 and 72 trials; each
+    # distinct pattern is a stack of its own, and the workspace holds one matrix
     g, profile = generate("hypercube", k=8), SurvivalProfile.uniform(256, 0.9)
     assert _chunking._chunk_length(g.n) == 128
     assert _chunking._chunk_length(g.n * g.n) == 1

@@ -549,35 +549,24 @@ def near_one(draw):
     return g, SurvivalProfile(p)
 
 
-MEMO_CAPS = [percolation._MEMO_PATTERNS, 2, 0]
-
-
 @settings(max_examples=40, deadline=None)
 @given(near_one(), st.floats(0.0, 10.0), st.integers(0, 2**64 - 1), st.integers(0, 2**40),
-       st.integers(1, 120), st.integers(1, 16), st.sampled_from(MEMO_CAPS),
-       st.none() | st.floats(-10.0, 10.0))
-# at least three chunks, with and without levels, at each cap
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7,
-         MEMO_CAPS[0], None)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7,
-         MEMO_CAPS[0], 1.0)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 0, None)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 0, 1.0)
-@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 2, 1.0)
+       st.integers(1, 120), st.integers(1, 16), st.none() | st.floats(-10.0, 10.0))
+# at least three chunks, with and without levels
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, None)
+@example((generate("cycle", n=6), SurvivalProfile.uniform(6, 0.95)), 2.4, 0, 3, 100, 7, 1.0)
 # two vertices: at most four patterns
-@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5,
-         MEMO_CAPS[0], None)
-@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5,
-         MEMO_CAPS[0], 0.5)
+@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5, None)
+@example((generate("path", n=2), SurvivalProfile([0.9, 1.0])), 1.0, 4, 0, 60, 5, 0.5)
 def test_memoized_runs_match_per_trial_reference(case, alpha, seed, start, count, chunk_length,
-                                                 cap, shift):
-    # one memo per run: a pattern drawn in several chunks is solved in the
-    # first only, and the rest copy its results; levels are shift - norm
+                                                 shift):
+    # a pattern drawn in several chunks is solved in each of them, once, and
+    # every trial of a chunk that drew it gets its results; levels are
+    # shift - norm
     g, profile = case
     levels = None if shift is None else (lambda devs: shift - devs)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_length * g.n)
-        mp.setattr(percolation, "_MEMO_PATTERNS", cap)
         block = (trial_block(g, profile, alpha, seed, start, count) if levels is None
                  else level_trial_block(g, profile, alpha, seed, start, count, levels))
         csv_path = os.path.join(tmp, "trials.csv")

@@ -451,19 +451,19 @@ def test_partials_fold_equals_one_fsum(chunks):
 @given(st.sampled_from([("cycle", {"n": 6}), ("path", {"n": 5}), ("complete", {"n": 4}),
                         ("hypercube", {"k": 3})]),
        st.sampled_from([0.5, 0.8, 0.97]), st.sampled_from([0.5, 2.4]), st.integers(1, 150),
-       st.integers(0, 2**64 - 1), st.sampled_from([4096, 2, 0]), st.integers(1, 12),
-       st.booleans(), st.booleans(), st.booleans())
+       st.integers(0, 2**64 - 1), st.integers(1, 12), st.booleans(), st.booleans(),
+       st.booleans())
 # three chunks of 910 trials, whose patterns repeat across them
-@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 4096, 910, False, True, True)
-@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 2, 910, True, False, False)
-@example(("cycle", {"n": 6}), 0.97, 2.4, 150, 7, 0, 4, True, True, True)
-def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed, cap, chunk,
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 910, False, True, True)
+@example(("cycle", {"n": 6}), 0.8, 2.4, 2000, 0, 910, True, False, False)
+@example(("cycle", {"n": 6}), 0.97, 2.4, 150, 7, 4, True, True, True)
+def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed, chunk,
                                                    vacuous_slack, median_total, with_csv):
     # run_experiment folds each distinct pattern of a chunk once, times the
     # trials that drew it; a per-trial fold of trial_block must agree, with
-    # the pattern memo capped at 4,096, 2 or 0 entries, chunks of `chunk`
-    # trials, an infinite slack that makes violations span chunks, and a
-    # bound total at the median norm, so that the tail counts some trials
+    # chunks of `chunk` trials, an infinite slack that makes violations span
+    # chunks, and a bound total at the median norm, so that the tail counts
+    # some trials
     g = generate(graph[0], **graph[1])
     profile = SurvivalProfile.uniform(g.n, p)
     block = trial_block(g, profile, alpha, seed, 0, trials)
@@ -472,7 +472,6 @@ def test_per_pattern_fold_matches_a_per_trial_fold(graph, p, alpha, trials, seed
             total, bound = float(np.median(block.deviation_norm)), harness_cli.deviation_bound
             mp.setattr(harness_cli, "deviation_bound",
                        lambda *args: dataclasses.replace(bound(*args), total=total))
-        mp.setattr(percolation, "_MEMO_PATTERNS", cap)
         if chunk is not None:
             mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk * g.n)
         if vacuous_slack:
@@ -962,6 +961,41 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: --alpha must be non-negative and finite, got {alpha!r}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["bound", "--epsilon", "0.1"],
+        ["simulate", "--epsilon", "0.1", "--trials", "5"],
+    ], ids=["bound", "simulate"])
+    @pytest.mark.parametrize("alpha", ["1", "auto"])
+    @pytest.mark.parametrize("grid", ["-5", "0", "1"])
+    def test_alpha_grid_below_two_is_a_usage_error(self, capsys, monkeypatch, command, alpha,
+                                                   grid):
+        # checked before the graph is built, whatever --alpha is
+        monkeypatch.setattr(harness_cli, "generate", lambda *args, **kwargs: pytest.fail())
+        code = run_cli([command[0], "--family", "cycle", "--n", "4", "--p", "0.5",
+                        "--alpha", alpha, "--alpha-grid", grid, *command[1:]])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --alpha-grid must be an integer of at least 2, got {grid}\n"
+
+    def test_output_and_trials_csv_naming_one_file_is_a_usage_error(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # the same file by its absolute path, a relative one and a symlink;
+        # rejected before the graph is built, so the file keeps its bytes
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness_cli, "generate", lambda *args, **kwargs: pytest.fail())
+        path = tmp_path / "run.out"
+        path.write_text("kept\n")
+        (tmp_path / "link").symlink_to(path)
+        for other in (str(path), "run.out", "./run.out", "link"):
+            code = run_cli(["simulate", "--family", "cycle", "--n", "4", "--p", "0.9",
+                            "--alpha", "1.8", "--epsilon", "0.1", "--trials", "20",
+                            "--output", str(path), "--trials-csv", other])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: --output and --trials-csv name the same file: {path}\n")
+            assert path.read_text() == "kept\n"
 
     @pytest.mark.parametrize("kind", ["deviation_norm", "a_delta", "connectivity_indicator"])
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-0.5"])

@@ -245,3 +245,15 @@ class TestCsvOutput:
             assert set(bits) <= {"0", "1"} and len(bits) == 3
             float(q)
             assert s == "inf" or float(s) >= 0.0
+
+
+def test_exact_distributions_compare_by_value_and_have_no_hash():
+    g, profile = generate("cycle", n=5), SurvivalProfile.uniform(5, 0.7)
+    a, b = (exact_distribution(g, profile, 1.5, "a_delta") for _ in range(2))
+    assert a == b and not a != b
+    assert a != exact_distribution(g, profile, 1.5, "deviation_norm")
+    b.probabilities.view(np.uint64)[3] ^= np.uint64(1)
+    assert a != b
+    assert a != vars(a)
+    with pytest.raises(TypeError):
+        hash(a)

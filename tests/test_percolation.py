@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import inspect
 import math
@@ -440,9 +441,9 @@ def test_chunks_and_workers_have_one_private_module():
     assert not percolation_imports & PROCESS_MODULES, percolation_imports & PROCESS_MODULES
 
 
-def test_rows_are_grouped_only_by_the_pattern_memo_and_the_oracle_csv():
-    # a simulate chunk is grouped once, by the pattern memo, and harness_cli
-    # folds and writes the memo's entries without grouping anything itself
+def test_rows_are_grouped_only_by_the_trial_stream_and_the_oracle_csv():
+    # a simulate chunk is grouped once, by the trial stream, and harness_cli
+    # folds and writes the stream's entries without grouping anything itself
     callers, from_chunking = [], []
     for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -454,7 +455,7 @@ def test_rows_are_grouped_only_by_the_pattern_memo_and_the_oracle_csv():
                              if isinstance(node, ast.ImportFrom) and node.module == "_chunking"
                              for alias in node.names]
             assert not _mentions(tree, {"_distinct_rows", "lexsort", "unique"})
-    assert sorted(callers) == [("oracle.py", "_float_reprs"), ("percolation.py", "_PatternMemo")]
+    assert sorted(callers) == [("oracle.py", "_float_reprs"), ("percolation.py", "_trial_chunks")]
     assert from_chunking == ["resolve_threads"]
 
 
@@ -528,3 +529,21 @@ def test_one_home_for_a_patterns_laplacians():
                               for alias in node.names if alias.name.startswith("_")}
     assert not gone, gone
     assert oracle_private and oracle_private <= ORACLE_PRIVATE, oracle_private
+
+
+def test_trial_blocks_compare_by_value_and_have_no_hash():
+    # equal runs are equal, NaN of the level mode included; one flipped bit
+    # is not, and neither is another length or dtype
+    g, profile = generate("cycle", n=6), SurvivalProfile.uniform(6, 0.8)
+    a, b = (trial_block(g, profile, 2.4, 0, 0, 50) for _ in range(2))
+    assert a == b and not a != b
+    gated = [level_trial_block(g, profile, 2.4, 0, 0, 50, lambda devs: -devs) for _ in range(2)]
+    assert np.isnan(gated[0].lambda2_augmented).all() and gated[0] == gated[1]
+    assert a != gated[0]
+    b.deviation_norm.view(np.uint64)[7] ^= np.uint64(1)
+    assert a != b
+    assert a != trial_block(g, profile, 2.4, 0, 0, 49)
+    assert a != dataclasses.replace(a, survivor_count=a.survivor_count.astype(np.int32))
+    assert a != vars(a)
+    with pytest.raises(TypeError):
+        hash(a)

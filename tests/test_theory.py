@@ -254,6 +254,16 @@ class TestOptimizeAlpha:
         with pytest.raises(ValueError, match="grid"):
             optimize_alpha(c4, SurvivalProfile.uniform(4, 0.5), 0.1, alpha_grid_size=1)
 
+    @pytest.mark.parametrize("size", [0, -5, 2.5, 8.0, "8", None, True])
+    def test_grid_size_must_be_an_integer_of_at_least_two(self, c4, size):
+        with pytest.raises(ValueError, match="alpha_grid_size must be an integer of at least 2"):
+            optimize_alpha(c4, SurvivalProfile.uniform(4, 0.5), 0.1, size)
+
+    def test_numpy_integer_grid_size_is_the_same_grid(self, c4):
+        profile = SurvivalProfile.uniform(4, 0.5)
+        assert (optimize_alpha(c4, profile, 0.1, np.int64(8))
+                == optimize_alpha(c4, profile, 0.1, 8))
+
     def test_profile_length_validated_first(self):
         with pytest.raises(ValueError, match="profile has length 4 but the graph has 5 vertices"):
             optimize_alpha(generate("cycle", n=5), SurvivalProfile.uniform(4, 0.5), 0.1)

@@ -156,12 +156,11 @@ def solve_below_1_3(devs: np.ndarray) -> np.ndarray:
 def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functions(levels):
     # chunks of 72 trials hold 11, 13 and 3 distinct patterns, solved in
     # stacks of at most 12 matrices: the second chunk needs more room than the
-    # first and two stacks, and the last chunk is short; with no memo entries
-    # every chunk solves all of its distinct patterns
+    # first and two stacks, and the last chunk is short; every chunk solves
+    # all of its distinct patterns
     profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.9), 2.4, 0, 150
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
-        mp.setattr(percolation, "_MEMO_PATTERNS", 0)
         chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
     assert [len(inverse) for _, _, inverse in chunks] == [72, 72, 6]
     assert [len(block) for _, block, _ in chunks] == [11, 13, 3]
