@@ -83,9 +83,11 @@ class WeightedGraph(_EqualByKey):
     state: edge k joins src[k] < dst[k] with weight w[k], sorted by (src,
     dst).  Every weighted degree must be finite, not only every weight, so
     that Laplacians and their norms stay finite.  WeightedGraph(n, edges)
-    takes (i, j, w) edges in any order and orientation; the generators build
-    from arrays with _from_arrays.  Both check the edges by the one set of
-    rules, _edge_arrays, and then the degrees.  edges, the same edges as a
+    takes (i, j, w) edges in any order and orientation and checks them one
+    at a time, in input order, by _checked_edge; the generators build from
+    arrays with _from_arrays, whose _edge_arrays checks the same rules on
+    whole arrays.  Both sort with _edge_arrays and then check the
+    degrees.  edges, the same edges as a
     tuple of (int, int, float), is built on first read.  _scatter, where
     edge_laplacian writes each edge, is built with the arrays: its keys
     src * n + dst are the ones _edge_arrays sorted by.  Two graphs are
@@ -100,8 +102,17 @@ class WeightedGraph(_EqualByKey):
 
     def __init__(self, n, edges=()):
         n = _vertex_count(n)
-        edges = tuple(edges)
-        self._freeze(n, _edge_arrays(n, *_edge_columns(edges), edges))
+        # one pass in input order, so the first offending edge is the one named
+        checked, seen = [], set()
+        for edge in edges:
+            i, j, w = edge = _checked_edge(edge, n)
+            if i * n + j in seen:
+                raise ValueError(f"duplicate edge ({i},{j})")
+            seen.add(i * n + j)
+            checked.append(edge)
+        i, j, w = zip(*checked) if checked else ((), (), ())
+        self._freeze(n, _edge_arrays(n, np.array(i, np.intp), np.array(j, np.intp),
+                                     np.array(w, float)))
 
     @classmethod
     def _from_arrays(cls, n: int, src, dst, w) -> WeightedGraph:
@@ -160,82 +171,51 @@ def _vertex_count(n) -> int:
     return n
 
 
-def _edge_message(edge, n: int) -> str | None:
-    """Why edge cannot be an edge of a graph on n vertices, or None if it can.
+def _checked_edge(edge, n: int) -> tuple[int, int, float]:
+    """edge as (i, j, w) with i < j, Python ints and a float, if it can be an
+    edge of a graph on n vertices; else ValueError.
 
     The rules, in the order they are checked: edge unpacks to (i, j, w), the
     endpoints are integers in range and differ, and the weight is a real
     number, finite and positive; a number beyond the range of a float, such
     as a Python int of 400 digits, is not finite.  Whether the edge repeats
-    an earlier one is _edge_arrays' check.
+    an earlier one is its caller's check.
     """
     try:
         i, j, w = edge
     except (TypeError, ValueError):
-        return f"edge {edge!r} must be (i, j, w)"
+        raise ValueError(f"edge {edge!r} must be (i, j, w)") from None
     if not (is_integer(i) and is_integer(j)):
-        return f"edge endpoints must be integers, got {edge!r}"
+        raise ValueError(f"edge endpoints must be integers, got {edge!r}")
     i, j = int(i), int(j)
     if not (0 <= i < n and 0 <= j < n):
-        return f"edge {edge!r} endpoint out of range for n={n}"
+        raise ValueError(f"edge {edge!r} endpoint out of range for n={n}")
     if i == j:
-        return f"self-loop at vertex {i} is not allowed"
-    i, j = min(i, j), max(i, j)
+        raise ValueError(f"self-loop at vertex {i} is not allowed")
+    if i > j:
+        i, j = j, i
     if not is_real(w):
-        return f"edge ({i},{j}) weight must be a number, got {w!r}"
+        raise ValueError(f"edge ({i},{j}) weight must be a number, got {w!r}")
     try:
         w = float(w)
     except OverflowError:
-        return f"edge ({i},{j}) weight must be finite and > 0, got a number beyond the float range"
-    if not (w > 0.0) or not math.isfinite(w):
-        return f"edge ({i},{j}) weight must be finite and > 0, got {w}"
-    return None
-
-
-def _unpacked(edge) -> tuple:
-    """edge as (i, j, w), or (None, None, None) if it does not unpack to three."""
-    try:
-        i, j, w = edge
-    except (TypeError, ValueError):
-        return None, None, None
+        raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, "
+                         "got a number beyond the float range") from None
+    # written so that NaN fails too
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")
     return i, j, w
 
 
-def _column_array(column: tuple, accepts, dtype, broken) -> np.ndarray:
-    """column as an array of dtype (np.intp or float), where an entry that
-    accepts (is_integer or is_real) refuses, or that lies beyond the range of
-    dtype, reads as broken.  (A numpy uint64 past the largest intp wraps to a
-    negative index, which is broken too.)"""
-    def read(entry):
-        try:
-            return dtype(entry) if accepts(entry) else broken
-        except OverflowError:
-            return broken
-    return np.fromiter(map(read, column), dtype, len(column))
-
-
-def _edge_columns(edges: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The columns (i, j, w) of the edge list edges as intp, intp and float
-    arrays.  An edge that does not unpack to (i, j, w), or has an entry that
-    is not a number of its column's kind or lies beyond the range of an
-    index or a float, reads as broken (an endpoint -1 or a NaN weight)."""
-    columns = tuple(zip(*map(_unpacked, edges))) if edges else ((), (), ())
-    return (_column_array(columns[0], is_integer, np.intp, -1),
-            _column_array(columns[1], is_integer, np.intp, -1),
-            _column_array(columns[2], is_real, float, math.nan))
-
-
-def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
-                 edges: tuple | None = None) -> tuple[np.ndarray, ...]:
+def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """(src, dst, w, key) of the edges (i[k], j[k], w[k]) on n vertices,
     each turned to src < dst and the edges sorted by (src, dst), where
     key = src * n + dst in that order; or ValueError.
 
-    The one set of edge rules, run on whole arrays.  The first edge k, in
-    input order, that breaks a rule of _edge_message or repeats the pair of
-    an earlier edge is reported, in _edge_message's words or as a duplicate,
-    and named as edges[k], the list the columns were read from, or without
-    one as (i[k], j[k], w[k]).
+    The edge rules of _checked_edge, and no repeated pair, run on whole
+    arrays.  The first edge k, in input order, that breaks one is reported:
+    _checked_edge((i[k], j[k], w[k]), n) raises its words, or it is a
+    duplicate.
     """
     src, dst = np.minimum(i, j), np.maximum(i, j)
     # written so that NaN weights fail too
@@ -252,8 +232,8 @@ def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
     offenders = np.flatnonzero(broken | repeated)
     if offenders.size:
         k = offenders[0]
-        edge = edges[k] if edges is not None else (i[k], j[k], w[k])
-        raise ValueError(_edge_message(edge, n) or f"duplicate edge ({src[k]},{dst[k]})")
+        _checked_edge((i[k], j[k], w[k]), n)
+        raise ValueError(f"duplicate edge ({src[k]},{dst[k]})")
     return src[order], dst[order], w[order], key
 
 
@@ -534,7 +514,7 @@ def graph_from_dict(obj) -> WeightedGraph:
     if not isinstance(obj["edges"], list):
         raise ValueError("graph JSON field edges must be a list of [i, j, w]")
     # WeightedGraph checks each edge's shape, endpoints and weight
-    g = WeightedGraph(obj["n"], tuple(obj["edges"]))
+    g = WeightedGraph(obj["n"], obj["edges"])
     for entry in obj["edges"]:
         if not entry[0] < entry[1]:
             raise ValueError(f"graph JSON edge {entry!r} must have 0 <= i < j")

@@ -73,7 +73,7 @@ from .theory import (
     survival_threshold,
 )
 
-__all__ = ["ExperimentConfig", "ExperimentSummary", "main", "run_experiment"]
+__all__ = ["ExperimentSummary", "main", "run_experiment"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,22 +89,6 @@ TRIALS_CSV_HEADER = (
 # trials-CSV rows joined into one write: a whole 6-cycle chunk held as one
 # text took about 0.9 MiB more peak memory
 _CSV_ROW_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved inputs of one simulate/bound run, echoed into every report."""
-
-    graph_source: dict
-    profile: dict
-    alpha: object  # float or the string "auto"
-    epsilon: float
-    trials: int
-    seed: int
-    alpha_grid_size: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -346,15 +330,16 @@ def cmd_generate(args) -> int:
 
 
 def _experiment(args, trials: int):
-    """(graph, profile, alpha spec, ExperimentConfig) of a bound or simulate
+    """(graph, profile, alpha spec, report config) of a bound or simulate
     run of `trials` trials."""
     # checked whatever --alpha is, since the report echoes the grid size
     _check_grid_size("--alpha-grid", args.alpha_grid)
     g, source = _load_graph(args)
     profile, profile_desc = _load_profile(args, g.n)
     alpha_spec = _parse_alpha(args.alpha)
-    config = ExperimentConfig(source, profile_desc, alpha_spec, args.epsilon, trials,
-                              args.seed, args.alpha_grid)
+    config = {"graph_source": source, "profile": profile_desc, "alpha": alpha_spec,
+              "epsilon": args.epsilon, "trials": trials, "seed": args.seed,
+              "alpha_grid_size": args.alpha_grid}
     return g, profile, alpha_spec, config
 
 
@@ -367,22 +352,25 @@ def cmd_certify(args) -> int:
 def cmd_bound(args) -> int:
     g, profile, alpha_spec, config = _experiment(args, 0)
     _, report = _bound_for(g, profile, alpha_spec, args.epsilon, args.alpha_grid)
-    _report(args, config.to_dict(), report.to_dict())
+    _report(args, config, report.to_dict())
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    # the report would overwrite the trials CSV
-    if (args.output is not None and args.trials_csv is not None
-            and os.path.realpath(args.output) == os.path.realpath(args.trials_csv)):
-        raise ValueError(f"--output and --trials-csv name the same file: {args.output}")
+    # the report would overwrite the trials CSV.  Two paths that exist are
+    # compared by the file they open, which a hard link shares
+    output, csv = args.output, args.trials_csv
+    if output is not None and csv is not None and (
+            os.path.samefile(output, csv) if os.path.exists(output) and os.path.exists(csv)
+            else os.path.realpath(output) == os.path.realpath(csv)):
+        raise ValueError(f"--output and --trials-csv name the same file: {output}")
     g, profile, alpha_spec, config = _experiment(args, args.trials)
     summary, violations = run_experiment(
         g, profile, alpha_spec, args.epsilon, args.trials, args.seed,
         threads=resolve_threads(), alpha_grid_size=args.alpha_grid,
         trials_csv=args.trials_csv,
     )
-    _report(args, config.to_dict(), summary.to_dict())
+    _report(args, config, summary.to_dict())
     if summary.lower_bound_violations > 0 or not summary.tail_within_tolerance:
         shown = "".join(
             f"; trial {t}: a_delta {a!r} < lower bound {lower!r}" for t, a, lower in violations

@@ -57,11 +57,17 @@ STATISTIC_KINDS = ("deviation_norm", "a_delta", "connectivity_indicator")
 _ROW_BLOCK = 4096
 
 
-def _bit_strings(masks: np.ndarray, n: int) -> list:
-    """Binary string of each mask, vertex 0 first (little-endian)."""
-    digits = ((masks[:, None] >> np.arange(n, dtype=masks.dtype)) & 1).astype(np.uint8)
+def _mask_bits(first: int, last: int, n: int) -> np.ndarray:
+    """The (last - first, n) uint8 grid of the bits of the masks first, ...,
+    last - 1: entry [t, i] is bit i of mask first + t (little-endian)."""
+    return ((np.arange(first, last)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+
+def _bit_strings(first: int, last: int, n: int) -> list:
+    """Binary string of each mask first, ..., last - 1, vertex 0 first."""
     # one "0"/"1" byte per vertex, read back as one n-byte string per row
-    return (digits + np.uint8(ord("0"))).view(f"S{n}")[:, 0].astype(str).tolist()
+    digits = _mask_bits(first, last, n) + np.uint8(ord("0"))
+    return digits.view(f"S{n}")[:, 0].astype(str).tolist()
 
 
 def _float_reprs(values: np.ndarray) -> list:
@@ -101,14 +107,14 @@ class ExactDistribution(_EqualByKey):
         """Binary string of entry t, vertex 0 first."""
         if not 0 <= t < len(self):
             raise IndexError(f"entry {t} is outside [0, {len(self)})")
-        return _bit_strings(np.array([t]), self.n)[0]
+        return _bit_strings(t, t + 1, self.n)[0]
 
     def row_blocks(self):
         """Yield (bits, probabilities, statistics) lists for consecutive blocks
         of entries in entry order: pattern_bits strings and Python floats."""
         for start in range(0, len(self), _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, len(self))
-            yield (_bit_strings(np.arange(start, stop), self.n),
+            yield (_bit_strings(start, stop, self.n),
                    self.probabilities[start:stop].tolist(),
                    self.statistics[start:stop].tolist())
 
@@ -118,7 +124,7 @@ class ExactDistribution(_EqualByKey):
         # repr(math.inf) is "inf", the CSV's spelling; no statistic is -inf
         for start in range(0, len(self), _ROW_BLOCK):
             stop = min(start + _ROW_BLOCK, len(self))
-            rows = zip(_bit_strings(np.arange(start, stop), self.n),
+            rows = zip(_bit_strings(start, stop, self.n),
                        _float_reprs(self.probabilities[start:stop]),
                        _float_reprs(self.statistics[start:stop]))
             fh.write("".join([f"{b},{q},{s}\n" for b, q, s in rows]))
@@ -167,13 +173,10 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     statistics = np.empty(count)
     if statistic_kind == "deviation_norm":
         expected = expected_augmented_laplacian(g, profile, alpha)
-        # allocated by the first chunk each process runs, so after the fork
         workspace = _workspace(n)
 
-    bit = np.arange(n)
-
     def chunk_statistics(first: int, last: int) -> np.ndarray:
-        delta = ((np.arange(first, last)[:, None] >> bit) & 1).astype(bool)
+        delta = _mask_bits(first, last, n).astype(bool)
         if statistic_kind == "connectivity_indicator":
             return survivor_connectivity(g, delta)[1]
         if statistic_kind == "deviation_norm":
@@ -218,14 +221,13 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
     _check_enumerable(n)
     count = 1 << n
     probabilities = _pattern_probabilities(profile.p)
-    bit = np.arange(n)
 
     def chunk_hits(first: int, last: int) -> list:
-        masks = np.arange(first, last)
-        coeff = ((masks[:, None] >> bit) & 1) - profile.p
+        # uint8 - float64 gives the values int64 - float64 would
+        coeff = _mask_bits(first, last, n) - profile.p
         S = np.einsum("ci,ijk->cjk", coeff, X)
         norms = spectral_norm(0.5 * (S + S.mT))
-        return probabilities[masks[norms >= t]].tolist()
+        return probabilities[first:last][norms >= t].tolist()
 
     return math.fsum([q for _, hits in _chunks(chunk_hits, 0, count, X.shape[1] ** 2)
                       for q in hits])

@@ -48,17 +48,16 @@ blocks read from the augmented stack keep their bits.  Connectivity is
 union-find over the patterns' live edges, with whole-array hooking and path
 compression.
 
-Each process keeps one workspace per run (_workspace): a stack of augmented
-Laplacians and a stack of deviations, each with room for one stack of
-patterns.  With the chunk's grid of flags that is O(_CHUNK_ENTRIES) memory,
-whatever the trial count.  The first stack a process solves allocates it,
-and every later stack of the run reuses it, growing it only for a stack
-longer than any before.  _deviation_norms, shared with the oracle's
-deviation_norm chunks, assembles the augmented Laplacians into the first
-stack (edge_laplacian fills it with 0.0, then writes what a new array would
-get) and forms the deviations in the second with np.subtract(..., out=); the
-survivor blocks are read from the first.  Nothing returned aliases the
-workspace: every array of a TrialBlock is a new one.
+Each run makes one workspace (_workspace), before anything is forked: a
+stack of augmented Laplacians and a stack of deviations, each with room for
+the longest stack of patterns _chunks hands a chunk.  With the chunk's grid
+of flags that is O(_CHUNK_ENTRIES) memory, whatever the trial count, and
+each process faults its pages in once.  _deviation_norms, shared with the
+oracle's deviation_norm chunks, assembles the augmented Laplacians into the
+first stack (edge_laplacian fills it with 0.0, then writes what a new array
+would get) and forms the deviations in the second with np.subtract(...,
+out=); the survivor blocks are read from the first.  Nothing returned
+aliases the workspace: every array of a TrialBlock is a new one.
 
 Each distinct pattern of a chunk thus costs up to three eigensolves, and
 trial_block records every statistic.
@@ -88,7 +87,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._chunking import _chunks, _distinct_rows
+from ._chunking import _chunk_length, _chunks, _distinct_rows
 from .graph_core import WeightedGraph, _EqualByKey, diagonal_view, edge_laplacian, is_real
 from .spectral import lambda2, spectral_norm
 
@@ -154,11 +153,17 @@ class SurvivalProfile(_EqualByKey):
         arr = np.array(self.p, dtype=object)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("survival profile must be a non-empty 1-d vector")
+        values = []
         for index, value in enumerate(arr.tolist()):
             if not is_real(value):
                 raise ValueError(
                     f"survival probability {index} must be a number, got {value!r}")
-        arr = arr.astype(float)
+            try:
+                values.append(float(value))
+            except OverflowError:
+                raise ValueError(f"survival probability {index} must lie in [0, 1], "
+                                 "got a number beyond the float range") from None
+        arr = np.array(values)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("survival probabilities must lie in [0, 1]")
         arr.setflags(write=False)
@@ -317,28 +322,16 @@ def _a_delta_floor(g: WeightedGraph) -> float:
     return -1e-8 * (1.0 + 2.0 * float(g.degree_vector().max()))
 
 
-def _workspace(n: int):
-    """A function c -> (laplacians, deviations): two C-contiguous (c, n, n)
-    views into one pair of stacks.
+def _workspace(n: int) -> np.ndarray:
+    """The (2, c, n, n) stacks of augmented Laplacians and deviations, where
+    c = _chunk_length(n * n) is the longest stack _chunks hands a chunk.
 
-    The stacks are allocated by the first call and again only for a c
-    larger than any before, so a process allocates them once where its
-    first stack needs the most room: on graphs large enough that every stack
-    holds one matrix (see _chunking), and in the oracle, whose first chunk is
-    its longest.
-    The memory is O(_CHUNK_ENTRIES), and its pages fault in once.  Every call
-    returns views of it, so nothing a chunk returns may alias them.  Made
-    before a fork and first called after it, each process allocates its own.
+    np.empty reserves the memory and writes none of it, so only the pages a
+    stack writes become resident, and a process forked after the call
+    faults in its own pages on first write.  Every stack of a run writes
+    into this one array, so nothing a chunk returns may alias it.
     """
-    stacks = np.empty((2, 0, n, n))
-
-    def views(c: int) -> np.ndarray:
-        nonlocal stacks
-        if stacks.shape[1] < c:
-            stacks = np.empty((2, c, n, n))
-        return stacks[:, :c]
-
-    return views
+    return np.empty((2, _chunk_length(n * n), n, n))
 
 
 def _live_values(g: WeightedGraph, grid: np.ndarray) -> np.ndarray:
@@ -358,10 +351,11 @@ def _deviation_norms(g: WeightedGraph, alpha: float, expected: np.ndarray,
                      grid: np.ndarray, workspace) -> tuple[np.ndarray, np.ndarray]:
     """(augmented Laplacians, deviation norms) of a (c, n) grid.
 
-    The Laplacians are assembled into workspace(c)'s first stack and the
-    deviations formed in its second; the norms are a new array.
+    The Laplacians are assembled into the first c matrices of workspace[0]
+    and the deviations formed in those of workspace[1]; the norms are a new
+    array.
     """
-    laplacians, deviations = workspace(grid.shape[0])
+    laplacians, deviations = workspace[:, :grid.shape[0]]
     _augmented(g, grid, alpha, laplacians)
     np.subtract(laplacians, expected, out=deviations)
     return laplacians, spectral_norm(deviations)
@@ -454,9 +448,9 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     eigensolve of the augmented Laplacians is skipped, and lambda2_augmented
     is NaN.  Every other entry of every array keeps its bits.
 
-    The checks, the expected augmented Laplacian and _a_delta_floor(g) run
-    here, once per run and before anything is forked, so a bad input raises
-    before the generator is started.
+    The checks, the expected augmented Laplacian, _a_delta_floor(g) and the
+    workspace run here, once per run and before anything is forked, so a bad
+    input raises before the generator is started.
     """
     _check_alpha(alpha)
     _check_seed(seed)
@@ -472,7 +466,6 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
                          "the augmented Laplacian is undefined below that")
     expected = expected_augmented_laplacian(g, profile, alpha)
     floor = _a_delta_floor(g)
-    # each process allocates the workspace in the chunks it runs, so after the fork
     workspace = _workspace(g.n)
 
     def solve(patterns: np.ndarray) -> TrialBlock:

@@ -166,20 +166,18 @@ def test_order_256_stacks_hold_one_matrix(monkeypatch):
     g, profile = generate("hypercube", k=8), SurvivalProfile.uniform(256, 0.9)
     assert _chunking._chunk_length(g.n) == 128
     assert _chunking._chunk_length(g.n * g.n) == 1
-    sizes = []
+    shapes = []
     make = percolation._workspace
 
     def recording_workspace(n):
-        views = make(n)
-
-        def recording_views(c):
-            sizes.append(c)
-            return views(c)
-        return recording_views
+        workspace = make(n)
+        shapes.append(workspace.shape)
+        return workspace
 
     monkeypatch.setattr(percolation, "_workspace", recording_workspace)
     stacks = record_stacks(monkeypatch)
     chunks = list(percolation._trial_chunks(g, profile, 7.2, 0, 0, 8,
                                             lambda devs: np.full_like(devs, -np.inf)))
     assert [len(inverse) for _, (_, inverse) in chunks] == [8]
-    assert stacks == sizes == [1] * 8
+    assert stacks == [1] * 8
+    assert shapes == [(2, 1, 256, 256)]

@@ -1,5 +1,5 @@
-"""Vectorized edge checks, the array constructor, generators and assembly,
-the hoisted alpha search and its vectorized ranking, the chunked oracle, the
+"""The edge-list and array constructors, generators and assembly, the
+hoisted alpha search and its vectorized ranking, the chunked oracle, the
 chunked Monte Carlo kernel, the per-pattern trials-CSV writer and the
 grouped oracle CSV writer against their slow paths."""
 from __future__ import annotations

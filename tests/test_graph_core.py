@@ -465,14 +465,15 @@ def _called_names(node: ast.AST) -> set:
 
 
 def test_edge_rules_are_defined_once_and_generators_build_no_edge_tuples():
-    # _edge_arrays alone holds the edge rules and both constructors call it;
-    # the functions generate reaches neither call WeightedGraph(n, edges)
-    # nor build a tuple per edge
+    # _checked_edge alone words the per-edge rules: the edge-list constructor
+    # checks each edge by it, and _edge_arrays, which both constructors call,
+    # names a broken array edge by it; the functions generate reaches neither
+    # call WeightedGraph(n, edges) nor build a tuple per edge
     package = Path(graph_core.__file__).parent
     defined = [(path.name, node.name) for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.FunctionDef) and node.name in ("_edge_arrays", "_edge_message")]
-    assert sorted(defined) == [("graph_core.py", "_edge_arrays"), ("graph_core.py", "_edge_message")]
+               if isinstance(node, ast.FunctionDef) and node.name in ("_edge_arrays", "_checked_edge")]
+    assert sorted(defined) == [("graph_core.py", "_checked_edge"), ("graph_core.py", "_edge_arrays")]
     tree = ast.parse(Path(graph_core.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     graph_class = next(node for node in tree.body
@@ -480,6 +481,8 @@ def test_edge_rules_are_defined_once_and_generators_build_no_edge_tuples():
     methods = {node.name: node for node in graph_class.body if isinstance(node, ast.FunctionDef)}
     for name in ("__init__", "_from_arrays"):
         assert {"_edge_arrays", "_freeze"} <= _called_names(methods[name]), name
+    assert "_checked_edge" in _called_names(methods["__init__"])
+    assert "_checked_edge" in _called_names(functions["_edge_arrays"])
     reached, todo = set(), ["generate"]
     while todo:
         name = todo.pop()

@@ -935,6 +935,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_profile_entry_beyond_the_float_range(self, tmp_path, capsys):
+        # a 401-digit JSON integer: one error line and exit 2, not an OverflowError
+        prof = tmp_path / "huge.json"
+        prof.write_text("[0.5, %d, 0.5]" % 10**400)
+        code = run_cli(["bound", "--family", "cycle", "--n", "3", "--profile", str(prof),
+                        "--epsilon", "0.1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: survival probability 1 must lie in [0, 1], "
+                                "got a number beyond the float range\n")
+
     def test_unparsable_profile_file_is_named(self, tmp_path, capsys):
         prof = tmp_path / "bad.json"
         prof.write_text("[0.5, 0.5\n")
@@ -981,14 +993,16 @@ class TestUsageErrors:
 
     def test_output_and_trials_csv_naming_one_file_is_a_usage_error(self, tmp_path, capsys,
                                                                      monkeypatch):
-        # the same file by its absolute path, a relative one and a symlink;
-        # rejected before the graph is built, so the file keeps its bytes
+        # the same file by its absolute path, a relative one, a symlink and a
+        # hard link, which realpath tells apart; rejected before the graph is
+        # built, so the file keeps its bytes
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(harness_cli, "generate", lambda *args, **kwargs: pytest.fail())
         path = tmp_path / "run.out"
         path.write_text("kept\n")
         (tmp_path / "link").symlink_to(path)
-        for other in (str(path), "run.out", "./run.out", "link"):
+        os.link(path, tmp_path / "hard")
+        for other in (str(path), "run.out", "./run.out", "link", "hard"):
             code = run_cli(["simulate", "--family", "cycle", "--n", "4", "--p", "0.9",
                             "--alpha", "1.8", "--epsilon", "0.1", "--trials", "20",
                             "--output", str(path), "--trials-csv", other])

@@ -55,6 +55,14 @@ class TestSurvivalProfile:
             with pytest.raises(ValueError, match=f"survival probability {index} must be a number"):
                 SurvivalProfile(values)
 
+    def test_rejects_numbers_beyond_the_float_range_naming_the_entry(self):
+        # float() of a 401-digit integer overflows; so does -10**400
+        message = (r"^survival probability 1 must lie in \[0, 1\], "
+                   "got a number beyond the float range$")
+        for huge in (10**400, -10**400):
+            with pytest.raises(ValueError, match=message):
+                SurvivalProfile([0.5, huge, 0.5])
+
     def test_accepts_numeric_arrays_and_scalars(self):
         for values in (np.array([0, 1]), np.array([0.25, 1.0], dtype=np.float32),
                        [np.float64(0.25), 1], (0.5, 0.5)):
@@ -390,22 +398,30 @@ def _mentions(tree: ast.AST, names: set) -> list:
 CHUNK_HELPERS = {"_chunk_length", "_map_in_order"}
 
 
+# what may name a chunk helper: the driver, and the workspace, which is sized
+# by the longest stack the driver hands out but loops over nothing, with the
+# import it reads that size through
+HELPER_READERS = {("_chunking.py", "_chunks"), ("percolation.py", "_workspace")}
+
+
 def test_one_chunk_driver_and_no_one_trial_wrapper():
     # every chunk loop goes through _chunking._chunks, and trial_block is
     # the one Monte Carlo entry point
-    driver, uses, gone = [], [], []
+    allowed, uses, gone = [], [], []
     for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "_chunking.py":
-            driver = [node for fn in ast.walk(tree)
-                      if isinstance(fn, ast.FunctionDef) and fn.name == "_chunks"
-                      for node in _mentions(fn, CHUNK_HELPERS)]
+        allowed += [node for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in HELPER_READERS
+                    or path.name == "percolation.py" and isinstance(fn, ast.ImportFrom)
+                    for node in _mentions(fn, CHUNK_HELPERS)]
         uses += [(path.name, node) for node in _mentions(tree, CHUNK_HELPERS)
                  if not isinstance(node, ast.FunctionDef)]
         gone += [f"{path.name}:{node.lineno}"
                  for node in _mentions(tree, {"run_trial", "TrialRecord"})]
-    assert len(driver) == 2
-    stray = [f"{name}:{node.lineno}" for name, node in uses if node not in driver]
+    # _chunks names _chunk_length and _map_in_order; percolation imports
+    # _chunk_length, and _workspace calls it
+    assert len(allowed) == 4
+    stray = [f"{name}:{node.lineno}" for name, node in uses if node not in allowed]
     assert not stray, stray
     assert not gone, gone
 

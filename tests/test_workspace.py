@@ -1,8 +1,9 @@
-"""The Monte Carlo kernel's per-process workspace against the per-pattern
+"""The Monte Carlo kernel's per-run workspace against the per-pattern
 functions, bit for bit, and the page faults it saves."""
 from __future__ import annotations
 
 import math
+import os
 import resource
 import sys
 
@@ -14,8 +15,10 @@ from percobound import (
     _chunking,
     algebraic_connectivity_survivors,
     augmented_laplacian,
+    exact_distribution,
     expected_augmented_laplacian,
     generate,
+    oracle,
     percolation,
     survivor_connectivity,
 )
@@ -49,24 +52,26 @@ def assert_bits(fast: np.ndarray, slow: np.ndarray) -> None:
 
 
 def run_chunks(g, profile, alpha, seed, start, count, levels=None, workers=1):
-    """The (first, block, inverse) chunks of one run, and every workspace
-    view (laplacians, deviations) its chunks were handed, in order."""
-    handed = []
-    make = percolation._workspace
+    """The (first, block, inverse) chunks of one run, every workspace the
+    calling process made for it, and the length of every stack its kernel
+    solved, in order."""
+    made, stacks = [], []
+    make, evaluate_chunk = percolation._workspace, percolation._evaluate_chunk
 
     def recording_workspace(n):
-        views = make(n)
+        made.append(make(n))
+        return made[-1]
 
-        def recording_views(c):
-            handed.append(views(c))
-            return handed[-1]
-        return recording_views
+    def recording_chunk(g, alpha, expected, patterns, *rest):
+        stacks.append(len(patterns))
+        return evaluate_chunk(g, alpha, expected, patterns, *rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(percolation, "_workspace", recording_workspace)
+        mp.setattr(percolation, "_evaluate_chunk", recording_chunk)
         chunks = [(first, *chunk) for first, chunk in percolation._trial_chunks(
             g, profile, alpha, seed, start, count, levels, workers)]
-    return chunks, handed
+    return chunks, made, stacks
 
 
 def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, levels=None):
@@ -93,17 +98,16 @@ def assert_matches_slow_path(chunks, g, profile, alpha, seed, start, count, leve
     assert solved.any() and not solved.all()
 
 
-def assert_nothing_aliases_a_workspace(chunks, handed):
+def assert_nothing_aliases_a_workspace(chunks, made):
     for _, block, inverse in chunks:
         arrays = [*vars(block).values(), inverse]
-        for views in handed:
-            for view in views:
-                assert not any(np.shares_memory(a, view) for a in arrays)
+        for workspace in made:
+            assert not any(np.shares_memory(a, workspace) for a in arrays)
 
 
-def assert_last_chunk_bit_symmetric(handed):
+def assert_last_stack_bit_symmetric(workspace, length):
     # each must equal its transpose bit for bit, so eig_sym solves it as it is
-    for stack in handed[-1]:
+    for stack in workspace[:, :length]:
         assert stack.view(np.uint64).tobytes() == stack.mT.copy().view(np.uint64).tobytes()
 
 
@@ -119,14 +123,13 @@ def test_hypercube_one_trial_chunks_match_the_per_pattern_functions(monkeypatch,
     profile, alpha, seed, start, count = HYPERCUBE_RUN
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", HYPERCUBE.n)
     assert _chunking._chunk_length(HYPERCUBE.n) == _chunking._chunk_length(HYPERCUBE.n ** 2) == 1
-    chunks, handed = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, levels)
+    chunks, made, stacks = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, levels)
     assert [(len(block), len(inverse)) for _, block, inverse in chunks] == [(1, 1)] * count
     assert_matches_slow_path(chunks, HYPERCUBE, profile, alpha, seed, start, count, levels)
-    assert_nothing_aliases_a_workspace(chunks, handed)
-    assert_last_chunk_bit_symmetric(handed)
-    # every chunk reuses the first chunk's memory
-    assert len(handed) == count
-    assert all(np.shares_memory(views, handed[0]) for views in handed)
+    assert_nothing_aliases_a_workspace(chunks, made)
+    # every chunk's one-matrix stack is solved in the run's one workspace
+    assert stacks == [1] * count and len(made) == 1
+    assert_last_stack_bit_symmetric(made[0], 1)
 
 
 def test_hypercube_two_workers_give_one_workers_bits(monkeypatch, forks):
@@ -134,9 +137,9 @@ def test_hypercube_two_workers_give_one_workers_bits(monkeypatch, forks):
     profile, alpha, seed, start, count = HYPERCUBE_RUN
     monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", HYPERCUBE.n)
     monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
-    one, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 1)
+    one, _, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 1)
     assert not forks
-    two, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 2)
+    two, _, _ = run_chunks(HYPERCUBE, profile, alpha, seed, start, count, solve_below_4_5, 2)
     assert len(forks) == 1
     assert_matches_slow_path(two, HYPERCUBE, profile, alpha, seed, start, count,
                              solve_below_4_5)
@@ -155,30 +158,55 @@ def solve_below_1_3(devs: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("levels", [None, solve_below_1_3], ids=["every-statistic", "levels"])
 def test_cycle_chunks_of_varying_distinct_patterns_match_the_per_pattern_functions(levels):
     # chunks of 72 trials hold 11, 13 and 3 distinct patterns, solved in
-    # stacks of at most 12 matrices: the second chunk needs more room than the
-    # first and two stacks, and the last chunk is short; every chunk solves
-    # all of its distinct patterns
+    # stacks of at most 12 matrices: the first chunk's stack is shorter than
+    # the workspace, the second chunk takes two stacks, and the last chunk is
+    # short; every chunk solves all of its distinct patterns
     profile, alpha, seed, count = SurvivalProfile.uniform(6, 0.9), 2.4, 0, 150
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
-        chunks, handed = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
+        chunks, made, stacks = run_chunks(CYCLE, profile, alpha, seed, 0, count, levels)
     assert [len(inverse) for _, _, inverse in chunks] == [72, 72, 6]
     assert [len(block) for _, block, _ in chunks] == [11, 13, 3]
-    assert [views.shape[1] for views in handed] == [11, 12, 1, 3]
+    assert stacks == [11, 12, 1, 3]
+    assert [workspace.shape for workspace in made] == [(2, 12, 6, 6)]
     assert_matches_slow_path(chunks, CYCLE, profile, alpha, seed, 0, count, levels)
-    assert_nothing_aliases_a_workspace(chunks, handed)
-    assert_last_chunk_bit_symmetric(handed)
+    assert_nothing_aliases_a_workspace(chunks, made)
+    assert_last_stack_bit_symmetric(made[0], 3)
 
 
-def test_workspace_views_share_one_allocation_until_a_longer_one_is_asked_for():
-    views = percolation._workspace(4)
-    first = views(3)
-    assert first.shape == (2, 3, 4, 4)
-    assert all(view.flags.c_contiguous for view in first)
-    assert np.shares_memory(views(2), first) and np.shares_memory(views(3), first)
-    longer = views(5)
-    assert longer.shape == (2, 5, 4, 4) and not np.shares_memory(longer, first)
-    assert np.shares_memory(views(1), longer)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_run_makes_one_workspace_of_the_longest_stack(monkeypatch, tmp_path, forks,
+                                                           workers):
+    # a Monte Carlo run and an oracle deviation_norm run each make one
+    # workspace of _chunk_length(n * n) matrices, in the calling process
+    # before any fork: a forked worker writes into its inherited copy and
+    # makes none, however many stacks it solves.  Every maker appends its
+    # pid to one file, so a child's workspace would show too
+    monkeypatch.setattr(_chunking, "usable_cpus", lambda: 2)
+    # chunks of 72 trials and of 12 masks, stacks of at most 12 matrices
+    monkeypatch.setattr(_chunking, "_CHUNK_ENTRIES", 12 * 36)
+    log, made = tmp_path / "makers", []
+    make = percolation._workspace
+
+    def recording_workspace(n):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        made.append(make(n))
+        return made[-1]
+
+    monkeypatch.setattr(percolation, "_workspace", recording_workspace)
+    monkeypatch.setattr(oracle, "_workspace", recording_workspace)
+    profile = SurvivalProfile.uniform(6, 0.9)
+    chunks = [chunk for _, chunk in percolation._trial_chunks(CYCLE, profile, 2.4, 0, 0, 150,
+                                                              None, workers)]
+    dist = exact_distribution(CYCLE, profile, 2.4, "deviation_norm", workers)
+    # 150 trials are 3 chunks, and the 64 masks 6 chunks
+    assert len(chunks) == 3 and len(forks) == 2 * (workers - 1)
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+    assert [workspace.shape for workspace in made] == [(2, 12, 6, 6)] * 2
+    returned = [a for block, inverse in chunks for a in (*vars(block).values(), inverse)]
+    returned += [dist.probabilities, dist.statistics]
+    assert not any(np.shares_memory(a, workspace) for a in returned for workspace in made)
 
 
 def test_edge_laplacian_into_a_used_array_gives_a_new_arrays_bits():
