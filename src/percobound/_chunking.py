@@ -11,6 +11,12 @@ oracle's chunks and in the Monte Carlo stacks.  A trial is its n survival
 flags: 5,461 trials at n = 6, 128 at n = 256.  So a loop's memory is
 O(_CHUNK_ENTRIES), whatever the length of its range.
 
+Rows go out a block at a time: _row_slices cuts [0, count) into blocks of
+_ROW_BLOCK = 1,024 rows.  Both CSV writers, the oracle table's and
+simulate's per-trial one, join one block of rows into one write, and the
+oracle's exact sums read the table one block at a time, so a writer or a sum
+holds one block of Python values, whatever the length of the table.
+
 _chunks runs its chunks through _map_in_order on `workers` processes and
 yields the results in order.  Chunk i runs on worker i % workers.  Worker 0
 is the calling process.  Every other worker is a child, forked at the first
@@ -61,6 +67,10 @@ import numpy as np
 # Entries one chunk holds: n * n per matrix, n per trial's survival flags.
 # Larger chunks raise peak memory without running faster.
 _CHUNK_ENTRIES = 1 << 15
+# Rows of one block of text or of one exact sum (_row_slices).  A whole
+# 6-cycle chunk of trials-CSV rows held as one text took about 0.9 MiB more
+# peak memory.
+_ROW_BLOCK = 1024
 
 
 def usable_cpus() -> int:
@@ -90,6 +100,13 @@ def resolve_threads(unset: int = 1) -> int:
 def _chunk_length(entries: int) -> int:
     """Items per chunk: as many items of `entries` entries as fit, at least one."""
     return max(1, _CHUNK_ENTRIES // entries)
+
+
+def _row_slices(count: int):
+    """Yield slices of consecutive blocks of at most _ROW_BLOCK rows covering
+    [0, count), in order."""
+    for first in range(0, count, _ROW_BLOCK):
+        yield slice(first, min(first + _ROW_BLOCK, count))
 
 
 def _chunks(fn, start: int, stop: int, entries: int, workers: int = 1):

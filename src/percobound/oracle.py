@@ -13,20 +13,29 @@ and solves them as one stack.  The chunks come from the _chunking module,
 each as many masks as _CHUNK_ENTRIES entries of matrices hold, so beyond the
 2^n-long arrays the memory is O(_CHUNK_ENTRIES).
 
-ExactDistribution.write_csv prints each value as its repr, a block of
-_ROW_BLOCK entries at a time, and formats each distinct probability and
-statistic of a block once: a table holds few distinct probabilities (68 of
-32,768 on the 15-cycle at a uniform p) and often repeats its statistics.
+Every exact sum, over a table (total_probability, exact_tail and the oracle
+command's summary) or over the hits of exact_bernoulli_series_tail, goes
+through _exact_sum: one math.fsum call reads the values through one lazy
+chain, one row block or chunk at a time, so it rounds once, as fsum of the
+whole list would, without holding a 2^n-long list.
+
+ExactDistribution.write_csv prints each value as its repr, one row block of
+the _chunking module (1,024 entries) at a time, and formats each distinct
+probability and statistic of a block once: a table holds few distinct
+probabilities (68 of 32,768 on the 15-cycle at a uniform p) and often
+repeats its statistics.  So beyond its table of 16 * 2^n bytes, the oracle
+command's CSV output and summary hold one row block.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunking import _chunks, _distinct_rows
+from ._chunking import _chunks, _distinct_rows, _row_slices
 from .graph_core import WeightedGraph, _EqualByKey
 from .percolation import (
     SurvivalProfile,
@@ -53,9 +62,6 @@ __all__ = [
 MAX_ENUM_VERTICES = 20
 STATISTIC_KINDS = ("deviation_norm", "a_delta", "connectivity_indicator")
 
-# Entries rendered per block of text by ExactDistribution.row_blocks and write_csv.
-_ROW_BLOCK = 4096
-
 
 def _mask_bits(first: int, last: int, n: int) -> np.ndarray:
     """The (last - first, n) uint8 grid of the bits of the masks first, ...,
@@ -76,6 +82,17 @@ def _float_reprs(values: np.ndarray) -> list:
     first, inverse = _distinct_rows(values.view(np.uint64)[:, None])
     reprs = np.array([repr(x) for x in values[first].tolist()], dtype=object)
     return reprs[inverse].tolist()
+
+
+def _exact_sum(parts) -> float:
+    """math.fsum of the values of the arrays parts yields, in order.
+
+    One fsum call reads them through one lazy chain, one array's list at a
+    time, so the sum, and the OverflowError of a sum that overflows, are
+    those of fsum over their whole list; a sum of per-array sums would round
+    twice.
+    """
+    return math.fsum(itertools.chain.from_iterable(part.tolist() for part in parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +118,13 @@ class ExactDistribution(_EqualByKey):
         return int(self.probabilities.shape[0])
 
     def total_probability(self) -> float:
-        return math.fsum(self.probabilities.tolist())
+        return _exact_sum(q for q, _ in self._blocks())
+
+    def _blocks(self):
+        """Yield (probabilities, statistics) views of consecutive row blocks
+        of entries, in entry order."""
+        for rows in _row_slices(len(self)):
+            yield self.probabilities[rows], self.statistics[rows]
 
     def pattern_bits(self, t: int) -> str:
         """Binary string of entry t, vertex 0 first."""
@@ -112,29 +135,32 @@ class ExactDistribution(_EqualByKey):
     def row_blocks(self):
         """Yield (bits, probabilities, statistics) lists for consecutive blocks
         of entries in entry order: pattern_bits strings and Python floats."""
-        for start in range(0, len(self), _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, len(self))
-            yield (_bit_strings(start, stop, self.n),
-                   self.probabilities[start:stop].tolist(),
-                   self.statistics[start:stop].tolist())
+        for rows in _row_slices(len(self)):
+            yield (_bit_strings(rows.start, rows.stop, self.n),
+                   self.probabilities[rows].tolist(),
+                   self.statistics[rows].tolist())
 
     def write_csv(self, fh) -> None:
         """Write a header and one row per entry, one block of entries at a time."""
         fh.write("pattern_bits,probability,statistic\n")
         # repr(math.inf) is "inf", the CSV's spelling; no statistic is -inf
-        for start in range(0, len(self), _ROW_BLOCK):
-            stop = min(start + _ROW_BLOCK, len(self))
-            rows = zip(_bit_strings(start, stop, self.n),
-                       _float_reprs(self.probabilities[start:stop]),
-                       _float_reprs(self.statistics[start:stop]))
-            fh.write("".join([f"{b},{q},{s}\n" for b, q, s in rows]))
+        for rows in _row_slices(len(self)):
+            text = zip(_bit_strings(rows.start, rows.stop, self.n),
+                       _float_reprs(self.probabilities[rows]),
+                       _float_reprs(self.statistics[rows]))
+            fh.write("".join([f"{b},{q},{s}\n" for b, q, s in text]))
 
 
 def _pattern_probabilities(p: np.ndarray) -> np.ndarray:
     """Probability of every mask, index little-endian in the vertex bits."""
-    q = np.ones(1)
-    for pi in p:
-        q = np.concatenate([q * (1.0 - pi), q * pi])
+    # filled in place, doubling the filled prefix per vertex: the table is the
+    # only 2^n-long array made
+    q = np.empty(1 << len(p))
+    q[0] = 1.0
+    for i, pi in enumerate(p):
+        low, high = q[:1 << i], q[1 << i:2 << i]
+        np.multiply(low, pi, out=high)
+        np.multiply(low, 1.0 - pi, out=low)
     return q
 
 
@@ -204,8 +230,7 @@ def _check_level(t: float) -> None:
 def exact_tail(dist: ExactDistribution, t: float) -> float:
     """Exact P(statistic > t), summed with compensated summation."""
     _check_level(t)
-    selected = dist.probabilities[dist.statistics > t]
-    return math.fsum(selected.tolist())
+    return _exact_sum(q[s > t] for q, s in dist._blocks())
 
 
 def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) -> float:
@@ -222,12 +247,11 @@ def exact_bernoulli_series_tail(matrices, profile: SurvivalProfile, t: float) ->
     count = 1 << n
     probabilities = _pattern_probabilities(profile.p)
 
-    def chunk_hits(first: int, last: int) -> list:
+    def chunk_hits(first: int, last: int) -> np.ndarray:
         # uint8 - float64 gives the values int64 - float64 would
         coeff = _mask_bits(first, last, n) - profile.p
         S = np.einsum("ci,ijk->cjk", coeff, X)
         norms = spectral_norm(0.5 * (S + S.mT))
-        return probabilities[first:last][norms >= t].tolist()
+        return probabilities[first:last][norms >= t]
 
-    return math.fsum([q for _, hits in _chunks(chunk_hits, 0, count, X.shape[1] ** 2)
-                      for q in hits])
+    return _exact_sum(hits for _, hits in _chunks(chunk_hits, 0, count, X.shape[1] ** 2))

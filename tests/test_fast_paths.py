@@ -899,10 +899,10 @@ def repeated_rows(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(repeated_rows(), st.integers(0, 2**64), st.sampled_from([harness_cli._CSV_ROW_BLOCK, 1, 3]))
+@given(repeated_rows(), st.integers(0, 2**64), st.sampled_from([_chunking._ROW_BLOCK, 1, 3]))
 # rows equal but for the sign of a zero
 @example([(3, True, 0.0, 0.0, -0.0), (3, True, 0.0, -0.0, -0.0), (3, True, -0.0, 0.0, 0.0)], 0,
-         harness_cli._CSV_ROW_BLOCK)
+         _chunking._ROW_BLOCK)
 # a_delta +inf below two survivors, subnormal norms, beyond 64-bit trial indices
 @example([(1, True, math.inf, 5e-324, 1e-310), (1, True, math.inf, 5e-324, 1e-310),
           (6, False, 0.0, 2.2250738585072009e-308, 0.5)], 2**64 - 1, 2)
@@ -910,7 +910,7 @@ def test_trial_rows_match_per_row_reference(rows, start, row_block):
     # row_block rows are written at a time; blocks of 1 and 3 split short runs
     fast, slow = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness_cli, "_CSV_ROW_BLOCK", row_block)
+        mp.setattr(_chunking, "_ROW_BLOCK", row_block)
         harness_cli._write_trial_rows(fast, start, *pattern_block(rows))
     harness_reference.write_trial_rows(slow, start, trial_rows_block(rows))
     assert fast.getvalue() == slow.getvalue()
@@ -936,11 +936,11 @@ def exact_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(exact_tables(), st.integers(1, 70))
 @example(ExactDistribution(2, "deviation_norm", np.array([0.25, 0.25, -0.0, 0.0]),
-                           np.array([0.0, -0.0, 0.0, -0.0])), 4096)
+                           np.array([0.0, -0.0, 0.0, -0.0])), _chunking._ROW_BLOCK)
 def test_oracle_csv_matches_per_row_reference(dist, row_block):
     # a small row block makes the table span several blocks
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_ROW_BLOCK", row_block)
+        mp.setattr(_chunking, "_ROW_BLOCK", row_block)
         assert_oracle_csv_matches(dist)
 
 
@@ -954,3 +954,83 @@ def test_oracle_tables_csv_matches_per_row_reference(case, kind, alpha):
     if kind == "a_delta":
         assert math.inf in dist.statistics.tolist()
     assert_oracle_csv_matches(dist)
+
+
+# values whose exact sum is hard to round or overflows: +inf, signed zeros,
+# subnormals and finite values near the largest float
+sum_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 0.1, 1.0,
+     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+
+
+def sum_outcome(total) -> object:
+    """The bits of the float total() returns, or the type and text of the
+    error it raises."""
+    try:
+        return struct.pack("<d", total())
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def fsum_of(values) -> object:
+    return sum_outcome(lambda: math.fsum(values))
+
+
+# 2,500 rows: two whole blocks and a part
+LONG_SUM = np.resize(np.array([1e308, 0.1, 5e-324, -0.0, 1.7976931348623157e308, -1e308,
+                               0.3, -1.7976931348623157e308, 2.2250738585072009e-308]), 2500)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(sum_floats, sum_floats), max_size=40), sum_floats,
+       st.sampled_from([_chunking._ROW_BLOCK, 1, 3, 7]))
+@example([], 0.0, _chunking._ROW_BLOCK)
+@example(list(zip(LONG_SUM.tolist(), LONG_SUM[::-1].tolist())), 0.2, _chunking._ROW_BLOCK)
+@example([(1e308, 1.0), (1e308, 2.0), (-1e308, 3.0)], 1.5, 1)
+@example([(math.inf, math.inf), (0.5, math.inf), (-0.0, 0.0)], math.inf, 3)
+# per-block sums would round 1 + 1e-16 down in the first block
+@example([(1.0, 1.0), (1e-16, 1.0), (0.0, 1.0), (1e-16, 1.0)], 0.0, 3)
+def test_table_sums_are_one_fsum_of_the_whole_selection(rows, t, row_block):
+    # a table read a row block at a time sums, or overflows, exactly as
+    # math.fsum over its whole selection; t = inf selects nothing
+    q, s = (np.array(column, dtype=float) for column in zip(*rows)) if rows else (
+        np.empty(0), np.empty(0))
+    dist = ExactDistribution(1, "a_delta", q, s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_chunking, "_ROW_BLOCK", row_block)
+        assert sum_outcome(dist.total_probability) == fsum_of(q.tolist())
+        assert sum_outcome(lambda: oracle.exact_tail(dist, t)) == fsum_of(q[s > t].tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(sum_floats, min_size=1 << n,
+                                                     max_size=1 << n)),
+       st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.5, math.inf]), st.sampled_from([1, 3, 1 << 15]))
+@example([1e308] * 16, 0.5, 3)
+@example([-0.0, 5e-324, math.inf, -5e-324], 0.0, 1)
+# per-chunk sums would round 1 + 1e-16 down in the first chunk
+@example([1.0, 1e-16, 0.0, 1e-16], 0.0, 3)
+def test_series_tail_is_one_fsum_of_the_hits(q, t, chunk_entries):
+    # n terms X_i = [[1]] at p = 1/2 give the norm |survivors - n/2|, exact,
+    # and the pattern probabilities are replaced by q, so the hits are known
+    # whichever chunks the masks run in
+    n = len(q).bit_length() - 1
+    survivors = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    hits = np.array(q)[np.abs(survivors - n / 2) >= t]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_pattern_probabilities", lambda p: np.array(q))
+        mp.setattr(_chunking, "_CHUNK_ENTRIES", chunk_entries)
+        tail = sum_outcome(lambda: oracle.exact_bernoulli_series_tail(
+            [np.eye(1)] * n, SurvivalProfile.uniform(n, 0.5), t))
+    assert tail == fsum_of(hits.tolist())
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(probabilities, min_size=0, max_size=10))
+def test_pattern_probabilities_match_the_doubling_product(p):
+    # each mask's probability multiplied up from vertex 0, as a table of
+    # concatenated halves would give it
+    q = np.ones(1)
+    for pi in np.array(p, dtype=float):
+        q = np.concatenate([q * (1.0 - pi), q * pi])
+    assert_identical(oracle._pattern_probabilities(np.array(p, dtype=float)), q)

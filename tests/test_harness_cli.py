@@ -693,10 +693,47 @@ class TestOracle:
         # four of the eight masks leave at most one survivor
         (["--family", "path", "--n", "3", "--p", "0.5", "--kind", "a_delta"],
          "mean a_delta (finite part) = 0.625, P(statistic = inf) = 0.5\n"),
-    ], ids=["none-infinite", "path3-a_delta"])
-    def test_infinite_mass_is_the_sum_of_the_infinite_entries(self, capsys, argv, summary):
-        assert run_cli(["oracle", *argv]) == EXIT_OK
-        assert capsys.readouterr().err == summary
+        (["--family", "cycle", "--n", "12", "--p", "0.7", "--kind", "connectivity_indicator"],
+         "P(connected) = 0.13840224318999994\n"),
+        # 512 entries, half a row block
+        (["--family", "path", "--n", "9", "--p", "0.6", "--alpha", "0.5", "--kind", "a_delta"],
+         "mean a_delta (finite part) = 0.03321943354723138, "
+         "P(statistic = inf) = 0.003801088000000002\n"),
+    ], ids=["none-infinite", "path3-a_delta", "cycle12-connected", "path9-a_delta"])
+    def test_infinite_mass_is_the_sum_of_the_infinite_entries(self, capsys, monkeypatch, argv,
+                                                               summary):
+        # each summary is math.fsum of the whole selection, also where the
+        # table is read in blocks of 1,000 rows, which divide no table length
+        for row_block in (_chunking._ROW_BLOCK, 1000):
+            monkeypatch.setattr(_chunking, "_ROW_BLOCK", row_block)
+            assert run_cli(["oracle", *argv]) == EXIT_OK
+            assert capsys.readouterr().err == summary
+
+    @pytest.mark.parametrize("kind", ["deviation_norm", "a_delta"])
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch, capsys, kind):
+        # beyond its table of 16 * 2^n bytes the command holds one chunk of
+        # matrices and one row block of text and sums, so the excess is the
+        # same at 2^15 masks as at 2^10; with 2^n-long lists of Python floats
+        # for its summary it grew from about 0.7 to 1.3 MiB
+        monkeypatch.setenv("PERCOBOUND_THREADS", "1")
+
+        def oracle(n: int) -> None:
+            assert run_cli(["oracle", "--family", "cycle", "--n", str(n), "--p", "0.8",
+                            "--alpha", "1.5", "--kind", kind,
+                            "--output", str(tmp_path / "oracle.csv")]) == EXIT_OK
+
+        oracle(6)  # one-time set-up
+        excess = []
+        for n in (10, 15):
+            tracemalloc.start()
+            try:
+                oracle(n)
+                excess.append(tracemalloc.get_traced_memory()[1] - 16 * (1 << n))
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        small, large = excess
+        assert large <= 1.25 * small
 
     def test_cap_is_a_clean_error(self, capsys):
         code = run_cli(["oracle", "--family", "complete", "--n", "25",

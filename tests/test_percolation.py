@@ -472,7 +472,23 @@ def test_rows_are_grouped_only_by_the_trial_stream_and_the_oracle_csv():
                              for alias in node.names]
             assert not _mentions(tree, {"_distinct_rows", "lexsort", "unique"})
     assert sorted(callers) == [("oracle.py", "_float_reprs"), ("percolation.py", "_trial_chunks")]
-    assert from_chunking == ["resolve_threads"]
+    assert from_chunking == ["_row_slices", "resolve_threads"]
+
+
+def test_only_chunking_states_a_row_block_size():
+    # both CSV writers and the oracle's exact sums walk _row_slices: no other
+    # module defines a block size at module level or reads the one _chunking
+    # states
+    defined, readers = [], []
+    for path in sorted(Path(percolation.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, target.id) for node in tree.body
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(node, "targets", [getattr(node, "target", None)])
+                    if isinstance(target, ast.Name) and "BLOCK" in target.id.upper()]
+        readers += [path.name] if _mentions(tree, {"_ROW_BLOCK"}) else []
+    assert defined == [("_chunking.py", "_ROW_BLOCK")]
+    assert readers == ["_chunking.py"]
 
 
 def test_each_job_has_one_copy():
