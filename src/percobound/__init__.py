@@ -11,87 +11,14 @@ exhaustive enumeration and Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
-from .graph_core import (
-    RegularityCertificate,
-    WeightedGraph,
-    build_adjacency,
-    build_laplacian,
-    certify_ndl,
-    generate,
-    graph_from_dict,
-    graph_to_dict,
-    read_graph,
-    write_graph,
-)
-from .oracle import (
-    ExactDistribution,
-    exact_bernoulli_series_tail,
-    exact_distribution,
-    exact_tail,
-)
-from .percolation import (
-    SurvivalProfile,
-    TrialBlock,
-    algebraic_connectivity_survivors,
-    augmented_laplacian,
-    expected_augmented_laplacian,
-    percolated_laplacian,
-    sample,
-    survivor_connectivity,
-    trial_block,
-)
-from .spectral import eig_sym, lambda2, spectral_norm
-from .theory import (
-    BoundReport,
-    ThresholdReport,
-    bernoulli_series_tail_bound,
-    bernoulli_series_variance,
-    check_gap_condition,
-    deviation_bound,
-    expected_lambda2_regular,
-    kearns_saul_k,
-    optimize_alpha,
-    survival_threshold,
-    threshold_constants,
-)
+# each layer module's __all__ is the one list of its public names
+from . import graph_core, oracle, percolation, spectral, theory
+from .graph_core import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .percolation import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .theory import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "BoundReport",
-    "ExactDistribution",
-    "RegularityCertificate",
-    "SurvivalProfile",
-    "ThresholdReport",
-    "TrialBlock",
-    "WeightedGraph",
-    "algebraic_connectivity_survivors",
-    "augmented_laplacian",
-    "bernoulli_series_tail_bound",
-    "bernoulli_series_variance",
-    "build_adjacency",
-    "build_laplacian",
-    "certify_ndl",
-    "check_gap_condition",
-    "deviation_bound",
-    "eig_sym",
-    "exact_bernoulli_series_tail",
-    "exact_distribution",
-    "exact_tail",
-    "expected_augmented_laplacian",
-    "expected_lambda2_regular",
-    "generate",
-    "graph_from_dict",
-    "graph_to_dict",
-    "kearns_saul_k",
-    "lambda2",
-    "optimize_alpha",
-    "percolated_laplacian",
-    "read_graph",
-    "sample",
-    "spectral_norm",
-    "survival_threshold",
-    "survivor_connectivity",
-    "threshold_constants",
-    "trial_block",
-    "write_graph",
-]
+__all__ = ["__version__", *sorted({
+    name for module in (graph_core, oracle, percolation, spectral, theory)
+    for name in module.__all__})]

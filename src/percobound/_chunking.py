@@ -204,7 +204,9 @@ def _pickled_error(exc: BaseException) -> bytes:
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for a 2-D unsigned-integer key matrix: keys[first]
     holds each distinct row once, and keys[first][inverse] equals keys."""
-    # rows sorted stably; np.unique would import numpy.ma
+    # rows sorted stably.  np.unique(keys, axis=0, return_index=True,
+    # return_inverse=True) gives the same (first, inverse), 2.5-30 times
+    # slower on a simulate chunk's or an oracle block's keys
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     starts = np.ones(order.shape[0], dtype=bool)

@@ -25,6 +25,8 @@ __all__ = [
     "build_laplacian",
     "generate",
     "certify_ndl",
+    "graph_to_dict",
+    "graph_from_dict",
     "read_graph",
     "write_graph",
 ]
@@ -527,10 +529,15 @@ def write_graph(g: WeightedGraph, path) -> None:
         fh.write("\n")
 
 
-def read_graph(path) -> WeightedGraph:
+def _read_json(path, what: str):
+    """The JSON value in the file at path; one that does not parse raises
+    ValueError naming it as a `what` file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"could not parse graph file {path}: {exc}") from exc
-    return graph_from_dict(obj)
+            raise ValueError(f"could not parse {what} file {path}: {exc}") from exc
+
+
+def read_graph(path) -> WeightedGraph:
+    return graph_from_dict(_read_json(path, "graph"))

@@ -63,6 +63,7 @@ from ._chunking import _row_slices, resolve_threads
 from .graph_core import (
     GENERATOR_FAMILIES,
     WeightedGraph,
+    _read_json,
     certify_ndl,
     generate,
     graph_to_dict,
@@ -297,11 +298,7 @@ def _load_graph(args) -> tuple[WeightedGraph, dict]:
 def _load_profile(args, n: int) -> tuple[SurvivalProfile, dict]:
     if args.p is not None:
         return SurvivalProfile.uniform(n, args.p), {"uniform_p": args.p}
-    with open(args.profile, "r", encoding="utf-8") as fh:
-        try:
-            values = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"could not parse profile file {args.profile}: {exc}") from exc
+    values = _read_json(args.profile, "profile")
     if not isinstance(values, list):
         raise ValueError("profile file must hold a JSON array of probabilities")
     profile = SurvivalProfile(values)
@@ -430,14 +427,18 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _add_graph_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", default=None, help="graph JSON file")
-    parser.add_argument("--family", default=None, choices=GENERATOR_FAMILIES,
-                        help="generate the graph instead of reading a file")
+def _add_family_parameters(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None, help="vertex count (family parameter)")
     parser.add_argument("--k", type=int, default=None, help="hypercube dimension")
     parser.add_argument("--q", type=int, default=None, help="paley field size")
     parser.add_argument("--d", type=int, default=None, help="regular degree")
+
+
+def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph", default=None, help="graph JSON file")
+    parser.add_argument("--family", default=None, choices=GENERATOR_FAMILIES,
+                        help="generate the graph instead of reading a file")
+    _add_family_parameters(parser)
 
 
 def _add_profile(parser: argparse.ArgumentParser) -> None:
@@ -448,16 +449,8 @@ def _add_profile(parser: argparse.ArgumentParser) -> None:
 
 def _add_generate(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", required=True, choices=GENERATOR_FAMILIES)
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--q", type=int, default=None)
-    parser.add_argument("--d", type=int, default=None)
-    parser.set_defaults(func=cmd_generate, graph=None)
-
-
-def _add_certify(parser: argparse.ArgumentParser) -> None:
-    _add_graph_source(parser)
-    parser.set_defaults(func=cmd_certify)
+    _add_family_parameters(parser)
+    parser.set_defaults(graph=None)
 
 
 def _add_bound(parser: argparse.ArgumentParser) -> None:
@@ -468,18 +461,12 @@ def _add_bound(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE,
                         help="alpha grid size")
     parser.add_argument("--epsilon", type=float, required=True, help="failure probability")
-    parser.set_defaults(func=cmd_bound)
 
 
 def _add_simulate(parser: argparse.ArgumentParser) -> None:
-    _add_graph_source(parser)
-    _add_profile(parser)
-    parser.add_argument("--alpha", default="auto")
-    parser.add_argument("--alpha-grid", type=int, default=ALPHA_GRID_SIZE)
-    parser.add_argument("--epsilon", type=float, required=True)
+    _add_bound(parser)
     parser.add_argument("--trials", type=int, required=True)
     parser.add_argument("--trials-csv", default=None, help="also write one CSV row per trial")
-    parser.set_defaults(func=cmd_simulate)
 
 
 def _add_threshold(parser: argparse.ArgumentParser) -> None:
@@ -488,7 +475,6 @@ def _add_threshold(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, required=True)
     parser.add_argument("--epsilon", type=float, required=True)
     parser.add_argument("--mode", choices=THRESHOLD_MODES, default="closed_form")
-    parser.set_defaults(func=cmd_threshold)
 
 
 def _add_oracle(parser: argparse.ArgumentParser) -> None:
@@ -497,18 +483,19 @@ def _add_oracle(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.0,
                         help="ghost diagonal weight (used by deviation_norm)")
     parser.add_argument("--kind", required=True, choices=STATISTIC_KINDS)
-    parser.set_defaults(func=cmd_oracle)
 
 
-# each command's help line and the function that adds its arguments, in the
-# order the top-level help lists them
+# each command's help line, the function that adds its arguments and the one
+# that runs it, in the order the top-level help lists them
 COMMANDS = {
-    "generate": ("emit a named graph as JSON", _add_generate),
-    "certify": ("certify regularity and the nontrivial spectral radius", _add_certify),
-    "bound": ("closed-form deviation bound and connectivity lower bound", _add_bound),
-    "simulate": ("Monte Carlo percolation run with per-trial validation", _add_simulate),
-    "threshold": ("survival threshold certifying connectivity", _add_threshold),
-    "oracle": ("exhaustive enumeration of all survival patterns", _add_oracle),
+    "generate": ("emit a named graph as JSON", _add_generate, cmd_generate),
+    "certify": ("certify regularity and the nontrivial spectral radius", _add_graph_source,
+                cmd_certify),
+    "bound": ("closed-form deviation bound and connectivity lower bound", _add_bound, cmd_bound),
+    "simulate": ("Monte Carlo percolation run with per-trial validation", _add_simulate,
+                 cmd_simulate),
+    "threshold": ("survival threshold certifying connectivity", _add_threshold, cmd_threshold),
+    "oracle": ("exhaustive enumeration of all survival patterns", _add_oracle, cmd_oracle),
 }
 
 
@@ -537,7 +524,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_line, add_arguments = COMMANDS[name]
+        help_line, add_arguments, _ = COMMANDS[name]
         add_arguments(sub.add_parser(name, parents=[common], help=help_line))
     return parser
 
@@ -561,7 +548,8 @@ def main(argv=None) -> int:
     _validate_source_args(parser, args)
     try:
         _check_seed(args.seed)
-        return args.func(args)
+        _, _, run = COMMANDS[args.command]
+        return run(args)
     # an input too large to hold in memory is a usage error, not a failed claim
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

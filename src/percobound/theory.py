@@ -14,6 +14,7 @@ on the algebraic connectivity of the surviving subgraph.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -133,6 +134,27 @@ def _validate_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
+def _log_4n_over(n: int, epsilon: float) -> float:
+    """log(4n/epsilon): the log of the quotient wherever that is finite, else
+    (a subnormal epsilon, or n beyond the float range) log(4n) - log(epsilon)."""
+    four_n = 4 * int(n)
+    try:
+        quotient = four_n / epsilon
+    except OverflowError:  # 4n itself exceeds the float range
+        quotient = math.inf
+    if quotient < math.inf:
+        return math.log(quotient)
+    return math.log(four_n) - math.log(epsilon)
+
+
+def _finite(term: str, values):
+    """values, refused if an entry overflowed: each product in the bound
+    grows as a power of the edge weights."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{term} overflows: the edge weights are too large")
+    return values
+
+
 def _check_grid_size(name: str, size) -> None:
     """Reject an alpha grid size that is not an integer of at least 2; a bool
     is not an integer here."""
@@ -140,6 +162,9 @@ def _check_grid_size(name: str, size) -> None:
         raise ValueError(f"{name} must be an integer of at least 2, got {size!r}")
 
 
+# a product that overflows is refused before it is solved (the eigensolver
+# does not converge on inf), so numpy's warnings would only repeat that
+@np.errstate(over="ignore", invalid="ignore")
 def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float):
     """Validate the inputs deviation_bound and optimize_alpha share, then
     compute everything in the bound that does not depend on alpha.
@@ -159,9 +184,9 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     A = build_adjacency(g)
     p = profile.p
     kv = np.array([kearns_saul_k(float(pi)) for pi in p])
-    sqrt_log = math.sqrt(math.log(4.0 * g.n / epsilon))
+    sqrt_log = math.sqrt(_log_4n_over(g.n, epsilon))
 
-    k_bar = float(np.sqrt(((A * A) @ (kv * kv)).max()))
+    k_bar = float(np.sqrt(_finite("k_bar", (A * A) @ (kv * kv)).max()))
     term_kbar = 2.0 * k_bar * sqrt_log
 
     expected_row = A @ p
@@ -172,12 +197,12 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     # diag(p) A diag(sqrt(s)) is not symmetric; its operator norm is the
     # square root of the spectral norm of B B^T.
     B = p[:, None] * A * s_sqrt[None, :]
-    term_dpad = 2.0 * math.sqrt(spectral_norm(B @ B.T))
+    term_dpad = 2.0 * math.sqrt(spectral_norm(_finite("term_dpad", B @ B.T)))
 
     # sum_i c_i a_i a_i^T with a_i the i-th column of A equals A diag(c) A
     col_norm_sq = (A * A).sum(axis=0)
     c = kv * kv * (1.0 - 2.0 * p) ** 2 * col_norm_sq
-    sigma = math.sqrt(spectral_norm((A * c[None, :]) @ A))
+    sigma = math.sqrt(spectral_norm(_finite("sigma", (A * c[None, :]) @ A)))
     term_sigma = 4.5 * math.sqrt(sigma * sqrt_log)
 
     alpha_free_laplacian = expected_augmented_laplacian(g, profile, 0.0)
@@ -244,6 +269,7 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     Their sum bounds the deviation with probability at least 1 - epsilon.
     Only term_alpha_mismatch and lambda2_expected depend on alpha; the other
     four terms, kbar and sigma are fixed by the graph, profile and epsilon.
+    Edge weights whose products overflow raise ValueError naming the term.
     """
     _check_alpha(alpha)
     _, bound_at, _ = _alpha_free_part(g, profile, epsilon)
@@ -390,6 +416,9 @@ def _check_ndl(n: int, d: int, lam: float) -> None:
         raise ValueError(f"d must be less than n, got d={d}, n={n}")
     if not 0.0 <= lam < d:
         raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
+    # lambda / d and the threshold's exponent divide floats by d
+    if d > sys.float_info.max:
+        raise ValueError(f"d must not exceed the largest float, {sys.float_info.max!r}")
 
 
 def check_gap_condition(n: int, d: int, lam: float, p: float,
@@ -416,7 +445,7 @@ def _gap_condition(n: int, d: int, lam: float, p: float,
                    epsilon: float) -> tuple[bool, float, float]:
     """check_gap_condition on inputs it has already checked."""
     k = kearns_saul_k(p)
-    c = math.log(4.0 * n / epsilon) / d * k * k
+    c = _log_4n_over(n, epsilon) / d * k * k
     lhs = (1.0 - lam / d) * p
     rhs = (
         2.0 * math.sqrt(c)
@@ -463,7 +492,7 @@ def survival_threshold(n: int, d: int, lam: float, epsilon: float,
     r = lam / d
     c1, c2 = threshold_constants(r)
     log_c1 = _log_c1(r)
-    log_term = math.log(4.0 * n / epsilon)
+    log_term = _log_4n_over(n, epsilon)
     sweep_violations = 0
 
     if mode == "closed_form":

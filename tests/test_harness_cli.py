@@ -55,6 +55,23 @@ def run_cli(argv):
     return main(argv)
 
 
+def strict_json(text: str):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_cli_warning_free(argv) -> int:
+    """main(argv), asserting that no warning, numpy's RuntimeWarning among
+    them, was raised: pytest would keep one from reaching stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    assert caught == []
+    return code
+
+
 class TestGenerate:
     def test_matches_library_generator(self, tmp_path):
         out = tmp_path / "paley13.json"
@@ -610,6 +627,12 @@ def test_every_report_keeps_its_pinned_bytes(tmp_path, blas_threads):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir()) if path.name != "profile.json"}
     assert written == PINNED_DIGESTS
+    # every report is JSON, or CSV rows of JSON values: no Infinity, no NaN
+    for name in PINNED_DIGESTS:
+        if name.endswith(".json"):
+            strict_json((tmp_path / name).read_text(encoding="utf-8"))
+    for line in (tmp_path / "bound-p-fixed.csv").read_text(encoding="utf-8").splitlines()[1:]:
+        strict_json(line.split(",", 1)[1])
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -630,6 +653,29 @@ def test_allocation_failure_is_a_usage_error():
     assert done.stdout == ""
     [line] = done.stderr.splitlines()
     assert line.startswith("error: Unable to allocate ")
+
+
+_CYCLE4 = ["--family", "cycle", "--n", "4", "--p", "0.9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", *_CYCLE4, "--alpha", "1", "--epsilon", "1e-310"],
+    ["bound", *_CYCLE4, "--alpha", "auto", "--epsilon", "5e-324"],
+    ["simulate", *_CYCLE4, "--alpha", "1", "--epsilon", "1e-310", "--trials", "20"],
+    ["simulate", *_CYCLE4, "--alpha", "auto", "--epsilon", "5e-324", "--trials", "20"],
+    ["threshold", "--n", "10", "--d", "3", "--lambda", "1", "--epsilon", "1e-310"],
+    ["threshold", "--n", "10", "--d", "3", "--lambda", "1", "--epsilon", "1e-310",
+     "--mode", "bisection"],
+    ["threshold", "--n", str(10**400), "--d", "3", "--lambda", "1", "--epsilon", "0.1"],
+], ids=["bound", "bound-auto", "simulate", "simulate-auto", "threshold", "threshold-bisection",
+        "threshold-huge-n"])
+def test_log_4n_over_epsilon_beyond_the_float_range_gives_a_finite_report(capsys, argv):
+    # 4n / epsilon overflows, so log(4n) - log(epsilon) stands in for its log:
+    # the report is JSON, with no Infinity, and nothing reaches stderr
+    assert run_cli_warning_free(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    strict_json(captured.out)
 
 
 class TestThreshold:
@@ -663,6 +709,17 @@ class TestThreshold:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: d must be less than n, got d=10, n=4\n"
+
+
+    def test_degree_beyond_the_float_range_is_a_usage_error(self, capsys):
+        # lambda / d takes d as a float: one error line, not an OverflowError
+        code = run_cli_warning_free(["threshold", "--n", str(10**401), "--d", str(10**400),
+                                     "--lambda", "1", "--epsilon", "0.1"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: d must not exceed the largest float, "
+                                "1.7976931348623157e+308\n")
 
 
 class TestOracle:
@@ -932,6 +989,23 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == ("error: weighted degree of vertex 1 overflows: "
                                 "its edge weights sum past the largest float\n")
+
+    @pytest.mark.parametrize("command", [["bound"], ["simulate", "--trials", "20"]],
+                             ids=["bound", "simulate"])
+    @pytest.mark.parametrize("weight, term", [(1e78, "sigma"), (1e155, "k_bar")],
+                             ids=["sigma", "k_bar"])
+    def test_edge_weights_whose_bound_overflows_are_a_usage_error(self, tmp_path, capsys,
+                                                                  command, weight, term):
+        # (A c) A grows like w**4 and A * A like w**2: the product that
+        # overflows is named before any eigensolve, with no numpy RuntimeWarning
+        path = tmp_path / "heavy.json"
+        for w, code in ((weight, EXIT_USAGE), (1e77, EXIT_OK)):
+            path.write_text(json.dumps({"n": 3, "edges": [[0, 1, w], [1, 2, 1.0]]}))
+            assert run_cli_warning_free([command[0], "--graph", str(path), "--p", "0.9",
+                                         "--epsilon", "0.1", *command[1:]]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {term} overflows: the edge weights are too large\n"
+        strict_json(captured.out)  # only the 1e77 run's report
 
     @pytest.mark.parametrize("weight", [10**400, -(10**400)], ids=["huge", "huge-negative"])
     def test_weight_beyond_the_float_range_is_a_usage_error(self, tmp_path, capsys, weight):

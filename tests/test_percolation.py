@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import percobound
 from percobound import (
     SurvivalProfile,
     WeightedGraph,
@@ -502,6 +503,39 @@ def test_each_job_has_one_copy():
     source = Path(harness_cli.__file__).read_text(encoding="utf-8")
     assert source.count('"version": __version__') == 1
     assert not isinstance(vars(WeightedGraph).get("_scatter"), functools.cached_property)
+
+
+LAYERS = ("graph_core", "oracle", "percolation", "spectral", "theory")
+
+
+def test_each_public_name_is_listed_once():
+    # the package exports the union of the layer modules' __all__ lists, the
+    # one list of each module's public names, and every name resolves
+    names = [name for layer in LAYERS for name in getattr(percobound, layer).__all__]
+    assert len(names) == len(set(names))
+    assert percobound.__all__ == ["__version__", *sorted(names)]
+    for layer in LAYERS:
+        module = getattr(percobound, layer)
+        for name in module.__all__:
+            assert getattr(percobound, name) is getattr(module, name)
+
+
+def test_each_shared_flag_is_added_once():
+    # generate and the graph source share --n/--k/--q/--d, and simulate adds
+    # its flags to bound's; threshold's --n/--d/--epsilon and oracle's
+    # numeric --alpha mean other things
+    adders = {}
+    for top in ast.parse(Path(harness_cli.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "add_argument"):
+                adders.setdefault(node.args[0].value, []).append(top.name)
+    family, bound = "_add_family_parameters", "_add_bound"
+    assert {flag: adders[flag] for flag in (
+        "--n", "--k", "--q", "--d", "--alpha", "--alpha-grid", "--epsilon")} == {
+        "--n": [family, "_add_threshold"], "--k": [family], "--q": [family],
+        "--d": [family, "_add_threshold"], "--alpha": [bound, "_add_oracle"],
+        "--alpha-grid": [bound], "--epsilon": [bound, "_add_threshold"]}
 
 
 @st.composite

@@ -489,3 +489,37 @@ def test_certified_graphs_feed_the_condition(paley13):
     holds, lhs, rhs = check_gap_condition(13, cert.d, cert.lambda_, 0.95, 0.1)
     assert isinstance(holds, bool)
     assert lhs == pytest.approx((1.0 - cert.lambda_over_d) * 0.95)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**400), st.floats(5e-324, 1.0, exclude_max=True))
+def test_log_4n_over_epsilon_is_finite_and_keeps_the_quotients_bits(n, epsilon):
+    # the log of the quotient wherever that is finite, as the bound, the gap
+    # condition and the threshold took it; log(4n) - log(epsilon) elsewhere
+    value = theory._log_4n_over(n, epsilon)
+    assert value == pytest.approx(math.log(4 * n) - math.log(epsilon), rel=1e-12)
+    if n < 2**1000 and 4.0 * n / epsilon < math.inf:
+        assert value == math.log(4.0 * n / epsilon)
+
+
+def test_edge_weights_whose_products_overflow_are_named():
+    # (A c) A grows like w**4, A * A like w**2.  B B^T overflows first on a
+    # star whose centre survives surely (K = 0 there) and whose leaves have
+    # p = 0.632, where p (1 - p) / K(p)^2 peaks.  With p = 1/2 the sigma
+    # product vanishes, and a weight of 1e77 is solved as before
+    uniform = SurvivalProfile.uniform(3, 0.9)
+    star = WeightedGraph(7, [(0, j, math.sqrt(0.99 * 1.7976931348623157e308))
+                             for j in range(1, 7)])
+    for g, profile, term in (
+            (WeightedGraph(3, [(0, 1, 1e78), (1, 2, 1.0)]), uniform, "sigma"),
+            (WeightedGraph(3, [(0, 1, 1e155), (1, 2, 1.0)]), uniform, "k_bar"),
+            (star, SurvivalProfile([1.0] + [0.632] * 6), "term_dpad")):
+        for call in (lambda: deviation_bound(g, profile, 1.0, 0.1),
+                     lambda: optimize_alpha(g, profile, 0.1)):
+            with pytest.raises(ValueError, match=f"^{term} overflows: the edge weights"):
+                call()
+    report = deviation_bound(WeightedGraph(3, [(0, 1, 1e78), (1, 2, 1.0)]),
+                             SurvivalProfile.uniform(3, 0.5), 1.0, 0.1)
+    assert report.sigma == 0.0 and math.isfinite(report.total)
+    assert math.isfinite(deviation_bound(WeightedGraph(3, [(0, 1, 1e77), (1, 2, 1.0)]),
+                                         uniform, 1.0, 0.1).total)
