@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,30 @@ def is_integer(value) -> bool:
     # exact int first, as in is_real
     return type(value) is int or (
         not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Integral))
+
+
+def _real(value, ok, message: str) -> float:
+    """value as a float, if it is a real number (is_real) for which ok holds;
+    else ValueError(message).  The public entry points check their real
+    arguments this way, each with its own range ok.  A number beyond the
+    float range, such as a Python int of 400 digits, reads as NaN, which
+    fails every range."""
+    try:
+        x = float(value) if is_real(value) else None
+    except OverflowError:
+        x = math.nan
+    if x is None or not ok(x):
+        raise ValueError(message)
+    return x
+
+
+def _integer(value, ok, message: str) -> int:
+    """value as a Python int, if it is an integer (is_integer) for which ok
+    holds; else ValueError(message).  The rule of _real for integers; ok
+    decides whether an int beyond the float range is taken."""
+    if not (is_integer(value) and ok(int(value))):
+        raise ValueError(message)
+    return int(value)
 
 
 class _EqualByKey:
@@ -257,13 +281,8 @@ class RegularityCertificate:
     lambda_equals_d: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "is_regular": self.is_regular,
-            "d": self.d,
-            "lambda": self.lambda_,
-            "lambda_over_d": self.lambda_over_d,
-            "lambda_equals_d": self.lambda_equals_d,
-        }
+        return {"lambda" if key == "lambda_" else key: value
+                for key, value in asdict(self).items()}
 
 
 def _vertex_sums(g: WeightedGraph, values: np.ndarray) -> np.ndarray:
@@ -335,9 +354,12 @@ def build_laplacian(g: WeightedGraph) -> np.ndarray:
 
 def _require_positive_int(name: str, value) -> int:
     """value as a Python int, if it is a positive integer (a numpy one too, not a bool)."""
-    if not is_integer(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return _integer(value, lambda v: v >= 1, f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_seed(seed) -> int:
+    # percolation's hash takes 64 bits, so any other seed would repeat one of these
+    return _integer(seed, lambda s: 0 <= s < 1 << 64, f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def _unit_weight_graph(n: int, src: np.ndarray, dst: np.ndarray) -> WeightedGraph:
@@ -447,28 +469,38 @@ def generate(family: str, *, n: int | None = None, k: int | None = None,
 
     Supported: complete(n), cycle(n), path(n), hypercube(k), paley(q) for
     prime q with q % 4 == 1, and random_regular(n, d, seed) by sequential
-    pairing.  The integer parameters may be Python or numpy integers, not
-    bools.  Raises ValueError for unknown families or bad parameters.  Every
-    family hands its edges to the graph as index arrays, and no edge tuple
-    is built: all but random_regular find them with numpy index arithmetic,
-    in one pass over the vertex pairs they keep.
+    pairing, for a seed in [0, 2**64).  The integer parameters may be Python
+    or numpy integers, not bools.  Raises ValueError for unknown families or
+    bad parameters.  Each family's vertex count passes _vertex_count's rule
+    before anything is built, so a count whose square overflows an index
+    reaches no primality test, pairing or numpy call.  Every family hands
+    its edges to the graph as index arrays, and no edge tuple is built: all
+    but random_regular find them with numpy index arithmetic, in one pass
+    over the vertex pairs they keep.
     """
-    if family == "complete":
-        return _complete(_require_positive_int("n", n))
-    if family == "cycle":
-        return _cycle(_require_positive_int("n", n))
-    if family == "path":
-        return _path(_require_positive_int("n", n))
+    if family not in GENERATOR_FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}; expected one of {GENERATOR_FAMILIES}")
     if family == "hypercube":
-        return _hypercube(_require_positive_int("k", k))
+        k = _require_positive_int("k", k)
+        # 1 << k is formed only where it is small; _vertex_count refuses it
+        # from k = 32 on (from k = 16 where an index has 32 bits)
+        if k >= 64:
+            raise ValueError(f"hypercube dimension k = {k} is too large to index "
+                             "its 2**k vertices")
+        _vertex_count(1 << k)
+        return _hypercube(k)
     if family == "paley":
-        return _paley(_require_positive_int("q", q))
-    if family == "random_regular":
-        n = _require_positive_int("n", n)
-        if not is_integer(d):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        return _random_regular(n, int(d), seed)
-    raise ValueError(f"unknown graph family {family!r}; expected one of {GENERATOR_FAMILIES}")
+        return _paley(_vertex_count(_require_positive_int("q", q)))
+    n = _vertex_count(_require_positive_int("n", n))
+    if family == "complete":
+        return _complete(n)
+    if family == "cycle":
+        return _cycle(n)
+    if family == "path":
+        return _path(n)
+    if not is_integer(d):
+        raise ValueError(f"d must be an integer, got {d!r}")
+    return _random_regular(n, int(d), _check_seed(seed))
 
 
 def certify_ndl(g: WeightedGraph) -> RegularityCertificate:

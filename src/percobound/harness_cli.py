@@ -63,14 +63,17 @@ from ._chunking import _row_slices, resolve_threads
 from .graph_core import (
     GENERATOR_FAMILIES,
     WeightedGraph,
+    _check_seed,
     _read_json,
+    _real,
+    _require_positive_int,
     certify_ndl,
     generate,
     graph_to_dict,
     read_graph,
 )
 from .oracle import STATISTIC_KINDS, _exact_sum, exact_distribution
-from .percolation import SurvivalProfile, _check_seed, _trial_chunks
+from .percolation import SurvivalProfile, _trial_chunks
 from .theory import (
     ALPHA_GRID_SIZE,
     THRESHOLD_MODES,
@@ -157,8 +160,8 @@ def _bound_for(g: WeightedGraph, profile: SurvivalProfile, alpha_spec, epsilon: 
     """(alpha, its BoundReport): grid-optimized for "auto", else at the given alpha."""
     if alpha_spec == "auto":
         return optimize_alpha(g, profile, epsilon, alpha_grid_size)
-    alpha = float(alpha_spec)
-    return alpha, deviation_bound(g, profile, alpha, epsilon)
+    report = deviation_bound(g, profile, alpha_spec, epsilon)
+    return report.alpha, report
 
 
 def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
@@ -183,12 +186,15 @@ def run_experiment(g: WeightedGraph, profile: SurvivalProfile, alpha_spec,
     eigensolve of lambda2_augmented, which only that file reports.  The summary and
     violations are the same either way.
 
+    trials and threads are positive integers, and the seed is an integer in
+    [0, 2**64), as are the trial indices 0, ..., trials - 1.
+
     Returns (ExperimentSummary, violations): violations lists
     (trial_index, a_delta, lower_bound) for the first VIOLATIONS_SHOWN
     trials that broke the per-trial lower bound.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _require_positive_int("trials", trials)
+    threads = _require_positive_int("threads", threads)
     alpha, report = _bound_for(g, profile, alpha_spec, epsilon, alpha_grid_size)
 
     def lower_bounds(devs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,10 +323,8 @@ def _parse_alpha(raw: str):
         value = float(raw) + 0.0
     except ValueError as exc:
         raise ValueError(f'--alpha must be "auto" or a number, got {raw!r}') from exc
-    # written so that NaN fails too
-    if not 0 <= value < math.inf:
-        raise ValueError(f"--alpha must be non-negative and finite, got {raw!r}")
-    return value
+    return _real(value, lambda a: 0 <= a < math.inf,
+                 f"--alpha must be non-negative and finite, got {raw!r}")
 
 
 def cmd_generate(args) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._chunking import _chunks, _distinct_rows, _row_slices
-from .graph_core import WeightedGraph, _EqualByKey
+from .graph_core import WeightedGraph, _EqualByKey, _real, _require_positive_int
 from .percolation import (
     SurvivalProfile,
     _check_alpha,
@@ -183,10 +183,11 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     functions, so every statistic is, bit for bit, what they give that
     pattern alone.  alpha must be finite and non-negative for every kind,
     also those that do not use it.  The chunks of masks run on `workers`
-    processes.
+    processes, a positive integer.
     """
     _check_enumerable(g.n)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
+    workers = _require_positive_int("workers", workers)
     if statistic_kind not in STATISTIC_KINDS:
         raise ValueError(
             f"statistic_kind must be one of {STATISTIC_KINDS}, got {statistic_kind!r}"
@@ -223,8 +224,7 @@ def exact_distribution(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
 
 def _check_level(t: float) -> None:
     # every comparison against NaN is false, so a NaN level would read as tail 0
-    if math.isnan(t):
-        raise ValueError(f"level t must be a number, got {t!r}")
+    _real(t, lambda t: not math.isnan(t), f"level t must be a number, got {t!r}")
 
 
 def exact_tail(dist: ExactDistribution, t: float) -> float:

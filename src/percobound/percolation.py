@@ -88,7 +88,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._chunking import _chunk_length, _chunks, _distinct_rows
-from .graph_core import WeightedGraph, _EqualByKey, diagonal_view, edge_laplacian, is_real
+from .graph_core import (WeightedGraph, _check_seed, _EqualByKey, _integer, _real,
+                         _require_positive_int, _vertex_count, diagonal_view, edge_laplacian,
+                         is_real)
 from .spectral import lambda2, spectral_norm
 
 __all__ = [
@@ -171,12 +173,11 @@ class SurvivalProfile(_EqualByKey):
 
     @classmethod
     def uniform(cls, n: int, p: float) -> "SurvivalProfile":
-        if n < 1:
-            raise ValueError("profile length must be at least 1")
-        # float() would take a bool or a string; the constructor rejects both
-        if not is_real(p):
-            raise ValueError(f"survival probability must be a number, got {p!r}")
-        return cls(np.full(n, float(p)))
+        n = _vertex_count(n)
+        # the constructor's range check refuses NaN, which a p beyond the
+        # float range reads as
+        return cls(np.full(n, _real(p, lambda p: True,
+                                    f"survival probability must be a number, got {p!r}")))
 
     def __len__(self) -> int:
         return int(self.p.shape[0])
@@ -225,22 +226,15 @@ def _flag_grid(g: WeightedGraph, delta) -> tuple[np.ndarray, bool]:
     return (grid[None], True) if grid.ndim == 1 else (grid, False)
 
 
-def _check_alpha(alpha: float) -> None:
-    # written so that NaN fails too
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be non-negative and finite, got {alpha!r}")
+def _check_alpha(alpha: float) -> float:
+    return _real(alpha, lambda a: 0 <= a < math.inf,
+                 f"alpha must be non-negative and finite, got {alpha!r}")
 
 
-def _check_trial_index(trial_index: int) -> None:
+def _check_trial_index(trial_index: int) -> int:
     # the hash takes 64 bits, so trial 2**64 would repeat trial 0
-    if not 0 <= trial_index <= _MASK64:
-        raise ValueError(f"trial_index must be non-negative and below 2**64, got {trial_index}")
-
-
-def _check_seed(seed: int) -> None:
-    # the hash takes 64 bits, so any other seed would repeat one of these
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return _integer(trial_index, lambda t: 0 <= t <= _MASK64,
+                    f"trial_index must be non-negative and below 2**64, got {trial_index!r}")
 
 
 def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> np.ndarray:
@@ -249,10 +243,9 @@ def sample(profile: SurvivalProfile, seed: int, trial_index: int) -> np.ndarray:
     delta_i = 1 iff a hash-derived uniform for (seed, trial_index, i) falls
     below p_i, so p_i = 0 and p_i = 1 are exact.  Row k of the grid that
     trial_block draws for trials start, start + 1, ... is sample(profile,
-    seed, start + k).  The seed must lie in [0, 2**64).
+    seed, start + k).  The seed and trial_index are integers in [0, 2**64).
     """
-    _check_seed(seed)
-    _check_trial_index(trial_index)
+    seed, trial_index = _check_seed(seed), _check_trial_index(trial_index)
     delta = _unit_uniforms(seed, trial_index, 1, len(profile))[0] < profile.p
     delta.setflags(write=False)
     return delta
@@ -381,13 +374,14 @@ def percolated_laplacian(g: WeightedGraph, delta) -> np.ndarray:
     delta is one (n,) pattern of survival flags, or a (c, n) grid for a (c, n, n) stack.
     """
     grid, single = _flag_grid(g, delta)
-    laplacians = edge_laplacian(g, _live_values(g, grid))
+    # adding 0.0 keeps every weighted degree's bits
+    laplacians = _augmented(g, grid, 0.0)
     return laplacians[0] if single else laplacians
 
 
 def augmented_laplacian(g: WeightedGraph, delta, alpha: float) -> np.ndarray:
     """Percolated Laplacian plus alpha on each ghost's diagonal entry."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     grid, single = _flag_grid(g, delta)
     laplacians = _augmented(g, grid, alpha)
     return laplacians[0] if single else laplacians
@@ -400,7 +394,7 @@ def expected_augmented_laplacian(g: WeightedGraph, profile: SurvivalProfile,
     Edge (i, j, w) contributes with weight p_i * p_j * w; the ghost diagonal
     contributes alpha * (1 - p_i).
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _check_lengths(g, len(profile), "profile")
     p = profile.p
     L = edge_laplacian(g, p[g.src] * p[g.dst] * g.w)
@@ -452,11 +446,8 @@ def _trial_chunks(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed
     workspace run here, once per run and before anything is forked, so a bad
     input raises before the generator is started.
     """
-    _check_alpha(alpha)
-    _check_seed(seed)
-    _check_trial_index(start)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    alpha, seed, start = _check_alpha(alpha), _check_seed(seed), _check_trial_index(start)
+    count = _require_positive_int("count", count)
     if start + count > _MASK64 + 1:
         raise ValueError(f"trial indices must lie below 2**64, got {start}, ..., "
                          f"{start + count - 1}")
@@ -496,7 +487,8 @@ def trial_block(g: WeightedGraph, profile: SurvivalProfile, alpha: float, seed: 
     are evaluated a chunk at a time, with up to three eigensolves per
     distinct survival pattern of a chunk (see the module docstring).  Trials
     of a chunk that draw the same pattern share its results.  Every
-    statistic is computed; none is skipped.
+    statistic is computed; none is skipped.  The seed and the trial indices
+    are integers in [0, 2**64).
     """
     chunks = [chunk for _, chunk in _trial_chunks(g, profile, alpha, seed, start, count)]
     return TrialBlock(*(np.concatenate([getattr(b, f.name)[inverse] for b, inverse in chunks])

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph_core import WeightedGraph, _require_positive_int, build_adjacency, is_integer
+from .graph_core import (WeightedGraph, _integer, _real, _require_positive_int,
+                         build_adjacency, is_real)
 from .percolation import (
     SurvivalProfile,
     _check_alpha,
@@ -129,9 +130,7 @@ class ThresholdReport:
 
 
 def _validate_epsilon(epsilon: float) -> float:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    return float(epsilon)
+    return _real(epsilon, lambda e: 0.0 < e < 1.0, f"epsilon must lie in (0, 1), got {epsilon!r}")
 
 
 def _log_4n_over(n: int, epsilon: float) -> float:
@@ -158,8 +157,7 @@ def _finite(term: str, values):
 def _check_grid_size(name: str, size) -> None:
     """Reject an alpha grid size that is not an integer of at least 2; a bool
     is not an integer here."""
-    if not is_integer(size) or size < 2:
-        raise ValueError(f"{name} must be an integer of at least 2, got {size!r}")
+    _integer(size, lambda s: s >= 2, f"{name} must be an integer of at least 2, got {size!r}")
 
 
 # a product that overflows is refused before it is solved (the eigensolver
@@ -271,7 +269,7 @@ def deviation_bound(g: WeightedGraph, profile: SurvivalProfile, alpha: float,
     four terms, kbar and sigma are fixed by the graph, profile and epsilon.
     Edge weights whose products overflow raise ValueError naming the term.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     _, bound_at, _ = _alpha_free_part(g, profile, epsilon)
     return bound_at(alpha)
 
@@ -308,12 +306,10 @@ def bernoulli_series_tail_bound(sigma2: float, count: int, t: float) -> float:
     count is the matrix dimension N.  A zero variance proxy forces the series
     to vanish almost surely, so the tail is 0 for every t > 0.
     """
-    # written so that NaN fails too
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not sigma2 >= 0:
-        raise ValueError("sigma2 must be non-negative")
-    _require_positive_int("count", count)
+    _real(t, lambda t: t > 0, "t must be positive")
+    _real(sigma2, lambda s: s >= 0, "sigma2 must be non-negative")
+    count = _require_positive_int("count", count)
+    _float_sized("count", count)
     if sigma2 == 0.0:
         return 0.0
     return min(1.0, 2.0 * count * math.exp(-t * t / (4.0 * sigma2)))
@@ -392,19 +388,15 @@ def expected_lambda2_regular(n: int, d: int, lam: float, p: float,
     the closed form p d - p^2 lambda.
     """
     _require_positive_int("n", n)
-    if not is_integer(d) or not 0 <= d < n:
-        raise ValueError(f"d must be an integer with 0 <= d < n, got {d!r}")
-    d = int(d)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if lam > d:
+    d = _integer(d, lambda d: 0 <= d < n, f"d must be an integer with 0 <= d < n, got {d!r}")
+    _real(p, lambda p: 0.0 <= p <= 1.0, f"p must lie in [0, 1], got {p!r}")
+    # compared before any float is read, so a lambda beyond the float range exceeds d
+    if is_real(lam) and lam > d:
         raise ValueError(f"lambda must not exceed d, got lambda={lam}, d={d}")
-    # written so that NaN fails too; lambda is a magnitude
-    if not lam >= 0.0:
-        raise ValueError(f"lambda must be non-negative, got {lam!r}")
-    if alpha is None:
-        alpha = p * d
-    _check_alpha(alpha)
+    # lambda is a magnitude
+    _real(lam, lambda lam: lam >= 0.0, f"lambda must be non-negative, got {lam!r}")
+    _float_sized("d", d)
+    alpha = _check_alpha(p * d if alpha is None else alpha)
     return p * p * (d - lam) + alpha * (1.0 - p)
 
 
@@ -414,11 +406,16 @@ def _check_ndl(n: int, d: int, lam: float) -> None:
     _require_positive_int("d", d)
     if d >= n:
         raise ValueError(f"d must be less than n, got d={d}, n={n}")
-    if not 0.0 <= lam < d:
-        raise ValueError(f"lambda must satisfy 0 <= lambda < d, got lambda={lam}, d={d}")
+    _real(lam, lambda lam: 0.0 <= lam < d,
+          f"lambda must satisfy 0 <= lambda < d, got lambda={lam!r}, d={d}")
     # lambda / d and the threshold's exponent divide floats by d
-    if d > sys.float_info.max:
-        raise ValueError(f"d must not exceed the largest float, {sys.float_info.max!r}")
+    _float_sized("d", d)
+
+
+def _float_sized(name: str, value: int) -> None:
+    """Refuse an integer that a float cannot hold."""
+    _real(value, math.isfinite,
+          f"{name} must not exceed the largest float, {sys.float_info.max!r}")
 
 
 def check_gap_condition(n: int, d: int, lam: float, p: float,
@@ -436,8 +433,7 @@ def check_gap_condition(n: int, d: int, lam: float, p: float,
     """
     epsilon = _validate_epsilon(epsilon)
     _check_ndl(n, d, lam)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    _real(p, lambda p: 0.0 < p <= 1.0, f"p must lie in (0, 1], got {p!r}")
     return _gap_condition(n, d, lam, p, epsilon)
 
 
@@ -465,9 +461,8 @@ def threshold_constants(lambda_over_d: float) -> tuple[float, float]:
 
       c1 = exp(-8 (3 - r)^2 / (1 - r)^2),    c2 = 81^2 / (1 - r)^4.
     """
-    r = float(lambda_over_d)
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"lambda/d must lie in [0, 1), got {r}")
+    r = _real(lambda_over_d, lambda r: 0.0 <= r < 1.0,
+              f"lambda/d must lie in [0, 1), got {lambda_over_d!r}")
     return math.exp(_log_c1(r)), 6561.0 / (1.0 - r) ** 4
 
 

@@ -1030,6 +1030,34 @@ class TestUsageErrors:
         assert captured.err.startswith(f"error: vertex count n = {n} is too large")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    @pytest.mark.parametrize("family, message", [
+        (["paley", "--q", "1000000000000000000000049"],
+         "vertex count n = 1000000000000000000000049 is too large"),
+        (["hypercube", "--k", str(10**30)], f"hypercube dimension k = {10**30} is too large"),
+        (["hypercube", "--k", "40"], f"vertex count n = {2**40} is too large"),
+        (["random_regular", "--n", str(10**30), "--d", "2"],
+         f"vertex count n = {10**30} is too large"),
+    ], ids=["paley", "hypercube", "hypercube-k40", "random_regular"])
+    @pytest.mark.parametrize("command", [
+        ["generate"], ["certify"], ["bound", "--p", "0.5", "--epsilon", "0.1"],
+        ["simulate", "--p", "0.5", "--epsilon", "0.1", "--trials", "10"],
+        ["oracle", "--p", "0.5", "--kind", "a_delta"],
+    ], ids=lambda command: command[0])
+    def test_graph_size_beyond_flat_indexing_reaches_no_builder(self, monkeypatch, capsys,
+                                                                command, family, message):
+        # unchecked, the primality test of this q runs for minutes, and the
+        # pairing of 10**30 vertices fills memory; here each raises if reached
+        def unreachable(*args):
+            raise AssertionError("a graph builder was reached")
+
+        monkeypatch.setattr(percobound.graph_core, "_is_prime", unreachable)
+        monkeypatch.setattr(percobound.graph_core, "_sequential_pairing", unreachable)
+        assert run_cli([*command, "--family", *family]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     @pytest.mark.parametrize("command, text, message", [
         (["bound", "--epsilon", "0.1"], "[{}, 0.5, 0.5]", "survival probability 0 must be a number"),
         (["oracle", "--kind", "a_delta"], '[0.5, true, "0.5"]',
