@@ -11,6 +11,10 @@ exhaustive enumeration and Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
+# first, before numpy loads: _chunking sets the BLAS thread timeout that
+# OpenBLAS reads at load
+from . import _chunking  # noqa: F401
+
 # each layer module's __all__ is the one list of its public names
 from . import graph_core, oracle, percolation, spectral, theory
 from .graph_core import *  # noqa: F403

@@ -39,12 +39,23 @@ replaces the command's default, and one rule applies to both: 0 means
 usable_cpus(), the CPUs in this process's affinity mask, and any count is
 capped at usable_cpus(), so no setting forks more workers than there are
 CPUs to run them.
-- simulate defaults to 1 worker.  Its order-256 eigensolves already keep two
-  OpenBLAS threads busy.  On a 2-core machine two forked workers, each with
-  OpenBLAS threads of its own, took simulate-hypercube8 from 1.38-1.43 s to
-  2.27-3.89 s (3 runs each), and gave simulate-cycle6 no gain.  A short run
-  has few chunks to share among more workers: 200 trials of the 8-cube are
-  2 chunks, of 128 and 72 trials, and 5,000 of the 6-cycle are 1.
+- simulate defaults to usable_cpus() where idle BLAS threads sleep, and to
+  1 worker where they may spin.  After each call an idle OpenBLAS thread
+  spins for 2**28 cycles (about 0.1 s) unless OPENBLAS_THREAD_TIMEOUT sets
+  another power of two, and OpenBLAS reads that variable once, when numpy
+  loads it.  So this module, which percobound/__init__.py imports before any
+  module that imports numpy, sets it to "4" (2**4 cycles) where it is unset,
+  if numpy is not loaded yet; _BLAS_TIMEOUT_AT_LOAD is true where numpy was
+  not.  The timeout sets only how long an idle thread spins: the BLAS
+  thread count, the work split and every output bit stay the same, and a
+  forked child inherits it with the loaded library.  On a 2-core machine the
+  simulate-hypercube8 command took 0.75-1.86 s on one worker, 1.57-6.05 s on
+  two workers with spinning BLAS threads, each worker with two of its own,
+  and 0.63-0.70 s on two with the timeout (3 runs each).  Where numpy loaded
+  first (pytest's conftest.py, or a program that embeds the library) the
+  variable is left alone and simulate keeps 1 worker.  A short run has few
+  chunks to share among more workers: 200 trials of the 8-cube are 2 chunks,
+  of 128 and 72 trials, and 5,000 of the 6-cycle are 1.
 - oracle defaults to 0, one worker per usable CPU.  Its matrices have order
   at most 20, which OpenBLAS solves on one thread.  With 2 workers on a
   2-core machine, oracle-cycle15's op_ref fell from 5.83 to 3.88 (medians of
@@ -62,7 +73,13 @@ import os
 import pickle
 import sys
 
-import numpy as np
+# whether OpenBLAS, loaded with numpy below, reads a thread timeout set here
+# or by the caller; see the module docstring
+_BLAS_TIMEOUT_AT_LOAD = "numpy" not in sys.modules
+if _BLAS_TIMEOUT_AT_LOAD:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402 - after the timeout, which OpenBLAS reads at load
 
 # Entries one chunk holds: n * n per matrix, n per trial's survival flags.
 # Larger chunks raise peak memory without running faster.
@@ -81,9 +98,15 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def resolve_threads(unset: int = 1) -> int:
-    """Worker count: PERCOBOUND_THREADS, or `unset` where it is not set; 0
-    means usable_cpus(), and any count is capped at usable_cpus()."""
+# simulate's worker count where PERCOBOUND_THREADS is unset: 0, every usable
+# CPU, where idle BLAS threads sleep (module docstring)
+_SIMULATE_WORKERS = 0 if _BLAS_TIMEOUT_AT_LOAD else 1
+
+
+def resolve_threads(unset: int = _SIMULATE_WORKERS) -> int:
+    """Worker count: PERCOBOUND_THREADS, or `unset` (simulate's default unless
+    given) where it is not set; 0 means usable_cpus(), and any count is
+    capped at usable_cpus()."""
     raw = os.environ.get("PERCOBOUND_THREADS")
     value = unset
     if raw is not None:

@@ -38,6 +38,10 @@ comparison can fail and skips the augmented eigensolve (see
 percolation._trial_chunks); the report is the same bytes either way.
 
 simulate and oracle take their worker count from _chunking.resolve_threads.
+Where PERCOBOUND_THREADS is unset, oracle runs one worker per usable CPU, and
+so does simulate where the package was imported before numpy, which lets it
+set OpenBLAS's idle-thread timeout; where numpy loaded first, simulate runs
+one worker.  The _chunking module's docstring says why.
 
 oracle writes its table a row block at a time (ExactDistribution.write_csv)
 and sums it for its stderr summary a row block at a time (oracle._exact_sum),
@@ -370,6 +374,7 @@ def cmd_simulate(args) -> int:
             else os.path.realpath(output) == os.path.realpath(csv)):
         raise ValueError(f"--output and --trials-csv name the same file: {output}")
     g, profile, alpha_spec, config = _experiment(args, args.trials)
+    # every usable CPU where idle BLAS threads sleep, else one worker
     summary, violations = run_experiment(
         g, profile, alpha_spec, args.epsilon, args.trials, args.seed,
         threads=resolve_threads(), alpha_grid_size=args.alpha_grid,

@@ -50,6 +50,9 @@ K_MAX = 0.5 / math.sqrt(2.0)
 THRESHOLD_MODES = ("closed_form", "bisection")
 # points of each optimize_alpha grid pass, unless the caller gives another count
 ALPHA_GRID_SIZE = 256
+# the most points a pass may have: on the 4-cycle a search of 2**16 points
+# takes 0.04 s and a process peak of 41 MiB, one of 2**20 points 1.8 s and 192 MiB
+_ALPHA_GRID_CAP = 1 << 16
 
 _BISECTION_TOL = 1e-12
 _SWEEP_POINTS = 1000
@@ -64,8 +67,14 @@ def kearns_saul_k(p: float) -> float:
     symmetric about 1/2.  The ratio is 0/0 at p = 1/2, so within 1e-6 of 1/2
     a two-term series replaces the direct quotient.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    p = _real(p, lambda p: 0.0 <= p <= 1.0, f"p must lie in [0, 1], got {p!r}")
+    return _kearns_saul_k(p)
+
+
+def _kearns_saul_k(p: float) -> float:
+    """kearns_saul_k of a float p already known to lie in [0, 1]: the bound,
+    the series variance and the gap condition call it once per vertex or per
+    bisection step."""
     if p == 0.0 or p == 1.0:
         return 0.0
     u = p - 0.5
@@ -155,9 +164,12 @@ def _finite(term: str, values):
 
 
 def _check_grid_size(name: str, size) -> None:
-    """Reject an alpha grid size that is not an integer of at least 2; a bool
-    is not an integer here."""
-    _integer(size, lambda s: s >= 2, f"{name} must be an integer of at least 2, got {size!r}")
+    """Reject an alpha grid size that is not an integer of at least 2, or that
+    exceeds _ALPHA_GRID_CAP; a bool is not an integer here."""
+    size = _integer(size, lambda s: s >= 2,
+                    f"{name} must be an integer of at least 2, got {size!r}")
+    if size > _ALPHA_GRID_CAP:
+        raise ValueError(f"{name} must not exceed {_ALPHA_GRID_CAP}, got {size!r}")
 
 
 # a product that overflows is refused before it is solved (the eigensolver
@@ -181,11 +193,15 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
 
     A = build_adjacency(g)
     p = profile.p
-    kv = np.array([kearns_saul_k(float(pi)) for pi in p])
+    kv = np.array([_kearns_saul_k(float(pi)) for pi in p])
     sqrt_log = math.sqrt(_log_4n_over(g.n, epsilon))
 
-    k_bar = float(np.sqrt(_finite("k_bar", (A * A) @ (kv * kv)).max()))
+    # A * A gives both k_bar and the column norms in sigma
+    A_sq = A * A
+    k_bar = float(np.sqrt(_finite("k_bar", A_sq @ (kv * kv)).max()))
     term_kbar = 2.0 * k_bar * sqrt_log
+    col_norm_sq = A_sq.sum(axis=0)
+    del A_sq  # n * n entries that nothing below reads
 
     expected_row = A @ p
 
@@ -198,7 +214,6 @@ def _alpha_free_part(g: WeightedGraph, profile: SurvivalProfile, epsilon: float)
     term_dpad = 2.0 * math.sqrt(spectral_norm(_finite("term_dpad", B @ B.T)))
 
     # sum_i c_i a_i a_i^T with a_i the i-th column of A equals A diag(c) A
-    col_norm_sq = (A * A).sum(axis=0)
     c = kv * kv * (1.0 - 2.0 * p) ** 2 * col_norm_sq
     sigma = math.sqrt(spectral_norm(_finite("sigma", (A * c[None, :]) @ A)))
     term_sigma = 4.5 * math.sqrt(sigma * sqrt_log)
@@ -295,7 +310,7 @@ def bernoulli_series_variance(matrices, profile: SurvivalProfile) -> float:
     Bernoulli(p_i) and fixed symmetric X_i.
     """
     X = _series_terms(matrices, profile)
-    kv = np.array([kearns_saul_k(float(pi)) for pi in profile.p])
+    kv = np.array([_kearns_saul_k(float(pi)) for pi in profile.p])
     S = np.einsum("i,ijk,ikl->jl", kv * kv, X, X)
     return spectral_norm(S)
 
@@ -440,7 +455,7 @@ def check_gap_condition(n: int, d: int, lam: float, p: float,
 def _gap_condition(n: int, d: int, lam: float, p: float,
                    epsilon: float) -> tuple[bool, float, float]:
     """check_gap_condition on inputs it has already checked."""
-    k = kearns_saul_k(p)
+    k = _kearns_saul_k(p)
     c = _log_4n_over(n, epsilon) / d * k * k
     lhs = (1.0 - lam / d) * p
     rhs = (

@@ -17,9 +17,10 @@ import pytest
 from percobound import (SurvivalProfile, augmented_laplacian, bernoulli_series_tail_bound,
                         check_gap_condition, deviation_bound, exact_bernoulli_series_tail,
                         exact_distribution, exact_tail, expected_augmented_laplacian,
-                        expected_lambda2_regular, generate, optimize_alpha, sample,
-                        survival_threshold, threshold_constants, trial_block)
-from percobound.harness_cli import _parse_alpha, run_experiment
+                        expected_lambda2_regular, generate, kearns_saul_k, optimize_alpha,
+                        sample, survival_threshold, threshold_constants, trial_block)
+from percobound.harness_cli import EXIT_USAGE, _parse_alpha, main, run_experiment
+from percobound.theory import _ALPHA_GRID_CAP
 
 BIG = 10**400  # an int beyond the float range
 INDEX_BITS = np.iinfo(np.intp).bits
@@ -67,7 +68,7 @@ def vertex_count_too_large(n: int) -> str:
 # size exceeded" for the n of generate and SurvivalProfile.uniform) or from
 # float(): threshold_constants read True and "1" as 1.0 and printed "got
 # 1.0".  Integer arguments that have no upper bound (a worker or thread
-# count, an alpha grid size, the n of an (n, d, lambda) graph) get UNBOUNDED.
+# count, the n of an (n, d, lambda) graph) get UNBOUNDED.
 ENTRY_POINTS = [
     ("augmented_laplacian", "alpha",
      lambda v: augmented_laplacian(C4, np.array([1, 1, 0, 1], bool), v), ALPHA, REALS),
@@ -92,8 +93,9 @@ ENTRY_POINTS = [
      EPSILON, REALS),
     ("optimize_alpha-epsilon", "epsilon", lambda v: optimize_alpha(C4, P4, v), EPSILON, REALS),
     ("optimize_alpha-alpha_grid_size", "alpha_grid_size", lambda v: optimize_alpha(C4, P4, 0.1, v),
-     same("alpha_grid_size must be an integer of at least 2, got {}"),
-     UNBOUNDED),
+     lambda v: (f"alpha_grid_size must not exceed {_ALPHA_GRID_CAP}, got {v!r}" if v is BIG
+                else f"alpha_grid_size must be an integer of at least 2, got {v!r}"), INTEGERS),
+    ("kearns_saul_k", "p", kearns_saul_k, same("p must lie in [0, 1], got {}"), REALS),
     ("bernoulli_series_tail_bound-sigma2", "sigma2",
      lambda v: bernoulli_series_tail_bound(v, 3, 1.0), lambda v: "sigma2 must be non-negative",
      REALS),
@@ -178,3 +180,18 @@ def test_a_number_an_entry_point_cannot_use_is_a_value_error_naming_it(call, val
         call(value)
     assert str(info.value) == message
     assert re.search(rf"(?<![\w-])({name})(?!\w)", message)
+
+
+def test_an_alpha_grid_size_above_the_cap_is_a_value_error_naming_it(capsys):
+    # the cap itself is a grid; one point more, or 10**400, is refused
+    # before any array is built
+    assert optimize_alpha(C4, P4, 0.1, _ALPHA_GRID_CAP)[1].alpha >= 0.0
+    for size in (_ALPHA_GRID_CAP + 1, BIG):
+        with pytest.raises(ValueError) as info:
+            optimize_alpha(C4, P4, 0.1, size)
+        too_many = f"must not exceed {_ALPHA_GRID_CAP}, got {size}"
+        assert str(info.value) == f"alpha_grid_size {too_many}"
+        code = main(["bound", "--family", "cycle", "--n", "4", "--p", "0.5", "--epsilon", "0.1",
+                     "--alpha-grid", str(size)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: --alpha-grid {too_many}\n")
