@@ -109,16 +109,17 @@ class WeightedGraph(_EqualByKey):
     state: edge k joins src[k] < dst[k] with weight w[k], sorted by (src,
     dst).  Every weighted degree must be finite, not only every weight, so
     that Laplacians and their norms stay finite.  WeightedGraph(n, edges)
-    takes (i, j, w) edges in any order and orientation and checks them one
-    at a time, in input order, by _checked_edge; the generators build from
-    arrays with _from_arrays, whose _edge_arrays checks the same rules on
-    whole arrays.  Both sort with _edge_arrays and then check the
-    degrees.  edges, the same edges as a
-    tuple of (int, int, float), is built on first read.  _scatter, where
-    edge_laplacian writes each edge, is built with the arrays: its keys
-    src * n + dst are the ones _edge_arrays sorted by.  Two graphs are
-    equal, and hash equal, when n and the arrays are (_EqualByKey); every
-    weight is finite and > 0, so equal weights have equal bits.
+    is the one door for outside input: it takes (i, j, w) edges in any
+    order and orientation and checks them one at a time, in input order,
+    by _checked_edge and for repeats.  The generators build through the
+    trusted _from_arrays, and a pickle is rebuilt through WeightedGraph(n,
+    edges).  Both constructors sort with _edge_arrays and then check the
+    degrees.  edges, the same edges as a tuple of (int, int, float), is
+    built on first read.  _scatter, where edge_laplacian writes each edge,
+    is built with the arrays: its keys src * n + dst are the ones
+    _edge_arrays sorted by.  Two graphs are equal, and hash equal, when n
+    and the arrays are (_EqualByKey); every weight is finite and > 0, so
+    equal weights have equal bits.
     """
 
     n: int
@@ -143,9 +144,10 @@ class WeightedGraph(_EqualByKey):
     @classmethod
     def _from_arrays(cls, n: int, src, dst, w) -> WeightedGraph:
         """The graph on n vertices with the edges (src[k], dst[k], w[k]),
-        taken as intp, intp and float arrays."""
+        taken as intp, intp and float arrays.  Trusted: n is a vertex count
+        (an int) and the edges obey WeightedGraph's rules, as a generator's
+        do; only the degrees are checked."""
         g = cls.__new__(cls)
-        n = _vertex_count(n)
         g._freeze(n, _edge_arrays(n, np.asarray(src, np.intp), np.asarray(dst, np.intp),
                                   np.asarray(w, float)))
         return g
@@ -171,8 +173,8 @@ class WeightedGraph(_EqualByKey):
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         return tuple(zip(self.src.tolist(), self.dst.tolist(), self.w.tolist()))
 
-    def __reduce__(self):  # rebuilt and re-checked: read-only arrays, edges unbuilt
-        return type(self)._from_arrays, (self.n, self.src, self.dst, self.w)
+    def __reduce__(self):  # rebuilt through the public door: checked, read-only, edges unbuilt
+        return WeightedGraph, (self.n, WeightedGraph.edges.func(self))
 
     @property
     def edge_count(self) -> int:
@@ -236,31 +238,13 @@ def _checked_edge(edge, n: int) -> tuple[int, int, float]:
 def _edge_arrays(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """(src, dst, w, key) of the edges (i[k], j[k], w[k]) on n vertices,
     each turned to src < dst and the edges sorted by (src, dst), where
-    key = src * n + dst in that order; or ValueError.
-
-    The edge rules of _checked_edge, and no repeated pair, run on whole
-    arrays.  The first edge k, in input order, that breaks one is reported:
-    _checked_edge((i[k], j[k], w[k]), n) raises its words, or it is a
-    duplicate.
+    key = src * n + dst in that order.  The edges must already obey the
+    rules of _checked_edge and repeat no pair; nothing here checks them.
     """
     src, dst = np.minimum(i, j), np.maximum(i, j)
-    # written so that NaN weights fail too
-    broken = (src < 0) | (dst >= n) | (src == dst) | ~(w > 0.0) | ~np.isfinite(w)
-    # a stable sort keeps each pair's edges in input order, so the repeats of
-    # a pair are the entries after its first.  A pair in range has its own key
-    # below n * n; a broken edge's key may equal another's, which flags only
-    # the later of the two, so never an edge before the first broken one.
     key = src * n + dst
     order = np.argsort(key, kind="stable")
-    repeated = np.zeros(src.size, dtype=bool)
-    key = key[order]
-    repeated[order[1:]] = key[1:] == key[:-1]
-    offenders = np.flatnonzero(broken | repeated)
-    if offenders.size:
-        k = offenders[0]
-        _checked_edge((i[k], j[k], w[k]), n)
-        raise ValueError(f"duplicate edge ({src[k]},{dst[k]})")
-    return src[order], dst[order], w[order], key
+    return src[order], dst[order], w[order], key[order]
 
 
 @dataclass(frozen=True)

@@ -422,7 +422,7 @@ def algebraic_connectivity_survivors(g: WeightedGraph, delta) -> float | np.ndar
     is +infinity by convention.  A (c, n) grid gives an array, one value per row.
     """
     grid, single = _flag_grid(g, delta)
-    values = _survivor_lambda2(percolated_laplacian(g, grid), grid)
+    values = _survivor_lambda2(_augmented(g, grid, 0.0), grid)
     return float(values[0]) if single else values
 
 

@@ -465,10 +465,10 @@ def _called_names(node: ast.AST) -> set:
 
 
 def test_edge_rules_are_defined_once_and_generators_build_no_edge_tuples():
-    # _checked_edge alone words the per-edge rules: the edge-list constructor
-    # checks each edge by it, and _edge_arrays, which both constructors call,
-    # names a broken array edge by it; the functions generate reaches neither
-    # call WeightedGraph(n, edges) nor build a tuple per edge
+    # _checked_edge alone words the per-edge rules, and only the edge-list
+    # constructor, the one door for outside input, calls it; _edge_arrays,
+    # which both constructors call, checks no rule; the functions generate
+    # reaches neither call WeightedGraph(n, edges) nor build a tuple per edge
     package = Path(graph_core.__file__).parent
     defined = [(path.name, node.name) for path in sorted(package.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -481,8 +481,13 @@ def test_edge_rules_are_defined_once_and_generators_build_no_edge_tuples():
     methods = {node.name: node for node in graph_class.body if isinstance(node, ast.FunctionDef)}
     for name in ("__init__", "_from_arrays"):
         assert {"_edge_arrays", "_freeze"} <= _called_names(methods[name]), name
-    assert "_checked_edge" in _called_names(methods["__init__"])
-    assert "_checked_edge" in _called_names(functions["_edge_arrays"])
+    callers = sorted(node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and "_checked_edge" in _called_names(node))
+    assert callers == ["__init__"]
+    # it calls no function of the module, and raises nothing
+    edge_arrays = functions["_edge_arrays"]
+    assert not _called_names(edge_arrays) & functions.keys()
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(edge_arrays))
     reached, todo = set(), ["generate"]
     while todo:
         name = todo.pop()

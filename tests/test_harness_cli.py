@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -106,6 +107,40 @@ class TestGenerate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 5
         assert len(payload["edges"]) == 5
+
+    def test_csv_format_is_refused_before_the_output_is_opened(self, tmp_path, capsys):
+        # a graph's edge list has no key,value rows
+        out = tmp_path / "g.csv"
+        out.write_bytes(b"kept\n")
+        assert run_cli(["generate", "--family", "cycle", "--n", "5", "--format", "csv",
+                        "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: generate writes JSON only, not --format csv\n")
+        assert out.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--graph", "GRAPH"],
+    ["bound", "--graph", "GRAPH", "--p", "0.9", "--epsilon", "0.1"],
+    ["simulate", "--graph", "GRAPH", "--p", "0.9", "--alpha", "1.5", "--epsilon", "0.25",
+     "--trials", "50"],
+    ["threshold", "--n", "64", "--d", "63", "--lambda", "1", "--epsilon", "0.5"],
+], ids=["certify", "bound", "simulate", "threshold"])
+def test_report_csv_has_one_key_and_one_value_per_row(tmp_path, argv):
+    # the graph's path holds a comma, inside the JSON string's quotes
+    graph = tmp_path / "a,b" / "g.json"
+    graph.parent.mkdir()
+    write_graph(generate("paley", q=13), graph)
+    out = tmp_path / "report.csv"
+    argv = [str(graph) if arg == "GRAPH" else arg for arg in argv]
+    assert run_cli([*argv, "--format", "csv", "--output", str(out)]) == EXIT_OK
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    keys = [key for key, _ in rows]
+    assert len(set(keys)) == len(keys)
+    if "--graph" in argv:
+        assert dict(rows)["config.graph_source.file"] == str(graph)
 
 
 class TestCertify:
@@ -921,18 +956,48 @@ options:
     (["nope"], "", USAGE + "percobound: error: argument command: invalid choice: 'nope' "
      "(choose from 'generate', 'certify', 'bound', 'simulate', 'threshold', 'oracle')\n"),
     ([], "", USAGE + "percobound: error: the following arguments are required: command\n"),
-    (["certify"], "", USAGE + "percobound: error: provide --graph FILE or --family NAME\n"),
-    (["certify", "--graph", "g.json", "--family", "cycle"], "",
-     USAGE + "percobound: error: --graph and --family are mutually exclusive\n"),
-    (["bound", "--family", "cycle", "--n", "4", "--epsilon", "0.1"], "",
-     USAGE + "percobound: error: provide exactly one of --p or --profile\n"),
-], ids=["help", "unknown-command", "no-command", "no-source", "two-sources", "no-profile"])
+], ids=["help", "unknown-command", "no-command"])
 def test_top_level_texts_list_every_command(monkeypatch, capsys, argv, out, err):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         run_cli(argv)
     assert exc.value.code == (0 if argv == ["--help"] else EXIT_USAGE)
     assert capsys.readouterr() == (out, err)
+
+
+SOURCE_USAGE = ("(--graph GRAPH | --family "
+                "{complete,cycle,path,hypercube,paley,random_regular})\n")
+CERTIFY_USAGE = (
+    "usage: percobound certify [-h] [--seed SEED] [--output OUTPUT]\n"
+    "                          [--format {json,csv}]\n"
+    "                          " + SOURCE_USAGE +
+    "                          [--n N] [--k K] [--q Q] [--d D]\n")
+BOUND_USAGE = (
+    "usage: percobound bound [-h] [--seed SEED] [--output OUTPUT]\n"
+    "                        [--format {json,csv}]\n"
+    "                        " + SOURCE_USAGE +
+    "                        [--n N] [--k K] [--q Q] [--d D]\n"
+    "                        (--p P | --profile PROFILE) [--alpha ALPHA]\n"
+    "                        [--alpha-grid ALPHA_GRID] --epsilon EPSILON\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["certify"], CERTIFY_USAGE
+     + "percobound certify: error: one of the arguments --graph --family is required\n"),
+    (["certify", "--graph", "g.json", "--family", "cycle"], CERTIFY_USAGE
+     + "percobound certify: error: argument --family: not allowed with argument --graph\n"),
+    (["bound", "--family", "cycle", "--n", "4", "--epsilon", "0.1"], BOUND_USAGE
+     + "percobound bound: error: one of the arguments --p --profile is required\n"),
+    (["bound", "--family", "cycle", "--p", "0.5", "--profile", "p.json", "--epsilon", "0.1"],
+     BOUND_USAGE + "percobound bound: error: argument --profile: not allowed with argument --p\n"),
+], ids=["no-source", "two-sources", "no-profile", "two-profiles"])
+def test_source_and_profile_mistakes_print_the_commands_usage(monkeypatch, capsys, argv, err):
+    # the parser checks both choices, and words the error as for any other flag
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr() == ("", err)
 
 
 class TestUsageErrors:
